@@ -11,7 +11,6 @@ from fractions import Fraction as F
 
 from barychi import (
     ProblemInstance,
-    SeriesSpec,
     chi_c_direct,
     chi_c_series,
     chi_c_strata,
@@ -27,7 +26,7 @@ instance = validate(ProblemInstance(
 
 direct = chi_c_direct(instance)
 strata = chi_c_strata(instance)
-series = chi_c_series(SeriesSpec.from_instance(instance))
+series = chi_c_series(instance)
 
 print("three algorithms, one answer:")
 for result in (direct, strata, series):

@@ -13,10 +13,10 @@ merge exactly because everything is rational arithmetic.
 """
 from fractions import Fraction as F
 
-from barychi import SeriesSpec, chen_lin_series, chi_c_series
+from barychi import ProblemInstance, chen_lin_series, chi_c_series, validate
 
-spec = SeriesSpec(chi_c=2, weights=(F(1, 2),), rho=F(1), bound=F(3))
-g = chen_lin_series(spec)
+instance = validate(ProblemInstance(chi_c=2, weights=(F(1, 2),), rho=F(1)))
+g = chen_lin_series(instance, bound=F(3))
 
 print("g(x) = (1 + x + ...)^(-1) * (1 - x^(1/2)), truncated at 3:")
 running = 0
@@ -25,13 +25,13 @@ for exponent, coeff in g.terms():
         print(f"  x^0: {coeff}   (constant term, always 1)")
         continue
     marker = ""
-    if exponent <= spec.rho:
+    if exponent <= instance.rho:
         running += coeff
         marker = f"   running window sum = {running}"
     print(f"  x^{exponent}: {coeff}{marker}")
 
-result = chi_c_series(spec)
-print(f"\nwindow (0, {spec.rho}] sums to {running}")
+result = chi_c_series(instance)
+print(f"\nwindow (0, {instance.rho}] sums to {running}")
 print(f"chi_c = {result.chi_c_value}, d_rho = {result.degree_d_rho}")
 
 # Sanity check against the no-singular-points case: with r = 0 the series
@@ -39,5 +39,5 @@ print(f"chi_c = {result.chi_c_value}, d_rho = {result.degree_d_rho}")
 # rho walks through 1 - C(k - chi_c, k) step by step.
 print("\nr = 0, chi_c = -1 (a wedge of two circles), rho = 1..6:")
 for k in range(1, 7):
-    res = chi_c_series(SeriesSpec(chi_c=-1, weights=(), rho=F(k)))
+    res = chi_c_series(validate(ProblemInstance(chi_c=-1, weights=(), rho=F(k))))
     print(f"  rho = {k}: chi_c(B_{k}(X)) = {res.chi_c_value}")

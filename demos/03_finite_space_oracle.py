@@ -12,14 +12,13 @@ from fractions import Fraction as F
 
 from barychi import (
     FiniteWeightedSpace,
-    SeriesSpec,
     chi_c_direct,
     chi_c_series,
     chi_c_strata,
     oracle_chi,
-    skeleton_chi,
     validate,
 )
+from barychi.oracle import skeleton_chi
 from barychi.selftest import random_finite_space
 
 # Three points, two of weight 1/2: with rho = 1 the faces are the three
@@ -31,7 +30,7 @@ print(f"  face count gives chi = {oracle_chi(space, F(1))}  (3 vertices - 1 edge
 instance = validate(space.matching_instance(F(1)))
 print(f"  closed-form sum gives  {chi_c_direct(instance).chi_c_value}")
 print(f"  strata sum gives       {chi_c_strata(instance).chi_c_value}")
-print(f"  series window gives    {chi_c_series(SeriesSpec.from_instance(instance)).chi_c_value}")
+print(f"  series window gives    {chi_c_series(instance).chi_c_value}")
 
 # With every weight 1, the bound rho = k carves out the (k-1)-skeleton of
 # a simplex, which is a bouquet of spheres: three formulas, one number.

@@ -9,14 +9,8 @@ gives the economical description of the space.
 """
 from fractions import Fraction as F
 
-from barychi import (
-    ConicPiece,
-    ProblemInstance,
-    colimit_pieces,
-    maximal_pieces,
-    piece_includes,
-    validate,
-)
+from barychi import ProblemInstance, maximal_pieces, validate
+from barychi.classifier import ConicPiece, colimit_pieces, piece_includes
 
 instance = validate(ProblemInstance(
     chi_c=2,

@@ -15,21 +15,19 @@ from barychi import (
     ProblemInstance,
     SpaceKind,
     chi_c_direct,
-    chi_of_descriptor,
     classify_r1,
     classify_r2_connected,
     classify_r2_two_components,
-    descriptor_text,
     validate,
 )
 
 
 def show(instance, descriptor):
-    chi = chi_of_descriptor(descriptor)
+    chi = descriptor.chi()
     engine = chi_c_direct(instance).chi_c_value
     tick = "ok" if chi == engine else "MISMATCH"
     weights = ",".join(str(w) for w in instance.weights)
-    print(f"  w = [{weights:<9}]  ->  {descriptor_text(descriptor):<24} "
+    print(f"  w = [{weights:<9}]  ->  {descriptor.render():<24} "
           f"chi = {chi:>2}  engine = {engine:>2}  {tick}")
 
 

@@ -6,143 +6,51 @@ chi_c(B_rho) by three independent exact algorithms (closed-form
 alternating sum, locally closed strata, generating-series window), the
 associated degree d_rho = 1 - chi_c, a brute-force oracle for finite
 spaces, and symbolic homotopy types for up to two singular points.
+
+The names below are the ones README's "Library API" section documents;
+everything else lives in the submodules.
 """
 
-from .combinatorics import ext_binomial, floor_rational, gould_convolution, hockey_stick_sum
+from .classifier import (
+    Placement,
+    classify_r1,
+    classify_r2_connected,
+    classify_r2_two_components,
+    maximal_pieces,
+)
 from .engine import (
-    ChiResult,
-    chi_c_complement,
     chi_c_direct,
     chi_c_strata,
-    chi_join,
-    chi_quotient_wedge,
-    chi_suspension,
     normalize_drop_heavy,
     normalize_drop_unit_weights,
     topological_chi_applicable,
 )
-from .errors import (
-    BarychiError,
-    InconsistentComponents,
-    InputFormatError,
-    NonPositiveRho,
-    NonPositiveWeight,
-    OutOfScope,
-    TooManySingularPoints,
-    TooManyVertices,
-    WeightOutOfRange,
-)
-from .classifier import (
-    Bary,
-    Base,
-    Circle,
-    ConicPiece,
-    Contractible,
-    DisjointUnion,
-    HomotopyDescriptor,
-    Placement,
-    Point,
-    SpaceExpr,
-    Suspension,
-    Wedge,
-    chi_disjoint_union_decomposition,
-    chi_of_descriptor,
-    classify_r1,
-    classify_r2_connected,
-    classify_r2_two_components,
-    colimit_pieces,
-    descriptor_text,
-    maximal_pieces,
-    piece_includes,
-)
-from .model import (
-    ComponentSpec,
-    ProblemInstance,
-    SpaceKind,
-    SubsetWeight,
-    ValidatedInstance,
-    enumerate_subset_weights,
-    instance_from_json,
-    instance_to_json_dict,
-    parse_fraction,
-    parse_weights,
-    validate,
-)
-from .oracle import FiniteWeightedSpace, oracle_chi, skeleton_chi
-from .series import (
-    SeriesSpec,
-    SparseSeries,
-    chen_lin_series,
-    chi_c_series,
-    expand_geometric_power,
-    multiply_truncated,
-)
+from .errors import BarychiError
+from .model import ComponentSpec, ProblemInstance, SpaceKind, instance_from_json, validate
+from .oracle import FiniteWeightedSpace, oracle_chi
+from .series import chen_lin_series, chi_c_series
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BarychiError",
-    "Bary",
-    "Base",
-    "ChiResult",
-    "Circle",
     "ComponentSpec",
-    "ConicPiece",
-    "Contractible",
-    "DisjointUnion",
     "FiniteWeightedSpace",
-    "HomotopyDescriptor",
-    "InconsistentComponents",
-    "InputFormatError",
-    "NonPositiveRho",
-    "NonPositiveWeight",
-    "OutOfScope",
     "Placement",
-    "Point",
     "ProblemInstance",
-    "SeriesSpec",
-    "SpaceExpr",
     "SpaceKind",
-    "SparseSeries",
-    "SubsetWeight",
-    "Suspension",
-    "TooManySingularPoints",
-    "TooManyVertices",
-    "ValidatedInstance",
-    "Wedge",
-    "WeightOutOfRange",
     "chen_lin_series",
-    "chi_c_complement",
     "chi_c_direct",
     "chi_c_series",
     "chi_c_strata",
-    "chi_disjoint_union_decomposition",
-    "chi_join",
-    "chi_of_descriptor",
-    "chi_quotient_wedge",
-    "chi_suspension",
     "classify_r1",
     "classify_r2_connected",
     "classify_r2_two_components",
-    "colimit_pieces",
-    "descriptor_text",
-    "enumerate_subset_weights",
-    "expand_geometric_power",
-    "ext_binomial",
-    "floor_rational",
-    "gould_convolution",
-    "hockey_stick_sum",
     "instance_from_json",
-    "instance_to_json_dict",
     "maximal_pieces",
-    "multiply_truncated",
     "normalize_drop_heavy",
     "normalize_drop_unit_weights",
     "oracle_chi",
-    "parse_fraction",
-    "parse_weights",
-    "piece_includes",
-    "skeleton_chi",
     "topological_chi_applicable",
     "validate",
 ]

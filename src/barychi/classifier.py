@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from math import floor
 
-from .combinatorics import ext_binomial, floor_rational
+from .combinatorics import ext_binomial
 from .engine import chi_join, chi_suspension
 from .errors import OutOfScope, WeightOutOfRange
 from .model import ValidatedInstance, enumerate_subset_weights
@@ -24,13 +24,9 @@ from .model import ValidatedInstance, enumerate_subset_weights
 
 
 class SpaceExpr:
-    """A symbolic space built from labelled pieces, wedges, and unions."""
-
-    def chi(self) -> int:
-        raise NotImplementedError(type(self))
-
-    def render(self) -> str:
-        raise NotImplementedError(type(self))
+    """A symbolic space with ``chi()`` and ``render()``: a labelled piece, a
+    wedge or union of pieces, or a homotopy type (contractible, a
+    barycenter space of an expression, or an iterated suspension of one)."""
 
 
 @dataclass(frozen=True)
@@ -88,19 +84,8 @@ class DisjointUnion(SpaceExpr):
         return " | ".join(p.render() for p in self.parts)
 
 
-class HomotopyDescriptor:
-    """A symbolic homotopy type: contractible, a barycenter space of a
-    space expression, or an iterated suspension of one."""
-
-    def chi(self) -> int:
-        raise NotImplementedError(type(self))
-
-    def render(self) -> str:
-        raise NotImplementedError(type(self))
-
-
 @dataclass(frozen=True)
-class Contractible(HomotopyDescriptor):
+class Contractible(SpaceExpr):
     def chi(self) -> int:
         return 1
 
@@ -109,7 +94,7 @@ class Contractible(HomotopyDescriptor):
 
 
 @dataclass(frozen=True)
-class Bary(HomotopyDescriptor):
+class Bary(SpaceExpr):
     """B_n of a space expression; n = 0 denotes the empty space (chi = 0)."""
 
     n: int
@@ -125,24 +110,14 @@ class Bary(HomotopyDescriptor):
 
 
 @dataclass(frozen=True)
-class Suspension(HomotopyDescriptor):
-    inner: HomotopyDescriptor
+class Suspension(SpaceExpr):
+    inner: SpaceExpr
 
     def chi(self) -> int:
         return chi_suspension(self.inner.chi(), 1)
 
     def render(self) -> str:
         return f"susp({self.inner.render()})"
-
-
-def chi_of_descriptor(descriptor: HomotopyDescriptor) -> int:
-    """Evaluate a descriptor's Euler characteristic."""
-    return descriptor.chi()
-
-
-def descriptor_text(descriptor: HomotopyDescriptor) -> str:
-    """Stable text form: ``contractible``, ``B_<n>(<expr>)``, ``susp(...)``."""
-    return descriptor.render()
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +151,7 @@ def colimit_pieces(instance: ValidatedInstance) -> tuple[ConicPiece, ...]:
             raise WeightOutOfRange(f"conic decomposition needs w < 1, got {w}")
     pieces = []
     for sw in enumerate_subset_weights(instance):
-        n = floor_rational(instance.rho - sw.total)
+        n = floor(instance.rho - sw.total)
         if n >= 0:
             pieces.append(ConicPiece(n, sw.index_set))
     return tuple(pieces)
@@ -209,7 +184,7 @@ class Placement(Enum):
     BOTH_IN_FIRST = "both-first"
 
 
-def classify_r1(instance: ValidatedInstance) -> HomotopyDescriptor:
+def classify_r1(instance: ValidatedInstance) -> SpaceExpr:
     """Homotopy type with a single singular point of weight 0 < w <= 1.
 
     Writing rho = floor(rho) + eps: for w <= eps the space cones off and
@@ -220,46 +195,22 @@ def classify_r1(instance: ValidatedInstance) -> HomotopyDescriptor:
     w = instance.weights[0]
     if w > 1:
         raise OutOfScope(f"w = {w} > 1: complement-like regime, not classified")
-    n = floor_rational(instance.rho)
-    if floor_rational(instance.rho - w) < n:
+    n = floor(instance.rho)
+    if floor(instance.rho - w) < n:
         return Bary(n, Base(instance.chi_c))
     return Contractible()
 
 
-def classify_r2_connected(instance: ValidatedInstance) -> HomotopyDescriptor:
-    """Homotopy type for two singular points on a connected space,
-    0 < w1 <= w2 <= 1, rho = n + eps:
-
-    1. w1 + w2 <= eps          -> contractible
-    2. w1, w2 <= eps < w1+w2   -> susp(B_n(X v S1))
-    3. w1 <= eps < w2          -> contractible
-    4. eps < w1, w2 and w1 + w2 <= 1 + eps -> B_n(X v S1)
-    5. w1 + w2 > 1 + eps       -> B_n(X)
-
-    Ties are resolved in favor of the earlier case.
-    """
+def classify_r2_connected(instance: ValidatedInstance) -> SpaceExpr:
+    """Homotopy type for two singular points on a connected space X:
+    ``_r2_table`` with glued space X v S1 and split space X."""
     if instance.r != 2:
         raise OutOfScope(f"r = {instance.r}, classifier handles r = 2")
-    w1, w2 = instance.weights  # canonical order: w1 <= w2
-    if w2 > 1:
-        raise OutOfScope(f"w = {w2} > 1: complement-like regime, not classified")
-    n = floor_rational(instance.rho)
-    eps = instance.rho - n
     x = Base(instance.chi_c)
-    if w1 + w2 <= eps:
-        return Contractible()
-    if w1 <= eps and w2 <= eps:
-        return Suspension(Bary(n, Wedge((x, Circle()))))
-    if w1 <= eps:
-        return Contractible()
-    if w1 + w2 <= 1 + eps:
-        return Bary(n, Wedge((x, Circle())))
-    return Bary(n, x)
+    return _r2_table(instance, Wedge((x, Circle())), x)
 
 
-def classify_r2_two_components(
-    instance: ValidatedInstance, placement: Placement
-) -> HomotopyDescriptor:
+def classify_r2_two_components(instance: ValidatedInstance, placement: Placement) -> SpaceExpr:
     """Homotopy type for two singular points on X = A1 u A2 (disjoint).
 
     The case conditions are those of the connected table; the target
@@ -272,11 +223,6 @@ def classify_r2_two_components(
         raise OutOfScope(f"r = {instance.r}, classifier handles r = 2")
     if instance.components is None or len(instance.components) != 2:
         raise OutOfScope("need exactly two components with chi values")
-    w1, w2 = instance.weights
-    if w2 > 1:
-        raise OutOfScope(f"w = {w2} > 1: complement-like regime, not classified")
-    n = floor_rational(instance.rho)
-    eps = instance.rho - n
     c1, c2 = instance.components
     a1 = Base(c1.chi_c, "A1")
     a2 = Base(c2.chi_c, "A2")
@@ -284,7 +230,25 @@ def classify_r2_two_components(
         glued: SpaceExpr = Wedge((a1, a2))
     else:
         glued = DisjointUnion((Wedge((a1, Circle())), a2))
+    return _r2_table(instance, glued, DisjointUnion((a1, a2)))
 
+
+def _r2_table(instance: ValidatedInstance, glued: SpaceExpr, split: SpaceExpr) -> SpaceExpr:
+    """The r = 2 case table for 0 < w1 <= w2 <= 1, rho = n + eps:
+
+    1. w1 + w2 <= eps          -> contractible
+    2. w1, w2 <= eps < w1+w2   -> susp(B_n(glued))
+    3. w1 <= eps < w2          -> contractible
+    4. eps < w1, w2 and w1 + w2 <= 1 + eps -> B_n(glued)
+    5. w1 + w2 > 1 + eps       -> B_n(split)
+
+    Ties are resolved in favor of the earlier case.
+    """
+    w1, w2 = instance.weights  # canonical order: w1 <= w2
+    if w2 > 1:
+        raise OutOfScope(f"w = {w2} > 1: complement-like regime, not classified")
+    n = floor(instance.rho)
+    eps = instance.rho - n
     if w1 + w2 <= eps:
         return Contractible()
     if w1 <= eps and w2 <= eps:
@@ -293,7 +257,7 @@ def classify_r2_two_components(
         return Contractible()
     if w1 + w2 <= 1 + eps:
         return Bary(n, glued)
-    return Bary(n, DisjointUnion((a1, a2)))
+    return Bary(n, split)
 
 
 def chi_disjoint_union_decomposition(chi_a: int, chi_b: int, k: int) -> int:

@@ -12,22 +12,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
-from . import selftest as selftest_mod
 from .classifier import (
     Bary,
     Base,
-    HomotopyDescriptor,
     Placement,
-    chi_of_descriptor,
+    SpaceExpr,
     classify_r1,
     classify_r2_connected,
     classify_r2_two_components,
-    descriptor_text,
 )
-from .combinatorics import floor_rational
 from .engine import (
     ChiResult,
     chi_c_direct,
@@ -42,18 +39,15 @@ from .model import (
     ValidatedInstance,
     instance_from_json,
     instance_to_json_dict,
+    parse_components,
     parse_fraction,
     parse_weights,
     validate,
 )
 from .oracle import FiniteWeightedSpace, oracle_chi
-from .series import SeriesSpec, chen_lin_series, chi_c_series
+from .series import chen_lin_series, chi_c_series, truncation_bound
 
-_METHOD_RUNNERS = {
-    "direct": chi_c_direct,
-    "strata": chi_c_strata,
-    "series": lambda inst: chi_c_series(SeriesSpec.from_instance(inst)),
-}
+_METHOD_RUNNERS = {"direct": chi_c_direct, "strata": chi_c_strata, "series": chi_c_series}
 
 
 class _InputError(Exception):
@@ -167,8 +161,7 @@ def _components_for(args: argparse.Namespace, r: int) -> tuple[ComponentSpec, ..
             entries = json.loads(args.components)
         except json.JSONDecodeError as exc:
             raise InputFormatError(f"--components is not valid JSON: {exc}") from exc
-        doc = {"chi_c": 0, "weights": [], "rho": "1", "space": {"kind": "union", "components": entries}}
-        return instance_from_json(doc).components
+        return parse_components(entries)
     chi_a = getattr(args, "chi_a", None)
     chi_b = getattr(args, "chi_b", None)
     if chi_a is None and chi_b is None:
@@ -200,7 +193,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     results = [_METHOD_RUNNERS[name](instance) for name in names]
     report = build_report(instance, results, breakdown=args.breakdown)
     if args.json:
-        print(report_json(report))
+        print(_dump(report))
     else:
         _print_report(report)
     return 0 if report["verdict"] == "MATCH" else 2
@@ -235,12 +228,6 @@ def _breakdown_key(key: frozenset[int] | Fraction) -> list[int] | str:
     return str(key)
 
 
-def report_json(report: dict) -> str:
-    """Canonical JSON bytes for a report; recomputing from the embedded
-    instance echo reproduces them exactly."""
-    return _dump(report)
-
-
 def _print_report(report: dict) -> None:
     inst = report["instance"]
     weights = ",".join(inst["weights"]) or "(none)"
@@ -267,15 +254,14 @@ def _print_report(report: dict) -> None:
 
 def _cmd_series(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
-    bound = parse_fraction(args.bound) if args.bound else None
-    spec = SeriesSpec.from_instance(instance, bound)
-    g = chen_lin_series(spec)
-    result = chi_c_series(spec)
+    bound = truncation_bound(instance.rho, parse_fraction(args.bound) if args.bound else None)
+    g = chen_lin_series(instance, bound)
+    result = chi_c_series(instance, bound)
     terms = [(e, c) for e, c in g.terms() if e > 0]
     if args.json:
         print(_dump({
             "instance": instance_to_json_dict(instance),
-            "bound": str(spec.truncation_bound),
+            "bound": str(bound),
             "terms": [[str(e), c] for e, c in terms],
             "window_sum": -result.chi_c_value,
             "chi_c": result.chi_c_value,
@@ -308,11 +294,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if len(weights) > args.vertices:
         raise _InputError("--weights lists more entries than --vertices")
     space = FiniteWeightedSpace.of(args.vertices, weights)
-    rho = parse_fraction(args.rho)
-    expected = oracle_chi(space, rho)
-    instance = validate(space.matching_instance(rho))
-    values = {name: _METHOD_RUNNERS[name](instance).chi_c_value
-              for name in ("direct", "strata", "series")}
+    instance, expected, values = compare_with_oracle(space, parse_fraction(args.rho))
     match = all(v == expected for v in values.values())
     verdict = "MATCH" if match else "MISMATCH"
     if args.json:
@@ -330,6 +312,17 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0 if match else 2
 
 
+def compare_with_oracle(
+    space: FiniteWeightedSpace, rho: Fraction
+) -> tuple[ValidatedInstance, int, dict[str, int]]:
+    """The face count of ``space`` under ``rho``, the matching instance, and
+    each route's chi_c on that instance, keyed by method name."""
+    expected = oracle_chi(space, rho)
+    instance = validate(space.matching_instance(rho))
+    values = {name: run(instance).chi_c_value for name, run in _METHOD_RUNNERS.items()}
+    return instance, expected, values
+
+
 # ---------------------------------------------------------------------------
 # classify
 
@@ -338,33 +331,33 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     placement = Placement(args.placement) if args.placement else None
     descriptor = _classify(instance, placement)
-    chi = chi_of_descriptor(descriptor)
+    chi = descriptor.chi()
     engine = chi_c_direct(instance).chi_c_value
     verdict = "MATCH" if chi == engine else "MISMATCH"
     if args.json:
         print(_dump({
             "instance": instance_to_json_dict(instance),
-            "descriptor": descriptor_text(descriptor),
+            "descriptor": descriptor.render(),
             "descriptor_chi": chi,
             "engine_chi_c": engine,
             "verdict": verdict,
         }))
     else:
-        print(f"descriptor: {descriptor_text(descriptor)}")
+        print(f"descriptor: {descriptor.render()}")
         print(f"descriptor chi: {chi}")
         print(f"engine chi_c: {engine}")
         print(f"verdict: {verdict}")
     return 0 if verdict == "MATCH" else 2
 
 
-def _classify(instance: ValidatedInstance, placement: Placement | None) -> HomotopyDescriptor:
+def _classify(instance: ValidatedInstance, placement: Placement | None) -> SpaceExpr:
     if instance.components is not None and instance.r == 2:
         return classify_r2_two_components(instance, placement or Placement.ONE_EACH)
     if placement is not None:
         raise _InputError("--placement needs two components (--chi-a/--chi-b)")
     if instance.r == 0:
         # No singular points: the space is plain B_floor(rho)(X).
-        return Bary(floor_rational(instance.rho), Base(instance.chi_c))
+        return Bary(math.floor(instance.rho), Base(instance.chi_c))
     if instance.r == 1:
         return classify_r1(instance)
     if instance.r == 2:
@@ -377,7 +370,10 @@ def _classify(instance: ValidatedInstance, placement: Placement | None) -> Homot
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    ok = selftest_mod.run_selftest(cases=args.cases, seed=args.seed)
+    # selftest checks the oracle through this module, so it is imported late.
+    from .selftest import run_selftest
+
+    ok = run_selftest(cases=args.cases, seed=args.seed)
     return 0 if ok else 1
 
 

@@ -1,12 +1,10 @@
 """Exact integer combinatorics: extended binomial coefficients and identities.
 
-All values are Python ints (arbitrary precision) or exact ``Fraction``s;
-nothing here ever touches floating point, so results are exact at any
-operand size.
+All values are Python ints (arbitrary precision); nothing here ever
+touches floating point, so results are exact at any operand size.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
 
@@ -59,9 +57,3 @@ def gould_convolution(chi1: int, chi2: int, k: int) -> int:
         total += ext_binomial(k - l - chi1, k - l) * ext_binomial(l - 1 - chi2, l)
     return total
 
-
-def floor_rational(q: Fraction | int) -> int:
-    """Greatest integer <= q, computed by exact integer division."""
-    if isinstance(q, int):
-        return q
-    return q.numerator // q.denominator

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor
+from typing import Callable
 
-from .combinatorics import ext_binomial, floor_rational
+from .combinatorics import ext_binomial
 from .errors import InconsistentComponents
 from .model import (
     ComponentSpec,
@@ -68,7 +70,7 @@ def chi_c_direct(instance: ValidatedInstance) -> ChiResult:
     breakdown = []
     acc = 0
     for sw in enumerate_subset_weights(instance):
-        level = floor_rational(rho - sw.total)
+        level = floor(rho - sw.total)
         if level < 0:
             term = 0
         else:
@@ -108,7 +110,7 @@ def chi_c_strata(instance: ValidatedInstance) -> ChiResult:
     for sw in enumerate_subset_weights(instance):
         if rho - sw.total < 0:
             continue
-        cap = floor_rational(rho - sw.total)
+        cap = floor(rho - sw.total)
         value = _stratum_chi(chi, r, len(sw.index_set), cap)
         breakdown.append((sw.index_set, value))
         acc += value
@@ -127,32 +129,7 @@ def normalize_drop_heavy(instance: ValidatedInstance) -> ValidatedInstance:
     (and a compact component containing one stops being compact).
     chi_c_direct is invariant under this reduction.
     """
-    keep = [i for i, w in enumerate(instance.weights) if w <= instance.rho]
-    if len(keep) == instance.r:
-        return instance
-    dropped = set(range(1, instance.r + 1)) - {i + 1 for i in keep}
-    new_index = {old + 1: new + 1 for new, old in enumerate(keep)}
-    components = None
-    if instance.components is not None:
-        components = tuple(
-            ComponentSpec(
-                chi_c=c.chi_c - len(c.singular_indices & dropped),
-                is_compact=c.is_compact and not (c.singular_indices & dropped),
-                singular_indices=frozenset(
-                    new_index[i] for i in c.singular_indices if i not in dropped
-                ),
-            )
-            for c in instance.components
-        )
-    return validate(
-        ProblemInstance(
-            chi_c=instance.chi_c - len(dropped),
-            weights=tuple(instance.weights[i] for i in keep),
-            rho=instance.rho,
-            space_kind=instance.space_kind,
-            components=components,
-        )
-    )
+    return _drop(instance, lambda w: w > instance.rho, leaves_space=True)
 
 
 def normalize_drop_unit_weights(instance: ValidatedInstance) -> ValidatedInstance:
@@ -162,28 +139,36 @@ def normalize_drop_unit_weights(instance: ValidatedInstance) -> ValidatedInstanc
     being singular: chi_c is unchanged, r drops.  chi_c_direct is
     invariant under this reduction.
     """
-    one = Fraction(1)
-    keep = [i for i, w in enumerate(instance.weights) if w != one]
+    return _drop(instance, lambda w: w == 1, leaves_space=False)
+
+
+def _drop(
+    instance: ValidatedInstance, drops: Callable[[Fraction], bool], leaves_space: bool
+) -> ValidatedInstance:
+    """Remove the singular points whose weight ``drops`` selects, renumbering
+    the rest; with ``leaves_space`` each removed point also leaves X."""
+    keep = [i for i, w in enumerate(instance.weights, 1) if not drops(w)]
     if len(keep) == instance.r:
         return instance
-    dropped = set(range(1, instance.r + 1)) - {i + 1 for i in keep}
-    new_index = {old + 1: new + 1 for new, old in enumerate(keep)}
+    new_index = {old: new for new, old in enumerate(keep, 1)}
     components = None
     if instance.components is not None:
-        components = tuple(
-            ComponentSpec(
-                chi_c=c.chi_c,
-                is_compact=c.is_compact,
+        components = []
+        for c in instance.components:
+            lost = sum(i not in new_index for i in c.singular_indices) if leaves_space else 0
+            components.append(ComponentSpec(
+                chi_c=c.chi_c - lost,
+                is_compact=c.is_compact and not lost,
                 singular_indices=frozenset(
-                    new_index[i] for i in c.singular_indices if i not in dropped
+                    new_index[i] for i in c.singular_indices if i in new_index
                 ),
-            )
-            for c in instance.components
-        )
+            ))
+        components = tuple(components)
+    lost = instance.r - len(keep) if leaves_space else 0
     return validate(
         ProblemInstance(
-            chi_c=instance.chi_c,
-            weights=tuple(instance.weights[i] for i in keep),
+            chi_c=instance.chi_c - lost,
+            weights=tuple(instance.weights[i - 1] for i in keep),
             rho=instance.rho,
             space_kind=instance.space_kind,
             components=components,
@@ -212,11 +197,6 @@ def topological_chi_applicable(instance: ValidatedInstance) -> bool:
 # Small chi_c calculators used by the classifier and the disconnected theory.
 
 
-def chi_c_complement(chi_c: int, r: int) -> int:
-    """chi_c of X minus r points: chi_c(X) - r."""
-    return chi_c - r
-
-
 def chi_join(x: tuple[int, bool], y: tuple[int, bool]) -> int:
     """chi_c of the join X * Y from (chi_c, is_compact) pairs.
 
@@ -243,7 +223,7 @@ def chi_quotient_wedge(components: tuple[ComponentSpec, ...]) -> int:
     boundary-collapsed chi (chi_c + 1) plus one circle per singular point;
     a compact component with s >= 1 singular points contributes its chi
     plus s - 1 circles; compact components without singular points stay
-    disjoint.  The result always equals chi_c(X) - r + 1, asserted here.
+    disjoint.  The result always equals chi_c(X) - r + 1, checked here.
     """
     seen: set[int] = set()
     for c in components:
@@ -271,5 +251,6 @@ def chi_quotient_wedge(components: tuple[ComponentSpec, ...]) -> int:
         value = 1 + loose
 
     closed_form = sum(c.chi_c for c in components) - r + 1
-    assert value == closed_form, (value, closed_form)
+    if value != closed_form:
+        raise ArithmeticError(f"quotient bookkeeping gives {value}, closed form {closed_form}")
     return value

@@ -233,7 +233,7 @@ def instance_from_json(doc: str | dict) -> ProblemInstance:
         raw_rho = doc["rho"]
     except KeyError as exc:
         raise InputFormatError(f"instance document missing field {exc}") from exc
-    if not isinstance(chi_c, int) or isinstance(chi_c, bool):
+    if not _is_json_int(chi_c):
         raise InputFormatError("chi_c must be a JSON integer")
     if isinstance(raw_weights, str):
         weights = parse_weights(raw_weights)
@@ -253,14 +253,24 @@ def instance_from_json(doc: str | dict) -> ProblemInstance:
                 f"unknown space kind {name!r}; expected one of {sorted(_KIND_BY_NAME)}"
             )
         kind = _KIND_BY_NAME[name]
-        if "components" in space and space["components"] is not None:
-            components = tuple(
-                _component_from_json(entry) for entry in space["components"]
-            )
+        if space.get("components") is not None:
+            components = parse_components(space["components"])
     return ProblemInstance(chi_c, weights, rho, kind, components)
 
 
-def _component_from_json(entry: dict) -> ComponentSpec:
+def parse_components(entries: object) -> tuple[ComponentSpec, ...]:
+    """Parse a JSON list of component objects (``space.components`` of an
+    instance document, or ``--components`` on the command line)."""
+    if not isinstance(entries, list):
+        raise InputFormatError("components must be a JSON list")
+    return tuple(_component_from_json(entry) for entry in entries)
+
+
+def _is_json_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _component_from_json(entry: object) -> ComponentSpec:
     if not isinstance(entry, dict):
         raise InputFormatError("each component must be a JSON object")
     try:
@@ -269,11 +279,13 @@ def _component_from_json(entry: dict) -> ComponentSpec:
         indices = entry.get("singular_indices", [])
     except KeyError as exc:
         raise InputFormatError(f"component missing field {exc}") from exc
-    if not isinstance(chi_c, int) or isinstance(chi_c, bool):
+    if not _is_json_int(chi_c):
         raise InputFormatError("component chi_c must be a JSON integer")
     if not isinstance(is_compact, bool):
         raise InputFormatError("component is_compact must be a JSON boolean")
-    return ComponentSpec(chi_c, is_compact, frozenset(int(i) for i in indices))
+    if not isinstance(indices, list) or not all(map(_is_json_int, indices)):
+        raise InputFormatError("component singular_indices must be a list of JSON integers")
+    return ComponentSpec(chi_c, is_compact, frozenset(indices))
 
 
 def instance_to_json_dict(instance: ValidatedInstance) -> dict:

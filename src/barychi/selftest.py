@@ -13,7 +13,6 @@ from typing import Callable
 from .classifier import (
     Placement,
     chi_disjoint_union_decomposition,
-    chi_of_descriptor,
     classify_r1,
     classify_r2_connected,
     classify_r2_two_components,
@@ -32,8 +31,9 @@ from .model import (
     ValidatedInstance,
     validate,
 )
-from .oracle import FiniteWeightedSpace, oracle_chi
-from .series import SeriesSpec, chi_c_series
+from .cli import compare_with_oracle
+from .oracle import FiniteWeightedSpace
+from .series import chi_c_series
 
 
 def random_instance(rng: random.Random, max_r: int = 8) -> ValidatedInstance:
@@ -83,11 +83,7 @@ def random_finite_space(rng: random.Random, max_m: int = 10) -> tuple[FiniteWeig
 def check_triple_agreement(instance: ValidatedInstance) -> list[str]:
     """direct == strata == series, and d_rho = 1 - chi_c for each."""
     failures = []
-    results = [
-        chi_c_direct(instance),
-        chi_c_strata(instance),
-        chi_c_series(SeriesSpec.from_instance(instance)),
-    ]
+    results = [chi_c_direct(instance), chi_c_strata(instance), chi_c_series(instance)]
     values = {res.chi_c_value for res in results}
     if len(values) != 1:
         failures.append(
@@ -117,21 +113,15 @@ def check_normalization(instance: ValidatedInstance) -> list[str]:
 
 
 def check_oracle(space: FiniteWeightedSpace, rho: Fraction) -> list[str]:
-    """Face enumeration equals all three algorithms with chi_c = m."""
-    expected = oracle_chi(space, rho)
-    instance = validate(space.matching_instance(rho))
-    failures = []
-    for res in (
-        chi_c_direct(instance),
-        chi_c_strata(instance),
-        chi_c_series(SeriesSpec.from_instance(instance)),
-    ):
-        if res.chi_c_value != expected:
-            failures.append(
-                f"oracle {expected} != {res.method} {res.chi_c_value} for "
-                f"weights={[str(w) for w in space.vertex_weights]} rho={rho}"
-            )
-    return failures
+    """Face enumeration equals all three algorithms with chi_c = m, compared
+    the way ``barychi oracle`` compares them."""
+    _, expected, values = compare_with_oracle(space, rho)
+    return [
+        f"oracle {expected} != {method} {value} for "
+        f"weights={[str(w) for w in space.vertex_weights]} rho={rho}"
+        for method, value in values.items()
+        if value != expected
+    ]
 
 
 def classifier_sweep_failures() -> list[str]:
@@ -145,7 +135,7 @@ def classifier_sweep_failures() -> list[str]:
         for w in tenths:
             for rho in rhos:
                 inst = validate(ProblemInstance(chi, (w,), rho))
-                got = chi_of_descriptor(classify_r1(inst))
+                got = classify_r1(inst).chi()
                 want = chi_c_direct(inst).chi_c_value
                 if got != want:
                     failures.append(f"r1 chi={chi} w={w} rho={rho}: {got} != {want}")
@@ -155,7 +145,7 @@ def classifier_sweep_failures() -> list[str]:
             for w2 in tenths[i:]:
                 for rho in rhos:
                     inst = validate(ProblemInstance(chi, (w1, w2), rho))
-                    got = chi_of_descriptor(classify_r2_connected(inst))
+                    got = classify_r2_connected(inst).chi()
                     want = chi_c_direct(inst).chi_c_value
                     if got != want:
                         failures.append(
@@ -187,7 +177,7 @@ def _two_component_case(
     failures = []
     values = {}
     for placement in Placement:
-        got = chi_of_descriptor(classify_r2_two_components(inst, placement))
+        got = classify_r2_two_components(inst, placement).chi()
         values[placement] = got
         if got != want:
             failures.append(

@@ -11,13 +11,12 @@ route, independent of the subset-sum formulas in ``engine``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import floor
 from typing import Iterable, Mapping
 
-from .combinatorics import ext_binomial, floor_rational
+from .combinatorics import ext_binomial
 from .engine import METHOD_SERIES, ChiResult
-from .errors import NonPositiveRho, NonPositiveWeight
 from .model import ValidatedInstance
 
 
@@ -74,7 +73,7 @@ def expand_geometric_power(m: int, bound: Fraction | int) -> SparseSeries:
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    top = floor_rational(bound)
+    top = floor(bound)
     return SparseSeries(
         (Fraction(n), ext_binomial(m + n - 1, n)) for n in range(top + 1)
     )
@@ -96,58 +95,34 @@ def multiply_truncated(a: SparseSeries, b: SparseSeries, bound: Fraction | int) 
     return SparseSeries(acc)
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
-    """Input to the series route: chi_c(X), the weights, rho, and an
-    optional truncation bound (never below rho; defaults to rho)."""
-
-    chi_c: int
-    weights: tuple[Fraction, ...]
-    rho: Fraction
-    bound: Fraction | None = None
-
-    @property
-    def r(self) -> int:
-        return len(self.weights)
-
-    @property
-    def truncation_bound(self) -> Fraction:
-        if self.bound is None or self.bound < self.rho:
-            return self.rho
-        return self.bound
-
-    @classmethod
-    def from_instance(cls, instance: ValidatedInstance, bound: Fraction | None = None) -> "SeriesSpec":
-        return cls(instance.chi_c, instance.weights, instance.rho, bound)
+def truncation_bound(rho: Fraction, bound: Fraction | None) -> Fraction:
+    """The exponent the series is cut at: ``bound``, but never below rho."""
+    return rho if bound is None or bound < rho else bound
 
 
-def chen_lin_series(spec: SeriesSpec) -> SparseSeries:
-    """Expand g(x) truncated at the requested bound.
+def chen_lin_series(instance: ValidatedInstance, bound: Fraction | None = None) -> SparseSeries:
+    """Expand g(x) truncated at ``truncation_bound(rho, bound)``.
 
-    The constant term of the product is exactly 1 (asserted).
+    The constant term of the product is exactly 1 (checked).
     """
-    if spec.rho <= 0:
-        raise NonPositiveRho(f"rho {spec.rho} is not strictly positive")
-    for w in spec.weights:
-        if w <= 0:
-            raise NonPositiveWeight(f"weight {w} is not strictly positive")
-    bound = spec.truncation_bound
-    g = expand_geometric_power(-spec.chi_c + spec.r, bound)
-    for w in spec.weights:
+    bound = truncation_bound(instance.rho, bound)
+    g = expand_geometric_power(-instance.chi_c + instance.r, bound)
+    for w in instance.weights:
         factor = SparseSeries([(Fraction(0), 1), (Fraction(w), -1)])
         g = multiply_truncated(g, factor, bound)
-    assert g.coefficient(0) == 1
+    if g.coefficient(0) != 1:
+        raise ArithmeticError(f"constant term of g is {g.coefficient(0)}, not 1")
     return g
 
 
-def chi_c_series(spec: SeriesSpec) -> ChiResult:
+def chi_c_series(instance: ValidatedInstance, bound: Fraction | None = None) -> ChiResult:
     """chi_c via the coefficient window of g: minus the sum of coefficients
     at exponents in (0, rho], ties at rho included.
 
     The breakdown lists the window's (exponent, coefficient) pairs in
     increasing exponent order.  Agrees exactly with the direct method.
     """
-    g = chen_lin_series(spec)
-    window = tuple((e, c) for e, c in g.terms() if 0 < e <= spec.rho)
+    g = chen_lin_series(instance, bound)
+    window = tuple((e, c) for e, c in g.terms() if 0 < e <= instance.rho)
     total = sum(c for _, c in window)
     return ChiResult(-total, METHOD_SERIES, window)

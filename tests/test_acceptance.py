@@ -10,7 +10,6 @@ from math import comb
 
 from barychi.classifier import (
     ConicPiece,
-    chi_of_descriptor,
     classify_r1,
     colimit_pieces,
     maximal_pieces,
@@ -26,7 +25,7 @@ from barychi.engine import (
 from barychi.model import ProblemInstance, SpaceKind, validate
 from barychi.oracle import oracle_chi, skeleton_chi
 from barychi.selftest import classifier_sweep_failures
-from barychi.series import SeriesSpec, chi_c_series
+from barychi.series import chi_c_series
 
 F = Fraction
 
@@ -84,7 +83,7 @@ def test_criterion_4_triple_agreement(engine_corpus):
     for inst in engine_corpus:
         direct = chi_c_direct(inst).chi_c_value
         strata = chi_c_strata(inst).chi_c_value
-        series = chi_c_series(SeriesSpec.from_instance(inst)).chi_c_value
+        series = chi_c_series(inst).chi_c_value
         if not direct == strata == series:
             mismatches += 1
     elapsed = time.monotonic() - start
@@ -101,7 +100,7 @@ def test_criterion_5_oracle_equivalence(finite_corpus):
         inst = validate(space.matching_instance(rho))
         assert chi_c_direct(inst).chi_c_value == expected
         assert chi_c_strata(inst).chi_c_value == expected
-        assert chi_c_series(SeriesSpec.from_instance(inst)).chi_c_value == expected
+        assert chi_c_series(inst).chi_c_value == expected
     report(f"criterion 5: face enumeration matches all three algorithms on "
            f"{len(finite_corpus)} random finite spaces")
 
@@ -150,14 +149,14 @@ def test_criterion_10_degree_relation(engine_corpus):
         for res in (
             chi_c_direct(inst),
             chi_c_strata(inst),
-            chi_c_series(SeriesSpec.from_instance(inst)),
+            chi_c_series(inst),
         ):
             assert res.degree_d_rho == 1 - res.chi_c_value
     # and on classifier-backed values, via the r=1 descriptor
     for chi in range(-5, 6):
         inst = make(chi, ["7/10"], "5/2")
         res = chi_c_direct(inst)
-        assert res.degree_d_rho == 1 - chi_of_descriptor(classify_r1(inst))
+        assert res.degree_d_rho == 1 - classify_r1(inst).chi()
     report("criterion 10: d_rho = 1 - chi_c on every computed instance")
 
 

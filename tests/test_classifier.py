@@ -16,12 +16,10 @@ from barychi.classifier import (
     Suspension,
     Wedge,
     chi_disjoint_union_decomposition,
-    chi_of_descriptor,
     classify_r1,
     classify_r2_connected,
     classify_r2_two_components,
     colimit_pieces,
-    descriptor_text,
     maximal_pieces,
     piece_includes,
 )
@@ -145,14 +143,14 @@ class TestClassifyR1:
             for tenths in range(1, 11):
                 for quarters in range(1, 25):
                     inst = make(chi, [F(tenths, 10)], F(quarters, 4))
-                    assert chi_of_descriptor(classify_r1(inst)) == chi_c_direct(inst).chi_c_value
+                    assert classify_r1(inst).chi() == chi_c_direct(inst).chi_c_value
 
 
 class TestClassifyR2Connected:
     def test_both_light_suspension(self):
         desc = classify_r2_connected(make(3, ["3/10", "2/5"], "5/2"))
         assert desc == Suspension(Bary(2, Wedge((Base(3), Circle()))))
-        assert descriptor_text(desc) == "susp(B_2(X v S1))"
+        assert desc.render() == "susp(B_2(X v S1))"
 
     def test_both_heavy_wedge(self):
         desc = classify_r2_connected(make(3, ["3/5", "7/10"], "5/2"))
@@ -179,7 +177,7 @@ class TestClassifyR2Connected:
                 for w2 in tenths[i:]:
                     for quarters in range(1, 25):
                         inst = make(chi, [w1, w2], F(quarters, 4))
-                        got = chi_of_descriptor(classify_r2_connected(inst))
+                        got = classify_r2_connected(inst).chi()
                         assert got == chi_c_direct(inst).chi_c_value, (chi, w1, w2, quarters)
 
 
@@ -188,7 +186,7 @@ class TestClassifyR2TwoComponents:
         inst = two_component(2, 1, ["3/10", "2/5"], "5/2")
         desc = classify_r2_two_components(inst, Placement.ONE_EACH)
         assert desc == Suspension(Bary(2, Wedge((Base(2, "A1"), Base(1, "A2")))))
-        assert descriptor_text(desc) == "susp(B_2(A1 v A2))"
+        assert desc.render() == "susp(B_2(A1 v A2))"
 
     def test_both_first_suspension(self):
         inst = two_component(2, 1, ["3/10", "2/5"], "5/2")
@@ -196,7 +194,7 @@ class TestClassifyR2TwoComponents:
         assert desc == Suspension(
             Bary(2, DisjointUnion((Wedge((Base(2, "A1"), Circle())), Base(1, "A2"))))
         )
-        assert descriptor_text(desc) == "susp(B_2(A1 v S1 | A2))"
+        assert desc.render() == "susp(B_2(A1 v S1 | A2))"
 
     def test_very_heavy_pair_ignores_placement(self):
         inst = two_component(2, 1, ["4/5", "9/10"], "5/2")
@@ -223,7 +221,7 @@ class TestClassifyR2TwoComponents:
                         inst = two_component(chi_1, chi_2, [w1, w2], F(13, 4))
                         want = chi_c_direct(inst).chi_c_value
                         got = {
-                            p: chi_of_descriptor(classify_r2_two_components(inst, p))
+                            p: classify_r2_two_components(inst, p).chi()
                             for p in Placement
                         }
                         assert got[Placement.ONE_EACH] == want
@@ -232,27 +230,27 @@ class TestClassifyR2TwoComponents:
 
 class TestChiOfDescriptor:
     def test_contractible(self):
-        assert chi_of_descriptor(Contractible()) == 1
+        assert Contractible().chi() == 1
 
     def test_bary_of_wedge(self):
         desc = Bary(2, Wedge((Base(3), Circle())))
-        assert chi_of_descriptor(desc) == 1 - ext_binomial(0, 2) == 1
+        assert desc.chi() == 1 - ext_binomial(0, 2) == 1
 
     def test_suspension_composition(self):
         desc = Suspension(Bary(2, Wedge((Base(3), Circle()))))
-        assert chi_of_descriptor(desc) == 1
+        assert desc.chi() == 1
 
     def test_empty_barycenter_space(self):
-        assert chi_of_descriptor(Bary(0, Base(5))) == 0
+        assert Bary(0, Base(5)).chi() == 0
 
     def test_point_and_union(self):
-        assert chi_of_descriptor(Bary(1, DisjointUnion((Point(), Point())))) == \
+        assert Bary(1, DisjointUnion((Point(), Point()))).chi() == \
             1 - ext_binomial(1 - 2, 1)
 
     def test_rendering(self):
-        assert descriptor_text(Contractible()) == "contractible"
-        assert descriptor_text(Bary(3, Base(0))) == "B_3(X)"
-        assert descriptor_text(Suspension(Bary(1, Wedge((Base(1, "A1"), Circle()))))) == \
+        assert Contractible().render() == "contractible"
+        assert Bary(3, Base(0)).render() == "B_3(X)"
+        assert Suspension(Bary(1, Wedge((Base(1, "A1"), Circle())))).render() == \
             "susp(B_1(A1 v S1))"
 
 

@@ -72,6 +72,47 @@ class TestCompute:
         assert "chi_c(B_rho) = 2" in out
 
 
+class TestStrictComponents:
+    """Components must be a JSON list and singular_indices a list of JSON
+    integers; anything else is an InputFormatError (exit 1), not a guess."""
+
+    BAD = [
+        ('[{"chi_c":2,"singular_indices":"12"},{"chi_c":0,"singular_indices":[]}]',
+         "singular_indices"),
+        ('[{"chi_c":2,"singular_indices":[true,1.9]},{"chi_c":0,"singular_indices":[]}]',
+         "singular_indices"),
+        ('[{"chi_c":2,"singular_indices":5},{"chi_c":0,"singular_indices":[]}]',
+         "singular_indices"),
+        ('[{"chi_c":2,"singular_indices":[1.0,2]},{"chi_c":0,"singular_indices":[]}]',
+         "singular_indices"),
+        ("5", "components must be a JSON list"),
+        ('{"chi_c":2}', "components must be a JSON list"),
+        ('"[]"', "components must be a JSON list"),
+    ]
+    IDS = ["indices-string", "indices-bool-float", "indices-int", "indices-float",
+           "components-int", "components-object", "components-string"]
+
+    @pytest.mark.parametrize("components,message", BAD, ids=IDS)
+    def test_flag(self, capsys, components, message):
+        code, out, err = run(capsys, "compute", "--chi-c", "2", "--weights", "1/2,1/3",
+                             "--rho", "2", "--components", components)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: InputFormatError: ")
+        assert message in err
+
+    @pytest.mark.parametrize("components,message", BAD, ids=IDS)
+    def test_instance_document(self, capsys, tmp_path, components, message):
+        doc = tmp_path / "instance.json"
+        doc.write_text('{"chi_c": 2, "weights": ["1/2", "1/3"], "rho": "2", '
+                       '"space": {"kind": "union", "components": ' + components + "}}")
+        code, out, err = run(capsys, "compute", "--instance", str(doc))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: InputFormatError: ")
+        assert message in err
+
+
 class TestSeries:
     def test_worked_dump(self, capsys):
         code, out, _ = run(capsys, "series", "--chi-c", "2", "--weights", "1/2", "--rho", "1")

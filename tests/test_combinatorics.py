@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, floor
 
 import pytest
 from hypothesis import given
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from barychi.combinatorics import (
     ext_binomial,
-    floor_rational,
     gould_convolution,
     hockey_stick_sum,
 )
@@ -105,6 +104,9 @@ class TestGouldConvolution:
 
 
 class TestFloorRational:
+    """The routes floor exact rationals with ``math.floor``, which must stay
+    exact integer division (never a float round trip) at any operand size."""
+
     @pytest.mark.parametrize(
         "q,expected",
         [
@@ -116,8 +118,8 @@ class TestFloorRational:
         ],
     )
     def test_values(self, q, expected):
-        assert floor_rational(q) == expected
+        assert floor(q) == expected
 
     @given(st.integers(-10**6, 10**6), st.integers(1, 997))
     def test_matches_integer_division(self, p, q):
-        assert floor_rational(Fraction(p, q)) == p // q
+        assert floor(Fraction(p, q)) == p // q

@@ -1,10 +1,10 @@
 from fractions import Fraction
+from math import floor
 
 import pytest
 
-from barychi.combinatorics import ext_binomial, floor_rational
+from barychi.combinatorics import ext_binomial
 from barychi.engine import (
-    chi_c_complement,
     chi_c_direct,
     chi_c_strata,
     chi_join,
@@ -76,7 +76,7 @@ class TestChiCStrata:
         inst = make(-1, ["1/3", "2/3", "5/4"], "10/3")
         chi, r = inst.chi_c, inst.r
         for index_set, value in chi_c_strata(inst).term_breakdown:
-            n = floor_rational(inst.rho - sum((inst.weights[i - 1] for i in index_set), F(0)))
+            n = floor(inst.rho - sum((inst.weights[i - 1] for i in index_set), F(0)))
             k = len(index_set)
             if k == 0:
                 expected = 1 - ext_binomial(n - chi + r, n) if n >= 1 else 0
@@ -176,9 +176,11 @@ class TestTopologicalChiApplicable:
 
 class TestSmallCalculators:
     def test_complement(self):
-        assert chi_c_complement(2, 2) == 0
-        assert chi_c_complement(7, 0) == 7
-        assert chi_c_complement(-1, 3) == -4
+        # X minus r points has chi_c(X) - r: dropping r too-heavy points
+        # removes them from the space.
+        for chi, heavy in ((2, 2), (7, 0), (-1, 3)):
+            inst = make(chi, ["1/2"] + ["3"] * heavy, 2)
+            assert normalize_drop_heavy(inst).chi_c == chi - heavy
 
     def test_join_of_open_disks(self):
         # D^n * D^m is D^{n+m+1}; chi_c of an open n-disk is (-1)^n.

@@ -8,7 +8,7 @@ from barychi.engine import chi_c_direct, chi_c_strata
 from barychi.errors import NonPositiveWeight, TooManyVertices
 from barychi.model import validate
 from barychi.oracle import FiniteWeightedSpace, oracle_chi, skeleton_chi
-from barychi.series import SeriesSpec, chi_c_series
+from barychi.series import chi_c_series
 
 F = Fraction
 
@@ -67,7 +67,7 @@ class TestOracleChi:
             inst = validate(space.matching_instance(rho))
             assert chi_c_direct(inst).chi_c_value == expected
             assert chi_c_strata(inst).chi_c_value == expected
-            assert chi_c_series(SeriesSpec.from_instance(inst)).chi_c_value == expected
+            assert chi_c_series(inst).chi_c_value == expected
 
 
 class TestSkeletonChi:

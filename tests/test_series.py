@@ -9,7 +9,6 @@ from barychi.engine import chi_c_direct
 from barychi.errors import NonPositiveRho, NonPositiveWeight
 from barychi.model import ProblemInstance, validate
 from barychi.series import (
-    SeriesSpec,
     SparseSeries,
     chen_lin_series,
     chi_c_series,
@@ -115,38 +114,39 @@ class TestMultiplyTruncated:
 
 class TestChenLinSeries:
     def test_worked_expansion(self):
-        spec = SeriesSpec(2, (F(1, 2),), F(1))
-        assert chen_lin_series(spec) == SparseSeries(
+        inst = validate(ProblemInstance(2, (F(1, 2),), F(1)))
+        assert chen_lin_series(inst) == SparseSeries(
             [(F(0), 1), (F(1, 2), -1), (F(1), -1)]
         )
 
     def test_no_weights_is_pure_geometric_power(self):
         for chi in (-3, 0, 2):
-            spec = SeriesSpec(chi, (), F(4))
-            assert chen_lin_series(spec) == expand_geometric_power(-chi, 4)
+            inst = validate(ProblemInstance(chi, (), F(4)))
+            assert chen_lin_series(inst) == expand_geometric_power(-chi, 4)
 
     def test_chi_equal_r_leaves_only_the_product(self):
         weights = (F(1, 3), F(2, 3))
-        spec = SeriesSpec(2, weights, F(2))
+        inst = validate(ProblemInstance(2, weights, F(2)))
         expected = {F(0): 1}
         for w in weights:
             expected = brute_poly_product(expected, {F(0): 1, w: -1}, F(2))
-        assert chen_lin_series(spec) == SparseSeries(expected)
+        assert chen_lin_series(inst) == SparseSeries(expected)
 
     def test_constant_term_is_one(self):
-        spec = SeriesSpec(-4, (F(2, 5), F(7, 5), F(1)), F(6))
-        assert chen_lin_series(spec).coefficient(0) == 1
+        inst = validate(ProblemInstance(-4, (F(2, 5), F(7, 5), F(1)), F(6)))
+        assert chen_lin_series(inst).coefficient(0) == 1
 
     def test_validates_inputs(self):
+        # validate is the one place the series route's inputs are checked.
         with pytest.raises(NonPositiveWeight):
-            chen_lin_series(SeriesSpec(0, (F(0),), F(1)))
+            chen_lin_series(validate(ProblemInstance(0, (F(0),), F(1))))
         with pytest.raises(NonPositiveRho):
-            chen_lin_series(SeriesSpec(0, (), F(-2)))
+            chen_lin_series(validate(ProblemInstance(0, (), F(-2))))
 
 
 class TestChiCSeries:
     def test_worked_example(self):
-        res = chi_c_series(SeriesSpec(2, (F(1, 2),), F(1)))
+        res = chi_c_series(validate(ProblemInstance(2, (F(1, 2),), F(1))))
         assert res.chi_c_value == 2
         assert res.degree_d_rho == -1
         assert res.term_breakdown == ((F(1, 2), -1), (F(1), -1))
@@ -154,35 +154,35 @@ class TestChiCSeries:
     def test_no_weights_contract(self):
         for chi in range(-5, 6):
             for k in range(1, 6):
-                res = chi_c_series(SeriesSpec(chi, (), F(k)))
+                res = chi_c_series(validate(ProblemInstance(chi, (), F(k))))
                 assert res.chi_c_value == 1 - ext_binomial(k - chi, k)
 
     def test_empty_window_is_empty_space(self):
-        res = chi_c_series(SeriesSpec(3, (F(1, 2), F(2, 3)), F(1, 4)))
+        res = chi_c_series(validate(ProblemInstance(3, (F(1, 2), F(2, 3)), F(1, 4))))
         assert res.chi_c_value == 0
 
     def test_agrees_with_direct(self, engine_corpus):
         for inst in engine_corpus[:200]:
-            res = chi_c_series(SeriesSpec.from_instance(inst))
+            res = chi_c_series(inst)
             assert res.chi_c_value == chi_c_direct(inst).chi_c_value
 
     def test_exponent_merge_consistency(self):
         # 1/2 + 1/2 collides with the integer exponent 1.
         inst = validate(ProblemInstance(3, (F(1, 2), F(1, 2)), F(2)))
-        res = chi_c_series(SeriesSpec.from_instance(inst))
+        res = chi_c_series(inst)
         assert res.chi_c_value == chi_c_direct(inst).chi_c_value
 
     def test_truncation_stability(self):
-        spec = SeriesSpec(-2, (F(2, 5), F(4, 3)), F(7, 2))
-        base = chi_c_series(spec).chi_c_value
+        inst = validate(ProblemInstance(-2, (F(2, 5), F(4, 3)), F(7, 2)))
+        base = chi_c_series(inst).chi_c_value
         for bound in (F(4), F(6), F(15, 2)):
-            assert chi_c_series(SeriesSpec(-2, (F(2, 5), F(4, 3)), F(7, 2), bound)).chi_c_value == base
+            assert chi_c_series(inst, bound).chi_c_value == base
 
     def test_unit_weight_factor_consistency(self):
         plain = validate(ProblemInstance(1, (F(2, 5),), F(3)))
         augmented = validate(ProblemInstance(1, (F(2, 5), F(1)), F(3)))
-        res_plain = chi_c_series(SeriesSpec.from_instance(plain))
-        res_aug = chi_c_series(SeriesSpec.from_instance(augmented))
+        res_plain = chi_c_series(plain)
+        res_aug = chi_c_series(augmented)
         assert res_plain.chi_c_value == chi_c_direct(plain).chi_c_value
         assert res_aug.chi_c_value == chi_c_direct(augmented).chi_c_value
         assert res_plain.chi_c_value == res_aug.chi_c_value
