@@ -45,7 +45,7 @@ from .model import (
     validate,
 )
 from .oracle import FiniteWeightedSpace, oracle_chi
-from .series import chen_lin_series, chi_c_series, truncation_bound
+from .series import chen_lin_series, chi_c_series, chi_c_window, truncation_bound
 
 _METHOD_RUNNERS = {"direct": chi_c_direct, "strata": chi_c_strata, "series": chi_c_series}
 
@@ -256,7 +256,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     bound = truncation_bound(instance.rho, parse_fraction(args.bound) if args.bound else None)
     g = chen_lin_series(instance, bound)
-    result = chi_c_series(instance, bound)
+    result = chi_c_window(g, instance.rho)
     terms = [(e, c) for e, c in g.terms() if e > 0]
     if args.json:
         print(_dump({
@@ -269,19 +269,15 @@ def _cmd_series(args: argparse.Namespace) -> int:
         }))
         return 0
     print(f"chi_c={result.chi_c_value} d_rho={result.degree_d_rho}")
+    # The window is the leading run of the positive-exponent terms.
+    inside = len(result.term_breakdown)
     running = 0
-    inside = True
-    for e, c in terms:
-        if inside and e > instance.rho:
-            print(f"# window end: rho={instance.rho}")
-            inside = False
-        if inside:
-            running += c
-            print(f"{e} {c}\t# sum={running}")
-        else:
-            print(f"{e} {c}")
-    if inside:
-        print(f"# window end: rho={instance.rho}")
+    for e, c in terms[:inside]:
+        running += c
+        print(f"{e} {c}\t# sum={running}")
+    print(f"# window end: rho={instance.rho}")
+    for e, c in terms[inside:]:
+        print(f"{e} {c}")
     return 0
 
 

@@ -5,14 +5,13 @@ touches floating point, so results are exact at any operand size.
 """
 from __future__ import annotations
 
-from math import factorial
+from math import comb
 
 
 def ext_binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k) extended to every integer n.
 
-    Evaluates the falling-factorial polynomial n(n-1)...(n-k+1)/k!
-    exactly, which gives:
+    The value of the falling-factorial polynomial n(n-1)...(n-k+1)/k!:
 
     * k < 0        -> 0
     * k = 0        -> 1 for every n
@@ -20,15 +19,16 @@ def ext_binomial(n: int, k: int) -> int:
     * n >= k >= 0  -> the ordinary binomial coefficient
     * n < 0, k > 0 -> (-1)^k * C(-n+k-1, k)
 
-    The negative-n reflection above is a consequence, not the code path.
+    ``math.comb`` evaluates the n >= 0 cases, using C(n, k) = C(n, n-k) to
+    keep the work at min(k, n-k) steps; negative n goes through the
+    reflection in the last line.
     """
     if k < 0:
         return 0
-    num = 1
-    for j in range(k):
-        num *= n - j
-    # k! divides any product of k consecutive integers, so this is exact.
-    return num // factorial(k)
+    if n >= 0:
+        return comb(n, k)
+    value = comb(k - n - 1, k)
+    return -value if k % 2 else value
 
 
 def hockey_stick_sum(m: int, n: int) -> int:

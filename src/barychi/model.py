@@ -216,8 +216,8 @@ _KIND_BY_NAME = {kind.value: kind for kind in SpaceKind}
 def instance_from_json(doc: str | dict) -> ProblemInstance:
     """Build an instance from the JSON document format.
 
-    Fields: ``chi_c`` (int), ``weights`` (list of fraction strings),
-    ``rho`` (fraction string), optional ``space``
+    Fields: ``chi_c`` (int), ``weights`` (list of fraction strings, or one
+    comma-separated string), ``rho`` (fraction string), optional ``space``
     (``{"kind": ..., "components": [...]}``).
     """
     if isinstance(doc, str):
@@ -237,8 +237,10 @@ def instance_from_json(doc: str | dict) -> ProblemInstance:
         raise InputFormatError("chi_c must be a JSON integer")
     if isinstance(raw_weights, str):
         weights = parse_weights(raw_weights)
-    else:
+    elif isinstance(raw_weights, list):
         weights = tuple(parse_fraction(w) for w in raw_weights)
+    else:
+        raise InputFormatError("weights must be a JSON list or a comma-separated string")
     rho = parse_fraction(raw_rho)
 
     kind = SpaceKind.COMPACT

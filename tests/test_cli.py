@@ -1,8 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from barychi.cli import main
+from barychi.engine import chi_c_direct
+from barychi.model import ProblemInstance, validate
+from test_series import SCALE_CASES
 
 
 def run(capsys, *argv):
@@ -113,6 +117,22 @@ class TestStrictComponents:
         assert message in err
 
 
+class TestStrictWeights:
+    """An instance document's weights must be a JSON list or a comma-separated
+    string; anything else is an InputFormatError (exit 1), not a traceback."""
+
+    @pytest.mark.parametrize("weights", ["5", "2.5", "true", "null", '{"1/2": 1}'],
+                             ids=["int", "float", "bool", "null", "object"])
+    def test_instance_document(self, capsys, tmp_path, weights):
+        doc = tmp_path / "instance.json"
+        doc.write_text('{"chi_c": 2, "weights": ' + weights + ', "rho": "2"}')
+        code, out, err = run(capsys, "compute", "--instance", str(doc))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: InputFormatError: ")
+        assert "weights must be a JSON list" in err
+
+
 class TestSeries:
     def test_worked_dump(self, capsys):
         code, out, _ = run(capsys, "series", "--chi-c", "2", "--weights", "1/2", "--rho", "1")
@@ -144,6 +164,19 @@ class TestSeries:
         assert doc["terms"] == [["1/2", -1], ["1", -1]]
         assert doc["chi_c"] == 2
         assert doc["d_rho"] == -1
+
+    @pytest.mark.parametrize("chi,weights,rho,bound", SCALE_CASES)
+    def test_json_window_matches_direct(self, capsys, chi, weights, rho, bound):
+        argv = ["series", "--chi-c", str(chi), "--weights", ",".join(map(str, weights)),
+                "--rho", str(rho), "--json"]
+        code, out, _ = run(capsys, *argv, *(["--bound", str(bound)] if bound else []))
+        assert code == 0
+        doc = json.loads(out)
+        expected = chi_c_direct(validate(ProblemInstance(chi, weights, rho))).chi_c_value
+        assert doc["chi_c"] == expected
+        assert doc["window_sum"] == -expected
+        assert sum(c for e, c in doc["terms"] if Fraction(e) <= rho) == -expected
+        assert Fraction(doc["bound"]) == max(rho, bound or rho)
 
 
 class TestOracle:

@@ -52,6 +52,24 @@ class TestExtBinomial:
             for k in range(1, 20):
                 assert ext_binomial(n, k) == (-1) ** k * ext_binomial(-n + k - 1, k)
 
+    @given(st.integers(0, 400), st.integers(0, 25))
+    def test_oracle_agreement_symmetric_side(self, n, gap):
+        # k near n: math.comb works from the short side n - k.
+        k = max(n - gap, 0)
+        assert ext_binomial(n, k) == falling_factorial_oracle(n, k)
+
+    @given(st.integers(-200, -1), st.integers(0, 200))
+    def test_oracle_agreement_negative_upper(self, n, k):
+        # The reflection (-1)^k * C(k - n - 1, k) against the polynomial itself.
+        assert ext_binomial(n, k) == falling_factorial_oracle(n, k)
+
+    def test_large_k_near_n_is_cheap(self):
+        # A k-step product takes seconds at this size; from the short side
+        # n - k it is one step.
+        assert ext_binomial(10**5 + 1, 10**5) == 10**5 + 1
+        # Reflected: (-1)^k * C(k + 1, k), again one step from the short side.
+        assert ext_binomial(-2, 10**5 + 1) == -(10**5 + 2)
+
     def test_pascal_rule(self):
         for m in range(-20, 21):
             for n in range(1, 21):

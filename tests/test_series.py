@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import given
@@ -14,9 +15,23 @@ from barychi.series import (
     chi_c_series,
     expand_geometric_power,
     multiply_truncated,
+    truncation_bound,
 )
 
 F = Fraction
+
+# Instances whose rho and bound denominators share no factor with the
+# weights', and ties w_I = rho.
+SCALE_CASES = [
+    (-2, (F(2, 5), F(4, 3)), F(7, 2), F(15, 7)),
+    (-2, (F(2, 5), F(4, 3)), F(7, 2), F(11, 2)),
+    (-2, (F(2, 5), F(4, 3)), F(7, 2), F(50, 7)),
+    (3, (F(2, 5), F(4, 3), F(3, 7)), F(9, 2), F(61, 11)),
+    (-1, (F(2, 5), F(4, 3)), F(4, 3), F(13, 7)),
+    (-1, (F(2, 5), F(4, 3)), F(26, 15), None),
+    (2, (F(2, 5), F(4, 3), F(1, 2)), F(67, 30), F(9, 4)),
+    (0, (F(3, 4), F(3, 4), F(5, 6)), F(3, 2), F(17, 7)),
+]
 
 
 def brute_poly_product(a: dict, b: dict, bound: Fraction) -> dict:
@@ -44,6 +59,16 @@ class TestSparseSeries:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             SparseSeries([(F(-1, 2), 1)])
+
+    def test_equality_across_scales(self):
+        # The cancelled 1/3 term still sets the scale to 6.
+        wide = SparseSeries([(F(1, 2), 1), (F(1, 3), 2), (F(1, 3), -2)])
+        narrow = SparseSeries([(F(1, 2), 1)])
+        assert (wide.scale, narrow.scale) == (6, 2)
+        assert wide == narrow
+        assert wide.coefficient(F(1, 3)) == 0
+        assert narrow.coefficient(F(1, 4)) == 0
+        assert wide.terms() == narrow.terms() == [(F(1, 2), 1)]
 
     def test_terms_sorted(self):
         s = SparseSeries([(F(2), 1), (F(1, 3), 4), (F(1), -2)])
@@ -136,6 +161,24 @@ class TestChenLinSeries:
         inst = validate(ProblemInstance(-4, (F(2, 5), F(7, 5), F(1)), F(6)))
         assert chen_lin_series(inst).coefficient(0) == 1
 
+    @given(
+        st.integers(-4, 4),
+        st.lists(st.fractions(F(1, 20), F(3), max_denominator=20), max_size=4),
+        st.fractions(F(1, 20), F(6), max_denominator=20),
+        st.none() | st.fractions(F(0), F(8), max_denominator=20),
+    )
+    def test_matches_brute_force(self, chi, weights, rho, bound):
+        inst = validate(ProblemInstance(chi, tuple(weights), rho))
+        cut = truncation_bound(rho, bound)
+        m = len(weights) - chi
+        expected = {F(n): ext_binomial(m + n - 1, n) for n in range(floor(cut) + 1)}
+        expected = {e: c for e, c in expected.items() if c}
+        for w in weights:
+            expected = brute_poly_product(expected, {F(0): 1, w: -1}, cut)
+        got = chen_lin_series(inst, bound)
+        assert got == SparseSeries(expected)
+        assert got.terms() == sorted(expected.items())
+
     def test_validates_inputs(self):
         # validate is the one place the series route's inputs are checked.
         with pytest.raises(NonPositiveWeight):
@@ -177,6 +220,15 @@ class TestChiCSeries:
         base = chi_c_series(inst).chi_c_value
         for bound in (F(4), F(6), F(15, 2)):
             assert chi_c_series(inst, bound).chi_c_value == base
+
+    @pytest.mark.parametrize("chi,weights,rho,bound", SCALE_CASES)
+    def test_coprime_denominators_and_ties(self, chi, weights, rho, bound):
+        inst = validate(ProblemInstance(chi, weights, rho))
+        res = chi_c_series(inst, bound)
+        assert res.chi_c_value == chi_c_direct(inst).chi_c_value
+        assert res.term_breakdown == tuple(
+            (e, c) for e, c in chen_lin_series(inst, bound).terms() if 0 < e <= rho
+        )
 
     def test_unit_weight_factor_consistency(self):
         plain = validate(ProblemInstance(1, (F(2, 5),), F(3)))
