@@ -24,8 +24,9 @@ instance = validate(ProblemInstance(
     rho=F(9, 2),
 ))
 
-direct = chi_c_direct(instance)
-strata = chi_c_strata(instance)
+# breakdown=True asks the routes to keep their per-term rows, printed below.
+direct = chi_c_direct(instance, breakdown=True)
+strata = chi_c_strata(instance, breakdown=True)
 series = chi_c_series(instance)
 
 print("three algorithms, one answer:")

@@ -15,13 +15,12 @@ Two independent routes to the same integer:
   per-stratum values.
 
 Both return a ``ChiResult`` carrying the Leray-Schauder degree
-``d_rho = 1 - chi_c`` and a term breakdown for reporting.
+``d_rho = 1 - chi_c`` and, when asked for, a term breakdown for reporting.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
 from typing import Callable
 
 from .combinatorics import ext_binomial
@@ -31,7 +30,7 @@ from .model import (
     ProblemInstance,
     SpaceKind,
     ValidatedInstance,
-    enumerate_subset_weights,
+    scaled_subset_sums,
     validate,
 )
 
@@ -47,7 +46,8 @@ class ChiResult:
     ``term_breakdown`` entries are ``(key, value)`` pairs: subset index
     sets for the direct and strata methods, rational exponents for the
     series method.  For the direct method, chi_c_value = 1 - sum(values);
-    for strata, chi_c_value = sum(values).
+    for strata, chi_c_value = sum(values).  It is empty unless the route
+    was called with ``breakdown=True``.
     """
 
     chi_c_value: int
@@ -60,24 +60,37 @@ class ChiResult:
         return 1 - self.chi_c_value
 
 
-def chi_c_direct(instance: ValidatedInstance) -> ChiResult:
+def chi_c_direct(instance: ValidatedInstance, *, breakdown: bool = False) -> ChiResult:
     """Closed-form alternating sum over the power set of {1..r}.
 
     Valid for connected and disconnected X alike; only chi_c(X), the
-    weights, and rho enter.
+    weights, and rho enter.  The subsets are tallied by level into signed
+    counts, so ``ext_binomial`` runs once per distinct level.  With
+    ``breakdown`` the result lists every subset's signed term, in
+    binary-counter order (see ``enumerate_subset_weights``).
     """
-    chi, r, rho = instance.chi_c, instance.r, instance.rho
-    breakdown = []
-    acc = 0
-    for sw in enumerate_subset_weights(instance):
-        level = floor(rho - sw.total)
-        if level < 0:
+    chi, r = instance.chi_c, instance.r
+    sums, top, scale = scaled_subset_sums(instance)
+    signed: dict[int, int] = {}
+    for mask, s in enumerate(sums):
+        if s <= top:
+            level = (top - s) // scale
+            signed[level] = signed.get(level, 0) + (-1 if mask.bit_count() % 2 else 1)
+    value = {level: ext_binomial(level - chi + r, level) for level in signed}
+    acc = sum(count * value[level] for level, count in signed.items())
+    rows = []
+    if breakdown:
+        for mask, s in enumerate(sums):
             term = 0
-        else:
-            term = sw.parity * ext_binomial(level - chi + r, level)
-        breakdown.append((sw.index_set, term))
-        acc += term
-    return ChiResult(1 - acc, METHOD_DIRECT, tuple(breakdown))
+            if s <= top:
+                term = (-1 if mask.bit_count() % 2 else 1) * value[(top - s) // scale]
+            rows.append((_members(mask), term))
+    return ChiResult(1 - acc, METHOD_DIRECT, tuple(rows))
+
+
+def _members(mask: int) -> frozenset[int]:
+    """The canonical index set whose bits ``mask`` sets (bit i is index i+1)."""
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _stratum_chi(chi: int, r: int, k: int, cap: int) -> int:
@@ -97,24 +110,33 @@ def _stratum_chi(chi: int, r: int, k: int, cap: int) -> int:
     return total
 
 
-def chi_c_strata(instance: ValidatedInstance) -> ChiResult:
+def chi_c_strata(instance: ValidatedInstance, *, breakdown: bool = False) -> ChiResult:
     """Sum of chi_c over the disjoint stratification by singular support.
 
     Each subset I with rho - w_I >= 0 contributes one stratum family with
     level cap floor(rho - w_I); subsets with rho - w_I < 0 contribute no
-    stratum at all.  Agrees with ``chi_c_direct`` on every instance.
+    stratum at all.  Agrees with ``chi_c_direct`` on every instance.  With
+    ``breakdown`` the result lists each contributing subset's value, in
+    binary-counter order.
     """
-    chi, r, rho = instance.chi_c, instance.r, instance.rho
-    breakdown = []
+    chi, r = instance.chi_c, instance.r
+    sums, top, scale = scaled_subset_sums(instance)
+    # _stratum_chi depends on k only through k = 0, k odd, k even >= 2.
+    memo: dict[tuple[int, int], int] = {}
+    rows = []
     acc = 0
-    for sw in enumerate_subset_weights(instance):
-        if rho - sw.total < 0:
+    for mask, s in enumerate(sums):
+        if s > top:
             continue
-        cap = floor(rho - sw.total)
-        value = _stratum_chi(chi, r, len(sw.index_set), cap)
-        breakdown.append((sw.index_set, value))
+        k = mask.bit_count()
+        key = (k if k < 2 else 2 - k % 2, (top - s) // scale)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = _stratum_chi(chi, r, *key)
+        if breakdown:
+            rows.append((_members(mask), value))
         acc += value
-    return ChiResult(acc, METHOD_STRATA, tuple(breakdown))
+    return ChiResult(acc, METHOD_STRATA, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import NonPositiveWeight, TooManyVertices
 from .model import ProblemInstance, SpaceKind
@@ -61,23 +61,23 @@ def oracle_chi(space: FiniteWeightedSpace, rho: Fraction | int) -> int:
     enumeration: sum over nonempty vertex subsets S with w(S) <= rho of
     (-1)^(|S|+1).
 
-    O(2^m) time and memory; subsets are visited in binary-counter order.
+    O(2^m) time and memory.  Face weights are integers over the LCD of rho
+    and the vertex weights, kept in two lists by the parity of |S|; each
+    vertex doubles both, one integer add per new subset.
     """
     m = space.m
     if m > MAX_VERTICES:
         raise TooManyVertices(f"m = {m} vertices exceeds the face-enumeration cap {MAX_VERTICES}")
     rho = Fraction(rho)
-    weights = space.vertex_weights
-    # Subset sums by stripping the lowest set bit: one addition per subset.
-    sums: list[Fraction] = [Fraction(0)] * (1 << m)
-    chi = 0
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        total = sums[mask ^ low] + weights[low.bit_length() - 1]
-        sums[mask] = total
-        if total <= rho:
-            chi += 1 if mask.bit_count() % 2 else -1
-    return chi
+    scale = lcm(rho.denominator, *(w.denominator for w in space.vertex_weights))
+    top = rho.numerator * (scale // rho.denominator)
+    even, odd = [0], []  # subset weights * scale, |S| even / odd
+    for w in space.vertex_weights:
+        step = w.numerator * (scale // w.denominator)
+        even, odd = even + [s + step for s in odd], odd + [s + step for s in even]
+    odd_faces = sum(s <= top for s in odd)
+    even_faces = sum(s <= top for s in even) - (top >= 0)  # the empty set is no face
+    return odd_faces - even_faces
 
 
 def skeleton_chi(n: int, k: int) -> int:

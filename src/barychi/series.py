@@ -145,22 +145,32 @@ def chen_lin_series(instance: ValidatedInstance, bound: Fraction | None = None) 
     return g
 
 
-def chi_c_window(g: SparseSeries, rho: Fraction) -> ChiResult:
-    """chi_c read off the coefficient window of g: minus the sum of
-    coefficients at exponents in (0, rho], ties at rho included.
-
-    The breakdown lists the window's (exponent, coefficient) pairs in
-    increasing exponent order.
-    """
+def window_keys(g: SparseSeries, rho: Fraction) -> list[int]:
+    """The int keys of g's coefficient window: exponents in (0, rho], ties
+    at rho included, in no particular order."""
     top = floor(rho * g.scale)
-    keys = sorted(k for k in g._terms if 0 < k <= top)
-    window = tuple((Fraction(k, g.scale), g._terms[k]) for k in keys)
-    return ChiResult(-sum(c for _, c in window), METHOD_SERIES, window)
+    return [k for k in g._terms if 0 < k <= top]
 
 
-def chi_c_series(instance: ValidatedInstance, bound: Fraction | None = None) -> ChiResult:
+def chi_c_window(g: SparseSeries, rho: Fraction, *, breakdown: bool = False) -> ChiResult:
+    """chi_c read off the coefficient window of g: minus the sum of
+    coefficients at exponents in (0, rho] (see ``window_keys``).
+
+    With ``breakdown`` the result lists the window's (exponent,
+    coefficient) pairs in increasing exponent order.
+    """
+    keys = window_keys(g, rho)
+    rows = ()
+    if breakdown:
+        rows = tuple((Fraction(k, g.scale), g._terms[k]) for k in sorted(keys))
+    return ChiResult(-sum(g._terms[k] for k in keys), METHOD_SERIES, rows)
+
+
+def chi_c_series(
+    instance: ValidatedInstance, bound: Fraction | None = None, *, breakdown: bool = False
+) -> ChiResult:
     """chi_c via the coefficient window (0, rho] of g (see ``chi_c_window``).
 
     Agrees exactly with the direct method.
     """
-    return chi_c_window(chen_lin_series(instance, bound), instance.rho)
+    return chi_c_window(chen_lin_series(instance, bound), instance.rho, breakdown=breakdown)

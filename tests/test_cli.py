@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from barychi.cli import main
+from barychi.cli import MAX_BREAKDOWN_POINTS, main
 from barychi.engine import chi_c_direct
-from barychi.model import ProblemInstance, validate
+from barychi.model import MAX_SINGULAR_POINTS, ProblemInstance, validate
 from test_series import SCALE_CASES
 
 
@@ -47,6 +47,36 @@ class TestCompute:
         assert code == 0
         assert "direct terms:" in out
         assert "{1}:" in out
+
+    def test_singular_point_cap(self, capsys):
+        # m points of weight 1/2 under rho = 1: m vertices and C(m, 2) edges.
+        m = MAX_SINGULAR_POINTS
+        code, out, _ = run(capsys, "compute", "--chi-c", str(m), "--weights",
+                           ",".join(["1/2"] * m), "--rho", "1", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["methods"] == dict.fromkeys(("direct", "strata", "series"), m - m * (m - 1) // 2)
+        assert doc["verdict"] == "MATCH"
+
+    def test_above_singular_point_cap(self, capsys):
+        code, out, err = run(capsys, "compute", "--chi-c", "0", "--weights",
+                             ",".join(["1/2"] * (MAX_SINGULAR_POINTS + 1)), "--rho", "1")
+        assert code == 1
+        assert out == ""
+        assert "TooManySingularPoints" in err
+
+    def test_breakdown_cap(self, capsys):
+        m = MAX_BREAKDOWN_POINTS
+        code, out, _ = run(capsys, "compute", "--chi-c", "0", "--weights",
+                           ",".join(["1/2"] * m), "--rho", "1", "--method", "direct",
+                           "--breakdown", "--json")
+        assert code == 0
+        assert len(json.loads(out)["breakdown"]["direct"]) == 2 ** m
+        code, out, err = run(capsys, "compute", "--chi-c", "0", "--weights",
+                             ",".join(["1/2"] * (m + 1)), "--rho", "1", "--breakdown")
+        assert code == 1
+        assert out == ""
+        assert "TooManySingularPoints" in err
 
     def test_missing_flags(self, capsys):
         code, _, err = run(capsys, "compute", "--weights", "1/2")

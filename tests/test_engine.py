@@ -2,9 +2,12 @@ from fractions import Fraction
 from math import floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barychi.combinatorics import ext_binomial
 from barychi.engine import (
+    ChiResult,
     chi_c_direct,
     chi_c_strata,
     chi_join,
@@ -15,7 +18,14 @@ from barychi.engine import (
     topological_chi_applicable,
 )
 from barychi.errors import InconsistentComponents
-from barychi.model import ComponentSpec, ProblemInstance, SpaceKind, validate
+from barychi.model import (
+    ComponentSpec,
+    ProblemInstance,
+    SpaceKind,
+    enumerate_subset_weights,
+    validate,
+)
+from barychi.series import chi_c_series
 
 F = Fraction
 
@@ -44,7 +54,7 @@ class TestChiCDirect:
             assert chi_c_direct(make(chi, ["1/2", "3/4"], "1/4")).chi_c_value == 0
 
     def test_breakdown_recombines(self):
-        res = chi_c_direct(make(-2, ["1/3", "3/5", "7/4"], "7/2"))
+        res = chi_c_direct(make(-2, ["1/3", "3/5", "7/4"], "7/2"), breakdown=True)
         assert res.chi_c_value == 1 - sum(v for _, v in res.term_breakdown)
         assert len(res.term_breakdown) == 8
 
@@ -55,7 +65,7 @@ class TestChiCDirect:
 
 class TestChiCStrata:
     def test_single_half_weight_contributions(self):
-        res = chi_c_strata(make(2, ["1/2"], 1))
+        res = chi_c_strata(make(2, ["1/2"], 1), breakdown=True)
         by_set = dict(res.term_breakdown)
         assert by_set[frozenset()] == 1
         assert by_set[frozenset({1})] == 1
@@ -67,7 +77,7 @@ class TestChiCStrata:
                 assert chi_c_strata(make(chi, [], n)).chi_c_value == 1 - ext_binomial(n - chi, n)
 
     def test_empty_space_has_no_strata(self):
-        res = chi_c_strata(make(2, ["1/2", "3/4"], "1/4"))
+        res = chi_c_strata(make(2, ["1/2", "3/4"], "1/4"), breakdown=True)
         # only the empty subset qualifies, and floor(rho) = 0 means no levels
         assert res.chi_c_value == 0
         assert dict(res.term_breakdown)[frozenset()] == 0
@@ -75,7 +85,10 @@ class TestChiCStrata:
     def test_contributions_match_closed_forms(self):
         inst = make(-1, ["1/3", "2/3", "5/4"], "10/3")
         chi, r = inst.chi_c, inst.r
-        for index_set, value in chi_c_strata(inst).term_breakdown:
+        rows = chi_c_strata(inst, breakdown=True).term_breakdown
+        fitting = [sw for sw in enumerate_subset_weights(inst) if inst.rho - sw.total >= 0]
+        assert len(rows) == len(fitting)
+        for index_set, value in rows:
             n = floor(inst.rho - sum((inst.weights[i - 1] for i in index_set), F(0)))
             k = len(index_set)
             if k == 0:
@@ -87,6 +100,56 @@ class TestChiCStrata:
     def test_agrees_with_direct(self, engine_corpus):
         for inst in engine_corpus[:200]:
             assert chi_c_strata(inst).chi_c_value == chi_c_direct(inst).chi_c_value
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """r <= 10 weights with denominators <= 20 and rho = w_J + n for a drawn
+    nonempty J and n in 0..3, so floor(rho - w_I) sits on a tie for I = J
+    and for every I with the same weight sum."""
+    weights = draw(st.lists(st.fractions(F(1, 20), F(2), max_denominator=20),
+                            min_size=1, max_size=10))
+    chosen = draw(st.lists(st.booleans(), min_size=len(weights), max_size=len(weights))
+                  .filter(any))
+    rho = sum((w for w, c in zip(weights, chosen) if c), F(0)) + draw(st.integers(0, 3))
+    return make(draw(st.integers(-5, 5)), weights, rho)
+
+
+def reference_rows(inst):
+    """Direct and strata rows from enumerate_subset_weights and Fraction
+    floors; strata values by the closed forms of each stratum family."""
+    chi, r = inst.chi_c, inst.r
+    direct, strata = [], []
+    for sw in enumerate_subset_weights(inst):
+        level = floor(inst.rho - sw.total)
+        if level < 0:
+            direct.append((sw.index_set, 0))
+            continue
+        binomial = ext_binomial(level - chi + r, level)
+        direct.append((sw.index_set, sw.parity * binomial))
+        strata.append((sw.index_set, -sw.parity * binomial if sw.index_set else 1 - binomial))
+    return tuple(direct), tuple(strata)
+
+
+class TestBreakdown:
+    @settings(max_examples=100, deadline=None)
+    @given(tie_heavy_instances())
+    def test_rows_match_fraction_reference(self, inst):
+        direct, strata = reference_rows(inst)
+        got_direct = chi_c_direct(inst, breakdown=True)
+        got_strata = chi_c_strata(inst, breakdown=True)
+        assert got_direct.term_breakdown == direct
+        assert got_strata.term_breakdown == strata
+        assert got_direct.chi_c_value == 1 - sum(v for _, v in direct)
+        assert got_strata.chi_c_value == sum(v for _, v in strata)
+
+    def test_default_is_empty(self):
+        inst = make(-2, ["1/3", "3/5", "7/4"], "7/2")
+        for route in (chi_c_direct, chi_c_strata, chi_c_series):
+            plain, full = route(inst), route(inst, breakdown=True)
+            assert plain.term_breakdown == ()
+            assert full.term_breakdown
+            assert plain == ChiResult(full.chi_c_value, full.method)
 
 
 class TestNormalizations:

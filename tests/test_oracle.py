@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barychi.combinatorics import ext_binomial
 from barychi.engine import chi_c_direct, chi_c_strata
@@ -60,6 +62,27 @@ class TestOracleChi:
     def test_empty_complex(self):
         space = FiniteWeightedSpace((F(1, 2), F(2, 3)))
         assert oracle_chi(space, F(1, 3)) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_fraction_face_count(self, data):
+        # rho is the weight of a drawn vertex set plus 0..2, so faces tie it.
+        weights = data.draw(st.lists(
+            st.just(F(1)) | st.fractions(F(1, 20), F(3), max_denominator=20),
+            min_size=1, max_size=12))
+        chosen = data.draw(st.lists(st.booleans(), min_size=len(weights),
+                                    max_size=len(weights)))
+        rho = sum((w for w, c in zip(weights, chosen) if c), F(0)) + data.draw(st.integers(0, 2))
+        faces = [
+            mask.bit_count()
+            for mask in range(1, 1 << len(weights))
+            if sum((w for i, w in enumerate(weights) if mask >> i & 1), F(0)) <= rho
+        ]
+        expected = sum(1 if k % 2 else -1 for k in faces)
+        assert oracle_chi(FiniteWeightedSpace(tuple(weights)), rho) == expected
+
+    def test_negative_rho_has_no_faces(self):
+        assert oracle_chi(FiniteWeightedSpace.of(3), F(-1, 2)) == 0
 
     def test_matches_engines(self, finite_corpus):
         for space, rho in finite_corpus[:100]:

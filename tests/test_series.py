@@ -189,7 +189,7 @@ class TestChenLinSeries:
 
 class TestChiCSeries:
     def test_worked_example(self):
-        res = chi_c_series(validate(ProblemInstance(2, (F(1, 2),), F(1))))
+        res = chi_c_series(validate(ProblemInstance(2, (F(1, 2),), F(1))), breakdown=True)
         assert res.chi_c_value == 2
         assert res.degree_d_rho == -1
         assert res.term_breakdown == ((F(1, 2), -1), (F(1), -1))
@@ -224,7 +224,7 @@ class TestChiCSeries:
     @pytest.mark.parametrize("chi,weights,rho,bound", SCALE_CASES)
     def test_coprime_denominators_and_ties(self, chi, weights, rho, bound):
         inst = validate(ProblemInstance(chi, weights, rho))
-        res = chi_c_series(inst, bound)
+        res = chi_c_series(inst, bound, breakdown=True)
         assert res.chi_c_value == chi_c_direct(inst).chi_c_value
         assert res.term_breakdown == tuple(
             (e, c) for e, c in chen_lin_series(inst, bound).terms() if 0 < e <= rho
