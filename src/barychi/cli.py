@@ -272,7 +272,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     bound = truncation_bound(instance.rho, parse_fraction(args.bound) if args.bound else None)
     g = chen_lin_series(instance, bound)
     result = chi_c_window(g, instance.rho)
-    terms = [(e, c) for e, c in g.terms() if e > 0]
+    terms = g.terms()[1:]  # the constant term 1 (checked by chen_lin_series) is no output
     if args.json:
         print(_dump({
             "instance": instance_to_json_dict(instance),

@@ -64,27 +64,29 @@ def chi_c_direct(instance: ValidatedInstance, *, breakdown: bool = False) -> Chi
     """Closed-form alternating sum over the power set of {1..r}.
 
     Valid for connected and disconnected X alike; only chi_c(X), the
-    weights, and rho enter.  The subsets are tallied by level into signed
+    weights, and rho enter.  Only the subsets with w_I <= rho are built
+    (the others contribute zero); they are tallied by level into signed
     counts, so ``ext_binomial`` runs once per distinct level.  With
-    ``breakdown`` the result lists every subset's signed term, in
-    binary-counter order (see ``enumerate_subset_weights``).
+    ``breakdown`` the result lists every subset's signed term, 0 for the
+    ones not built, in binary-counter order (see
+    ``enumerate_subset_weights``).
     """
     chi, r = instance.chi_c, instance.r
-    sums, top, scale = scaled_subset_sums(instance)
+    packed, top, scale = scaled_subset_sums(instance)
+    full = (1 << r) - 1
     signed: dict[int, int] = {}
-    for mask, s in enumerate(sums):
-        if s <= top:
-            level = (top - s) // scale
-            signed[level] = signed.get(level, 0) + (-1 if mask.bit_count() % 2 else 1)
+    for e in packed:
+        level = (top - e) // scale
+        signed[level] = signed.get(level, 0) + (-1 if (e & full).bit_count() % 2 else 1)
     value = {level: ext_binomial(level - chi + r, level) for level in signed}
     acc = sum(count * value[level] for level, count in signed.items())
     rows = []
     if breakdown:
-        for mask, s in enumerate(sums):
-            term = 0
-            if s <= top:
-                term = (-1 if mask.bit_count() % 2 else 1) * value[(top - s) // scale]
-            rows.append((_members(mask), term))
+        terms = [0] * (full + 1)  # pruned subsets contribute 0
+        for e in packed:
+            mask = e & full
+            terms[mask] = (-1 if mask.bit_count() % 2 else 1) * value[(top - e) // scale]
+        rows = [(_members(mask), term) for mask, term in enumerate(terms)]
     return ChiResult(1 - acc, METHOD_DIRECT, tuple(rows))
 
 
@@ -120,16 +122,16 @@ def chi_c_strata(instance: ValidatedInstance, *, breakdown: bool = False) -> Chi
     binary-counter order.
     """
     chi, r = instance.chi_c, instance.r
-    sums, top, scale = scaled_subset_sums(instance)
+    packed, top, scale = scaled_subset_sums(instance)
+    full = (1 << r) - 1
     # _stratum_chi depends on k only through k = 0, k odd, k even >= 2.
     memo: dict[tuple[int, int], int] = {}
     rows = []
     acc = 0
-    for mask, s in enumerate(sums):
-        if s > top:
-            continue
+    for e in packed:
+        mask = e & full
         k = mask.bit_count()
-        key = (k if k < 2 else 2 - k % 2, (top - s) // scale)
+        key = (k if k < 2 else 2 - k % 2, (top - e) // scale)
         value = memo.get(key)
         if value is None:
             value = memo[key] = _stratum_chi(chi, r, *key)

@@ -22,9 +22,10 @@ from .errors import (
     TooManySingularPoints,
 )
 
-# Every route enumerates all 2^r subsets.  At r = 22 with weight denominators
-# up to 20, ``compute --method all`` takes about 2 s and 215 MB; each further
-# point doubles both.
+# Direct, strata and the oracle build only the subsets with w_I <= rho, but
+# when rho >= sum(w) that is all 2^r.  There, at r = 22 with weights k/(k+1),
+# direct takes about 2 s and 270 MB and strata 3 s and 270 MB; each further
+# point doubles both.  The series route costs far more there (README, limits).
 MAX_SINGULAR_POINTS = 22
 
 
@@ -189,22 +190,32 @@ def enumerate_subset_weights(instance: ValidatedInstance) -> Iterator[SubsetWeig
 
 
 def scaled_subset_sums(instance: ValidatedInstance) -> tuple[list[int], int, int]:
-    """All 2^r subset sums as integers over one scale: ``(sums, top, scale)``.
+    """The subsets I with w_I <= rho, as packed integers: ``(packed, top, scale)``.
 
-    ``scale`` is the LCD of rho and the weights, ``top = rho * scale`` and
-    ``sums[mask] = w_I * scale`` for the subset I whose canonical index i+1
-    is in I exactly when bit i of ``mask`` is set (the order of
-    ``enumerate_subset_weights``).  I fits under rho when
-    ``sums[mask] <= top``, and then ``(top - sums[mask]) // scale`` is its
-    level floor(rho - w_I).
+    With ``base`` the LCD of rho and the weights, each entry is
+    ``w_I * base << r | mask``, where bit i of ``mask`` is set exactly when
+    canonical index i+1 is in I.  The entries come in binary-counter order
+    (the order of ``enumerate_subset_weights``, heavier subsets left out).
+    ``top = rho * base << r | (2^r - 1)`` and ``scale = base << r``, so
+    ``(top - entry) // scale`` is the subset's level floor(rho - w_I), and
+    ``entry & (2^r - 1)`` its mask.  The mask rides in the low bits so that
+    no second per-subset list is kept.
+
+    Weights are positive, so a subset heavier than rho has no superset that
+    fits: weight j extends only the subsets it keeps under rho.  Its new
+    block sets bit j on masks below 2^j, which keeps the order.  When
+    rho >= sum(w) every subset fits and the list has all 2^r entries.
     """
-    rho = instance.rho
-    scale = lcm(rho.denominator, *(w.denominator for w in instance.weights))
-    sums = [0]
-    for w in instance.weights:
-        step = w.numerator * (scale // w.denominator)
-        sums += [s + step for s in sums]
-    return sums, rho.numerator * (scale // rho.denominator), scale
+    rho, r = instance.rho, instance.r
+    base = lcm(rho.denominator, *(w.denominator for w in instance.weights))
+    top = rho.numerator * (base // rho.denominator)
+    packed = [0]
+    for j, w in enumerate(instance.weights):
+        step = w.numerator * (base // w.denominator)
+        bit = (step << r) | (1 << j)
+        limit = (top - step + 1) << r  # e < limit exactly when (e >> r) + step <= top
+        packed += [e + bit for e in packed if e < limit]
+    return packed, (top << r) | ((1 << r) - 1), base << r
 
 
 # ---------------------------------------------------------------------------

@@ -61,9 +61,11 @@ def oracle_chi(space: FiniteWeightedSpace, rho: Fraction | int) -> int:
     enumeration: sum over nonempty vertex subsets S with w(S) <= rho of
     (-1)^(|S|+1).
 
-    O(2^m) time and memory.  Face weights are integers over the LCD of rho
-    and the vertex weights, kept in two lists by the parity of |S|; each
-    vertex doubles both, one integer add per new subset.
+    Face weights are integers over the LCD of rho and the vertex weights,
+    kept in two lists by the parity of |S|.  Each vertex extends only the
+    subsets it keeps under rho (one integer add each); a heavier subset
+    has no face among its supersets.  O(2^m) time and memory when rho is
+    at least the total weight.
     """
     m = space.m
     if m > MAX_VERTICES:
@@ -71,13 +73,15 @@ def oracle_chi(space: FiniteWeightedSpace, rho: Fraction | int) -> int:
     rho = Fraction(rho)
     scale = lcm(rho.denominator, *(w.denominator for w in space.vertex_weights))
     top = rho.numerator * (scale // rho.denominator)
-    even, odd = [0], []  # subset weights * scale, |S| even / odd
+    if top < 0:
+        return 0  # not even the empty set fits
+    even, odd = [0], []  # weights * scale of the subsets that fit, |S| even / odd
     for w in space.vertex_weights:
         step = w.numerator * (scale // w.denominator)
-        even, odd = even + [s + step for s in odd], odd + [s + step for s in even]
-    odd_faces = sum(s <= top for s in odd)
-    even_faces = sum(s <= top for s in even) - (top >= 0)  # the empty set is no face
-    return odd_faces - even_faces
+        cap = top - step  # s + step <= top
+        even, odd = (even + [s + step for s in odd if s <= cap],
+                     odd + [s + step for s in even if s <= cap])
+    return len(odd) - (len(even) - 1)  # the empty set is no face
 
 
 def skeleton_chi(n: int, k: int) -> int:

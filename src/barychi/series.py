@@ -107,17 +107,32 @@ def expand_geometric_power(m: int, bound: Fraction | int, scale: int = 1) -> Spa
 
 
 def multiply_truncated(a: SparseSeries, b: SparseSeries, bound: Fraction | int) -> SparseSeries:
-    """Exact Cauchy product of two series, discarding exponents > bound."""
+    """Exact Cauchy product of two series, discarding exponents > bound.
+
+    When the shorter factor has constant term 1 (every factor 1 - x^w of g
+    does), the product starts as a copy of the longer one, and only the
+    shorter one's other terms are multiplied out.
+    """
     scale = lcm(a.scale, b.scale)
     top = floor(Fraction(bound) * scale)
     short, long = sorted((a._keyed_at(scale), b._keyed_at(scale)), key=len)
-    acc: dict[int, int] = {}
-    for ks, cs in short.items():
+    if short.get(0) == 1:
+        acc = dict(long) if max(long) <= top else {k: c for k, c in long.items() if k <= top}
+        outer = [(ks, cs) for ks, cs in short.items() if ks]
+    else:
+        acc = {}
+        outer = short.items()
+    for ks, cs in outer:
+        cap = top - ks
         for kl, cl in long.items():
-            k = ks + kl
-            if k <= top:
-                acc[k] = acc.get(k, 0) + cs * cl
-    return SparseSeries._scaled(scale, {k: c for k, c in acc.items() if c})
+            if kl <= cap:
+                k = ks + kl
+                c = acc.get(k, 0) + cs * cl
+                if c:
+                    acc[k] = c
+                else:
+                    del acc[k]  # cs * cl is nonzero, so k was already there
+    return SparseSeries._scaled(scale, acc)
 
 
 def truncation_bound(rho: Fraction, bound: Fraction | None) -> Fraction:

@@ -84,6 +84,23 @@ class TestOracleChi:
     def test_negative_rho_has_no_faces(self):
         assert oracle_chi(FiniteWeightedSpace.of(3), F(-1, 2)) == 0
 
+    def test_pruning_edge_cases(self):
+        space = FiniteWeightedSpace((F(1, 2), F(2, 3), F(1), F(3, 4)))
+        total = sum(space.vertex_weights)
+        # Every subset fits: the full simplex is contractible.
+        assert oracle_chi(space, total) == 1
+        # Nothing but the empty set fits, and it is no face.
+        assert oracle_chi(space, F(49, 100)) == 0
+        assert oracle_chi(space, F(0)) == 0
+        assert oracle_chi(space, F(-3)) == 0
+        # rho equal to a face weight keeps that face (ties at the prune test).
+        assert oracle_chi(space, F(1, 2)) == 1  # one vertex
+        assert oracle_chi(space, F(2, 3)) == 2  # two vertices
+        assert oracle_chi(space, F(7, 6)) == 4 - 1  # the edge {1/2, 2/3}
+        assert oracle_chi(space, F(17, 12)) == 4 - 3  # and {1/2, 3/4}, {2/3, 3/4}
+        assert oracle_chi(space, F(23, 12)) == 4 - 6 + 1  # the triangle {1/2, 2/3, 3/4}
+        assert oracle_chi(space, total - F(1, 12)) == 4 - 6 + 4  # all but the top face
+
     def test_matches_engines(self, finite_corpus):
         for space, rho in finite_corpus[:100]:
             expected = oracle_chi(space, rho)

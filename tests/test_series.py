@@ -136,6 +136,23 @@ class TestMultiplyTruncated:
             bound,
         ))
 
+    @given(st.data())
+    def test_constant_term_cases_match_brute_force(self, data):
+        # The shorter factor's constant term 1 copies the longer factor; the
+        # longer factor, both or neither may carry a 1 instead.
+        def series(constant):
+            terms = data.draw(st.dictionaries(
+                st.fractions(F(1, 6), F(6), max_denominator=6), st.integers(-4, 4), max_size=6))
+            if constant is not None:
+                terms[F(0)] = constant
+            return {e: c for e, c in terms.items() if c}
+        constants = st.sampled_from([1, 1, -1, 2, None])
+        a, b = series(data.draw(constants)), series(data.draw(constants))
+        bound = data.draw(st.fractions(F(0), F(8), max_denominator=6))
+        expected = SparseSeries(brute_poly_product(a, b, bound))
+        assert multiply_truncated(SparseSeries(a), SparseSeries(b), bound) == expected
+        assert multiply_truncated(SparseSeries(b), SparseSeries(a), bound) == expected
+
 
 class TestChenLinSeries:
     def test_worked_expansion(self):
