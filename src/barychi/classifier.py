@@ -9,32 +9,35 @@ engine whenever the topological chi applies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import floor
 
 from .combinatorics import ext_binomial
 from .engine import chi_join, chi_suspension
 from .errors import OutOfScope, WeightOutOfRange
-from .model import ValidatedInstance, enumerate_subset_weights
+from .model import ValidatedInstance, _Record, enumerate_subset_weights
 
 
 # ---------------------------------------------------------------------------
 # Space expressions and homotopy descriptors (tagged variants).
 
 
-class SpaceExpr:
+class SpaceExpr(_Record):
     """A symbolic space with ``chi()`` and ``render()``: a labelled piece, a
     wedge or union of pieces, or a homotopy type (contractible, a
     barycenter space of an expression, or an iterated suspension of one)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Base(SpaceExpr):
     """An opaque space known only through its Euler characteristic."""
 
-    chi_value: int
-    label: str = "X"
+    __slots__ = ("chi_value", "label")
+
+    def __init__(self, chi_value: int, label: str = "X") -> None:
+        object.__setattr__(self, "chi_value", chi_value)
+        object.__setattr__(self, "label", label)
 
     def chi(self) -> int:
         return self.chi_value
@@ -43,8 +46,9 @@ class Base(SpaceExpr):
         return self.label
 
 
-@dataclass(frozen=True)
 class Circle(SpaceExpr):
+    __slots__ = ()
+
     def chi(self) -> int:
         return 0
 
@@ -52,8 +56,9 @@ class Circle(SpaceExpr):
         return "S1"
 
 
-@dataclass(frozen=True)
 class Point(SpaceExpr):
+    __slots__ = ()
+
     def chi(self) -> int:
         return 1
 
@@ -61,9 +66,11 @@ class Point(SpaceExpr):
         return "pt"
 
 
-@dataclass(frozen=True)
 class Wedge(SpaceExpr):
-    parts: tuple[SpaceExpr, ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[SpaceExpr, ...]) -> None:
+        object.__setattr__(self, "parts", parts)
 
     def chi(self) -> int:
         # One shared basepoint: each extra part over-counts a point.
@@ -73,9 +80,11 @@ class Wedge(SpaceExpr):
         return " v ".join(p.render() for p in self.parts)
 
 
-@dataclass(frozen=True)
 class DisjointUnion(SpaceExpr):
-    parts: tuple[SpaceExpr, ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[SpaceExpr, ...]) -> None:
+        object.__setattr__(self, "parts", parts)
 
     def chi(self) -> int:
         return sum(p.chi() for p in self.parts)
@@ -84,8 +93,9 @@ class DisjointUnion(SpaceExpr):
         return " | ".join(p.render() for p in self.parts)
 
 
-@dataclass(frozen=True)
 class Contractible(SpaceExpr):
+    __slots__ = ()
+
     def chi(self) -> int:
         return 1
 
@@ -93,12 +103,14 @@ class Contractible(SpaceExpr):
         return "contractible"
 
 
-@dataclass(frozen=True)
 class Bary(SpaceExpr):
     """B_n of a space expression; n = 0 denotes the empty space (chi = 0)."""
 
-    n: int
-    space: SpaceExpr
+    __slots__ = ("n", "space")
+
+    def __init__(self, n: int, space: SpaceExpr) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "space", space)
 
     def chi(self) -> int:
         if self.n == 0:
@@ -109,9 +121,11 @@ class Bary(SpaceExpr):
         return f"B_{self.n}({self.space.render()})"
 
 
-@dataclass(frozen=True)
 class Suspension(SpaceExpr):
-    inner: SpaceExpr
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: SpaceExpr) -> None:
+        object.__setattr__(self, "inner", inner)
 
     def chi(self) -> int:
         return chi_suspension(self.inner.chi(), 1)
@@ -124,13 +138,25 @@ class Suspension(SpaceExpr):
 # Conic decomposition.
 
 
-@dataclass(frozen=True)
-class ConicPiece:
+class ConicPiece(_Record):
     """B_n(X, p_i for i in I): at most n points outside the marked set I
     (canonical 1-based weight indices), any mass at the marked points."""
 
-    n: int
-    index_set: frozenset[int]
+    __slots__ = ("n", "index_set")
+
+    def __init__(self, n: int, index_set: frozenset[int]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "index_set", index_set)
+
+    # maximal_pieces compares every pair of pieces, so the two fields are
+    # compared directly: the record's generic field getter is about 1.5x
+    # slower per comparison.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.index_set == other.index_set
+
+    __hash__ = _Record.__hash__
 
     def render(self) -> str:
         if not self.index_set:

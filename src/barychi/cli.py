@@ -169,7 +169,7 @@ def _components_for(args: argparse.Namespace, r: int) -> tuple[ComponentSpec, ..
     if getattr(args, "components", None):
         try:
             entries = json.loads(args.components)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed, or an int past the digit limit
             raise InputFormatError(f"--components is not valid JSON: {exc}") from exc
         return parse_components(entries)
     chi_a = getattr(args, "chi_a", None)

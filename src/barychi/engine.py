@@ -19,9 +19,8 @@ Both return a ``ChiResult`` carrying the Leray-Schauder degree
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .combinatorics import ext_binomial
 from .errors import InconsistentComponents
@@ -30,6 +29,7 @@ from .model import (
     ProblemInstance,
     SpaceKind,
     ValidatedInstance,
+    _Record,
     scaled_subset_sums,
     validate,
 )
@@ -39,8 +39,7 @@ METHOD_STRATA = "strata"
 METHOD_SERIES = "series"
 
 
-@dataclass(frozen=True)
-class ChiResult:
+class ChiResult(_Record):
     """chi_c of the weighted barycenter space, with provenance.
 
     ``term_breakdown`` entries are ``(key, value)`` pairs: subset index
@@ -50,9 +49,17 @@ class ChiResult:
     was called with ``breakdown=True``.
     """
 
-    chi_c_value: int
-    method: str
-    term_breakdown: tuple[tuple[frozenset[int] | Fraction, int], ...] = ()
+    __slots__ = ("chi_c_value", "method", "term_breakdown")
+
+    def __init__(
+        self,
+        chi_c_value: int,
+        method: str,
+        term_breakdown: tuple[tuple[frozenset[int] | Fraction, int], ...] = (),
+    ) -> None:
+        object.__setattr__(self, "chi_c_value", chi_c_value)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "term_breakdown", term_breakdown)
 
     @property
     def degree_d_rho(self) -> int:
@@ -124,17 +131,19 @@ def chi_c_strata(instance: ValidatedInstance, *, breakdown: bool = False) -> Chi
     chi, r = instance.chi_c, instance.r
     packed, top, scale = scaled_subset_sums(instance)
     full = (1 << r) - 1
-    # _stratum_chi depends on k only through k = 0, k odd, k even >= 2.
-    memo: dict[tuple[int, int], int] = {}
+    # _stratum_chi depends on k only through its class: 0 (k = 0), 1 (k odd)
+    # or 2 (k even >= 2).  The memo key is level * 3 + class.
+    memo: dict[int, int] = {}
     rows = []
     acc = 0
     for e in packed:
         mask = e & full
         k = mask.bit_count()
-        key = (k if k < 2 else 2 - k % 2, (top - e) // scale)
+        key = (top - e) // scale * 3 + (k if k < 2 else 2 - k % 2)
         value = memo.get(key)
         if value is None:
-            value = memo[key] = _stratum_chi(chi, r, *key)
+            level, size_class = divmod(key, 3)
+            value = memo[key] = _stratum_chi(chi, r, size_class, level)
         if breakdown:
             rows.append((_members(mask), value))
         acc += value

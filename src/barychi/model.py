@@ -8,11 +8,12 @@ or a finite decimal "0.3" read as 3/10) and kept as a ``Fraction``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
+from collections.abc import Iterator, Sequence
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Sequence
+from operator import attrgetter
 
 from .errors import (
     InconsistentComponents,
@@ -38,29 +39,82 @@ class SpaceKind(Enum):
     UNION_OF_BASIC = "union"
 
 
-@dataclass(frozen=True)
-class ComponentSpec:
+class _Record:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``__slots__``, in constructor order, and
+    sets each one once in ``__init__`` with ``object.__setattr__``.  Records
+    compare equal when they are of the same class with equal fields; they
+    hash, print, copy and pickle like frozen dataclasses, and refuse
+    assignment and deletion.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        names = cls.__slots__
+        # attrgetter returns a tuple only when it is given two names or more.
+        cls._values = (attrgetter(*names) if len(names) > 1
+                       else staticmethod(lambda record: tuple(getattr(record, n) for n in names)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values(self)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable record")
+
+
+class ComponentSpec(_Record):
     """One connected component: its chi_c, compactness, and which singular
     points (1-based weight indices) live on it."""
 
-    chi_c: int
-    is_compact: bool
-    singular_indices: frozenset[int]
+    __slots__ = ("chi_c", "is_compact", "singular_indices")
+
+    def __init__(self, chi_c: int, is_compact: bool, singular_indices: frozenset[int]) -> None:
+        object.__setattr__(self, "chi_c", chi_c)
+        object.__setattr__(self, "is_compact", is_compact)
+        object.__setattr__(self, "singular_indices", singular_indices)
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
+class ProblemInstance(_Record):
     """Raw input: chi_c(X), the singular weights w_1..w_r, and rho."""
 
-    chi_c: int
-    weights: tuple[Fraction, ...]
-    rho: Fraction
-    space_kind: SpaceKind = SpaceKind.COMPACT
-    components: tuple[ComponentSpec, ...] | None = None
+    __slots__ = ("chi_c", "weights", "rho", "space_kind", "components")
+
+    def __init__(
+        self,
+        chi_c: int,
+        weights: tuple[Fraction, ...],
+        rho: Fraction,
+        space_kind: SpaceKind = SpaceKind.COMPACT,
+        components: tuple[ComponentSpec, ...] | None = None,
+    ) -> None:
+        object.__setattr__(self, "chi_c", chi_c)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "space_kind", space_kind)
+        object.__setattr__(self, "components", components)
 
 
-@dataclass(frozen=True)
-class ValidatedInstance:
+class ValidatedInstance(_Record):
     """A checked instance with weights in canonical (ascending) order.
 
     ``source_positions[i]`` is the 1-based position the i-th canonical
@@ -68,24 +122,37 @@ class ValidatedInstance:
     singular indices are remapped to canonical positions.
     """
 
-    chi_c: int
-    weights: tuple[Fraction, ...]
-    rho: Fraction
-    space_kind: SpaceKind
-    components: tuple[ComponentSpec, ...] | None
-    source_positions: tuple[int, ...]
+    __slots__ = ("chi_c", "weights", "rho", "space_kind", "components", "source_positions")
+
+    def __init__(
+        self,
+        chi_c: int,
+        weights: tuple[Fraction, ...],
+        rho: Fraction,
+        space_kind: SpaceKind,
+        components: tuple[ComponentSpec, ...] | None,
+        source_positions: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "chi_c", chi_c)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "space_kind", space_kind)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "source_positions", source_positions)
 
     @property
     def r(self) -> int:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
-class SubsetWeight:
+class SubsetWeight(_Record):
     """A subset I of {1..r} with its exact weight sum w_I (w_empty = 0)."""
 
-    index_set: frozenset[int]
-    total: Fraction
+    __slots__ = ("index_set", "total")
+
+    def __init__(self, index_set: frozenset[int], total: Fraction) -> None:
+        object.__setattr__(self, "index_set", index_set)
+        object.__setattr__(self, "total", total)
 
     @property
     def parity(self) -> int:
@@ -225,12 +292,23 @@ def scaled_subset_sums(instance: ValidatedInstance) -> tuple[list[int], int, int
 def parse_fraction(text: str) -> Fraction:
     """Parse "p/q", an integer, or a finite decimal ("0.3" -> 3/10) exactly.
 
-    Binary floats are never accepted; only strings convert.
+    Binary floats are never accepted; only strings convert.  A number is
+    refused before it is built when its length (the longer side of a
+    ``/``) plus its decimal exponent reach the interpreter's int-to-str
+    limit (``sys.get_int_max_str_digits()``, 4300 by default): its
+    numerator or denominator could not be printed, and ``Fraction`` takes
+    time superlinear in the exponent to expand one.
     """
     if not isinstance(text, str):
         raise InputFormatError(f"expected a fraction string, got {type(text).__name__}")
+    number = text.strip()
+    mantissa, _, exponent = number.lower().partition("e")
+    limit = sys.get_int_max_str_digits()  # 0 means no limit
     try:
-        return Fraction(text.strip())
+        # Each side of the mantissa has at most as many digits as characters.
+        if limit and max(map(len, mantissa.split("/"))) + abs(int(exponent or 0)) >= limit:
+            raise InputFormatError(f"{text!r} reaches the {limit}-digit int-to-str limit")
+        return Fraction(number)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"cannot parse {text!r} as an exact fraction") from exc
 
@@ -256,7 +334,7 @@ def instance_from_json(doc: str | dict) -> ProblemInstance:
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed, or an int past the digit limit
             raise InputFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputFormatError("instance document must be a JSON object")

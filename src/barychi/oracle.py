@@ -7,29 +7,28 @@ directly, with no shared code with the engine or series routes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
 from .errors import NonPositiveWeight, TooManyVertices
-from .model import ProblemInstance, SpaceKind
+from .model import ProblemInstance, SpaceKind, _Record
 
 # 2^m faces are enumerated outright.
 MAX_VERTICES = 22
 
 
-@dataclass(frozen=True)
-class FiniteWeightedSpace:
+class FiniteWeightedSpace(_Record):
     """A finite discrete space: one weight per vertex (1 = generic)."""
 
-    vertex_weights: tuple[Fraction, ...]
+    __slots__ = ("vertex_weights",)
 
-    def __post_init__(self) -> None:
-        if len(self.vertex_weights) < 1:
+    def __init__(self, vertex_weights: tuple[Fraction, ...]) -> None:
+        if len(vertex_weights) < 1:
             raise ValueError("need at least one vertex")
-        for w in self.vertex_weights:
+        for w in vertex_weights:
             if w <= 0:
                 raise NonPositiveWeight(f"vertex weight {w} is not strictly positive")
+        object.__setattr__(self, "vertex_weights", vertex_weights)
 
     @property
     def m(self) -> int:

@@ -7,8 +7,8 @@ explicit ``random.Random`` so failures reproduce from a printed seed.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .classifier import (
     Placement,

@@ -11,9 +11,9 @@ route, independent of the subset-sum formulas in ``engine``.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import floor, lcm
-from typing import Iterable, Mapping
 
 from .engine import METHOD_SERIES, ChiResult
 from .model import ValidatedInstance

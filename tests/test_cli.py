@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,37 @@ class TestCompute:
         code, out, _ = run(capsys, "compute", "--instance", str(doc))
         assert code == 0
         assert "chi_c(B_rho) = 2" in out
+
+
+class TestOversizedNumbers:
+    """A number at or past the int-to-str digit limit is an InputFormatError
+    (exit 1) at once: printing it in the report would raise, and expanding a
+    huge exponent would take hours."""
+
+    @pytest.mark.parametrize("weights,rho", [("1/2", "1e5000"), ("1e-5000", "1"),
+                                             ("1/2", "1e300000000")],
+                             ids=["rho-1e5000", "weight-1e-5000", "rho-1e300000000"])
+    def test_refused_before_any_work(self, capsys, weights, rho):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "compute", "--chi-c", "2", "--weights", weights,
+                             "--rho", rho, "--method", "direct")
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: InputFormatError: ")
+        assert "int-to-str limit" in err
+
+    def test_json_int_past_the_limit(self, capsys, tmp_path):
+        huge = "1" * 5000
+        doc = tmp_path / "instance.json"
+        doc.write_text('{"chi_c": ' + huge + ', "rho": "1"}')
+        for argv in (["--instance", str(doc)],
+                     ["--chi-c", "2", "--rho", "1",
+                      "--components", '[{"chi_c": ' + huge + '}, {"chi_c": 0}]']):
+            code, out, err = run(capsys, "compute", *argv)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: InputFormatError: ")
 
 
 class TestStrictComponents:

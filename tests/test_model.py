@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -191,6 +192,17 @@ class TestFractionParsing:
     def test_invalid(self, text):
         with pytest.raises(InputFormatError):
             parse_fraction(text)
+
+    def test_digit_limit(self):
+        # Just under the limit the value still prints; at it, it is refused.
+        limit = sys.get_int_max_str_digits()
+        for text in (f"1e{limit - 2}", f"1e-{limit - 2}", "." + "7" * (limit - 2),
+                     "9" * (limit - 1) + "/" + "7" * (limit - 1)):
+            str(parse_fraction(text))
+        for text in (f"1e{limit - 1}", f"1e-{limit - 1}", "." + "7" * (limit - 1),
+                     "9/" + "7" * limit, "1e" + "9" * (limit + 1)):
+            with pytest.raises(InputFormatError):
+                parse_fraction(text)
 
     def test_rejects_non_strings(self):
         with pytest.raises(InputFormatError):
