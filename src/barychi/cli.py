@@ -92,7 +92,7 @@ def _build_parser() -> _Parser:
     _instance_flags(compute)
     compute.add_argument(
         "--method",
-        choices=["direct", "strata", "series", "all"],
+        choices=[*_METHOD_RUNNERS, "all"],
         default="all",
         help="which algorithm(s) to run (default: all, cross-checked)",
     )
@@ -204,7 +204,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             f"--breakdown lists up to 2^r rows; r = {instance.r} exceeds its cap "
             f"{MAX_BREAKDOWN_POINTS}"
         )
-    names = ["direct", "strata", "series"] if args.method == "all" else [args.method]
+    names = list(_METHOD_RUNNERS) if args.method == "all" else [args.method]
     results = [_METHOD_RUNNERS[name](instance, breakdown=args.breakdown) for name in names]
     report = build_report(instance, results, breakdown=args.breakdown)
     if args.json:

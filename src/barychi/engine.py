@@ -23,7 +23,6 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from .combinatorics import ext_binomial
-from .errors import InconsistentComponents
 from .model import (
     ComponentSpec,
     ProblemInstance,
@@ -227,7 +226,7 @@ def topological_chi_applicable(instance: ValidatedInstance) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Small chi_c calculators used by the classifier and the disconnected theory.
+# Small chi_c calculators used by the classifier.
 
 
 def chi_join(x: tuple[int, bool], y: tuple[int, bool]) -> int:
@@ -246,44 +245,3 @@ def chi_suspension(chi_c: int, k: int) -> int:
     if k < 0:
         raise ValueError("k must be >= 0")
     return 1 + (chi_c - 1 if k % 2 == 0 else 1 - chi_c)
-
-
-def chi_quotient_wedge(components: tuple[ComponentSpec, ...]) -> int:
-    """Topological chi of the quotient collapsing every boundary and every
-    singular point to a single basepoint.
-
-    Bookkeeping per component: a non-compact component contributes its
-    boundary-collapsed chi (chi_c + 1) plus one circle per singular point;
-    a compact component with s >= 1 singular points contributes its chi
-    plus s - 1 circles; compact components without singular points stay
-    disjoint.  The result always equals chi_c(X) - r + 1, checked here.
-    """
-    seen: set[int] = set()
-    for c in components:
-        if c.singular_indices & seen:
-            raise InconsistentComponents("singular index assigned to two components")
-        seen |= c.singular_indices
-    r = len(seen)
-
-    wedge_parts: list[int] = []
-    loose = 0
-    for c in components:
-        s = len(c.singular_indices)
-        if not c.is_compact:
-            wedge_parts.append(c.chi_c + 1)
-            wedge_parts.extend([0] * s)
-        elif s >= 1:
-            wedge_parts.append(c.chi_c)
-            wedge_parts.extend([0] * (s - 1))
-        else:
-            loose += c.chi_c
-    if wedge_parts:
-        value = sum(wedge_parts) - (len(wedge_parts) - 1) + loose
-    else:
-        # Nothing collapses onto the basepoint, which stays as its own piece.
-        value = 1 + loose
-
-    closed_form = sum(c.chi_c for c in components) - r + 1
-    if value != closed_form:
-        raise ArithmeticError(f"quotient bookkeeping gives {value}, closed form {closed_form}")
-    return value

@@ -25,6 +25,10 @@ class TooManySingularPoints(BarychiError):
     """Singular-point count exceeds the subset-enumeration cap."""
 
 
+class NoVertices(BarychiError, ValueError):
+    """A finite space needs at least one vertex."""
+
+
 class TooManyVertices(BarychiError):
     """Finite-space vertex count exceeds the face-enumeration cap."""
 

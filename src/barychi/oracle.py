@@ -10,21 +10,29 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, lcm
 
-from .errors import NonPositiveWeight, TooManyVertices
+from .errors import NonPositiveWeight, NoVertices, TooManyVertices
 from .model import ProblemInstance, SpaceKind, _Record
 
 # 2^m faces are enumerated outright.
 MAX_VERTICES = 22
 
 
+def _check_vertex_count(m: int) -> None:
+    """Refuse a space with no vertex, or with more than ``oracle_chi`` counts."""
+    if m < 1:
+        raise NoVertices("need at least one vertex")
+    if m > MAX_VERTICES:
+        raise TooManyVertices(f"m = {m} vertices exceeds the face-enumeration cap {MAX_VERTICES}")
+
+
 class FiniteWeightedSpace(_Record):
-    """A finite discrete space: one weight per vertex (1 = generic)."""
+    """A finite discrete space: one weight per vertex (1 = generic), with
+    1 to ``MAX_VERTICES`` vertices."""
 
     __slots__ = ("vertex_weights",)
 
     def __init__(self, vertex_weights: tuple[Fraction, ...]) -> None:
-        if len(vertex_weights) < 1:
-            raise ValueError("need at least one vertex")
+        _check_vertex_count(len(vertex_weights))
         for w in vertex_weights:
             if w <= 0:
                 raise NonPositiveWeight(f"vertex weight {w} is not strictly positive")
@@ -37,7 +45,9 @@ class FiniteWeightedSpace(_Record):
     @classmethod
     def of(cls, m: int, singular_weights: tuple[Fraction, ...] = ()) -> "FiniteWeightedSpace":
         """m vertices, the first len(singular_weights) carrying the given
-        weights and the rest weight 1."""
+        weights and the rest weight 1.  The vertex count is checked before
+        any weight is built."""
+        _check_vertex_count(m)
         if len(singular_weights) > m:
             raise ValueError("more weights than vertices")
         pad = (Fraction(1),) * (m - len(singular_weights))
@@ -66,9 +76,6 @@ def oracle_chi(space: FiniteWeightedSpace, rho: Fraction | int) -> int:
     has no face among its supersets.  O(2^m) time and memory when rho is
     at least the total weight.
     """
-    m = space.m
-    if m > MAX_VERTICES:
-        raise TooManyVertices(f"m = {m} vertices exceeds the face-enumeration cap {MAX_VERTICES}")
     rho = Fraction(rho)
     scale = lcm(rho.denominator, *(w.denominator for w in space.vertex_weights))
     top = rho.numerator * (scale // rho.denominator)

@@ -1,4 +1,4 @@
-"""Sparse formal series with rational exponents and the Chen-Lin expansion.
+"""The Chen-Lin generating series, expanded at one scale.
 
 The generating series
 
@@ -8,10 +8,14 @@ is expanded exactly, truncated at a bound, and its coefficient window
 (0, rho] read off: chi_c of the weighted barycenter space is minus the
 window sum, and the degree d_rho is one plus it.  This is the series
 route, independent of the subset-sum formulas in ``engine``.
+
+One scale serves the whole expansion: ``chen_lin_series`` stores every
+exponent as an integer over the LCD of the bound, rho and the weights, so
+each factor 1 - x^{w_j} is an integer shift of the terms and the cut and
+the window end are integer comparisons.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import floor, lcm
 
@@ -20,51 +24,19 @@ from .model import ValidatedInstance
 
 
 class SparseSeries:
-    """Finitely supported sum of c_e * x^e with exponents e >= 0.
+    """Finitely supported sum of c_e * x^e with exponents e >= 0, at one scale.
 
-    Exponents are exact rationals stored as integers over one common
-    denominator ``scale``: the term c * x^(k/scale) is the entry k -> c of
-    an int-keyed dict, so merging and truncating exponents is integer
-    work.  The constructor takes the LCD of the exponents it is given;
-    ``chen_lin_series`` takes the LCD of the bound, rho and the weights.  Exponents compare by value
-    (1/2 + 1/2 merges with the integer exponent 1, and series stored at
-    different scales are equal when their terms are); zero coefficients
-    are never stored.  Instances are immutable once built.
+    The term c * x^(k/scale) is the entry k -> c of an int-keyed dict, with
+    ``scale`` the one ``chen_lin_series`` picks.  Zero coefficients are
+    never stored.  Two series are equal when their ``terms()`` are, so the
+    scale they are stored at does not matter.
     """
 
     __slots__ = ("scale", "_terms")
 
-    def __init__(self, terms: Mapping[Fraction | int, int] | Iterable[tuple[Fraction | int, int]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        pairs = [(Fraction(exponent), coeff) for exponent, coeff in items]
-        scale = lcm(*(e.denominator for e, _ in pairs))
-        data: dict[int, int] = {}
-        for e, coeff in pairs:
-            if e < 0:
-                raise ValueError(f"negative exponent {e}")
-            key = e.numerator * (scale // e.denominator)
-            data[key] = data.get(key, 0) + coeff
+    def __init__(self, scale: int, terms: dict[int, int]):
         self.scale = scale
-        self._terms = {k: c for k, c in data.items() if c}
-
-    @classmethod
-    def _scaled(cls, scale: int, terms: dict[int, int]) -> SparseSeries:
-        """The series sum_k c_k * x^(k/scale), from nonzero int-keyed terms."""
-        series = cls.__new__(cls)
-        series.scale = scale
-        series._terms = terms
-        return series
-
-    def _keyed_at(self, scale: int) -> dict[int, int]:
-        """The terms keyed by exponent * ``scale``, a multiple of ``self.scale``."""
-        factor = scale // self.scale
-        if factor == 1:
-            return self._terms
-        return {k * factor: c for k, c in self._terms.items()}
-
-    def coefficient(self, exponent: Fraction | int) -> int:
-        key = Fraction(exponent) * self.scale
-        return self._terms.get(key.numerator, 0) if key.denominator == 1 else 0
+        self._terms = terms
 
     def terms(self) -> list[tuple[Fraction, int]]:
         """(exponent, coefficient) pairs in increasing exponent order."""
@@ -76,8 +48,7 @@ class SparseSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseSeries):
             return NotImplemented
-        scale = lcm(self.scale, other.scale)
-        return self._keyed_at(scale) == other._keyed_at(scale)
+        return self.terms() == other.terms()
 
     def __repr__(self) -> str:
         body = " + ".join(f"{c}*x^{e}" for e, c in self.terms()) or "0"
@@ -103,36 +74,7 @@ def expand_geometric_power(m: int, bound: Fraction | int, scale: int = 1) -> Spa
         if not coeff:
             break  # m <= 0: the polynomial has ended, every later term is 0
         terms[n * scale] = coeff
-    return SparseSeries._scaled(scale, terms)
-
-
-def multiply_truncated(a: SparseSeries, b: SparseSeries, bound: Fraction | int) -> SparseSeries:
-    """Exact Cauchy product of two series, discarding exponents > bound.
-
-    When the shorter factor has constant term 1 (every factor 1 - x^w of g
-    does), the product starts as a copy of the longer one, and only the
-    shorter one's other terms are multiplied out.
-    """
-    scale = lcm(a.scale, b.scale)
-    top = floor(Fraction(bound) * scale)
-    short, long = sorted((a._keyed_at(scale), b._keyed_at(scale)), key=len)
-    if short.get(0) == 1:
-        acc = dict(long) if max(long) <= top else {k: c for k, c in long.items() if k <= top}
-        outer = [(ks, cs) for ks, cs in short.items() if ks]
-    else:
-        acc = {}
-        outer = short.items()
-    for ks, cs in outer:
-        cap = top - ks
-        for kl, cl in long.items():
-            if kl <= cap:
-                k = ks + kl
-                c = acc.get(k, 0) + cs * cl
-                if c:
-                    acc[k] = c
-                else:
-                    del acc[k]  # cs * cl is nonzero, so k was already there
-    return SparseSeries._scaled(scale, acc)
+    return SparseSeries(scale, terms)
 
 
 def truncation_bound(rho: Fraction, bound: Fraction | None) -> Fraction:
@@ -144,19 +86,33 @@ def chen_lin_series(instance: ValidatedInstance, bound: Fraction | None = None) 
     """Expand g(x) truncated at ``truncation_bound(rho, bound)``.
 
     The series is stored at the LCD of the bound, rho and the weights, so
-    the truncation point, the window end and every factor's exponent are
-    integers.  The constant term of the product is exactly 1 (checked).
+    the cut ``top``, the window end and every factor's exponent ``step``
+    are integers.  Each factor 1 - x^w is one pass over the terms: the
+    term at k is subtracted from the term at k + step while k + step <= top.
+    The constant term of the product is exactly 1 (checked).
     """
     bound = truncation_bound(instance.rho, bound)
     scale = lcm(
         bound.denominator, instance.rho.denominator, *(w.denominator for w in instance.weights)
     )
+    top = bound.numerator * (scale // bound.denominator)
     g = expand_geometric_power(instance.r - instance.chi_c, bound, scale)
+    terms = g._terms
     for w in instance.weights:
-        factor = SparseSeries._scaled(scale, {0: 1, w.numerator * (scale // w.denominator): -1})
-        g = multiply_truncated(g, factor, bound)
-    if g.coefficient(0) != 1:
-        raise ArithmeticError(f"constant term of g is {g.coefficient(0)}, not 1")
+        step = w.numerator * (scale // w.denominator)
+        cap = top - step
+        # The snapshot holds the terms before this factor: each key is the
+        # source of one subtraction and the target of at most one.
+        for k, c in list(terms.items()):
+            if k <= cap:
+                k += step
+                c = terms.get(k, 0) - c
+                if c:
+                    terms[k] = c
+                else:
+                    del terms[k]  # the subtracted c is nonzero, so k was there
+    if terms.get(0) != 1:
+        raise ArithmeticError(f"constant term of g is {terms.get(0, 0)}, not 1")
     return g
 
 
@@ -181,11 +137,10 @@ def chi_c_window(g: SparseSeries, rho: Fraction, *, breakdown: bool = False) -> 
     return ChiResult(-sum(g._terms[k] for k in keys), METHOD_SERIES, rows)
 
 
-def chi_c_series(
-    instance: ValidatedInstance, bound: Fraction | None = None, *, breakdown: bool = False
-) -> ChiResult:
+def chi_c_series(instance: ValidatedInstance, *, breakdown: bool = False) -> ChiResult:
     """chi_c via the coefficient window (0, rho] of g (see ``chi_c_window``).
 
-    Agrees exactly with the direct method.
+    The window ends at rho and the cut is never below it, so g is expanded
+    at rho.  Agrees exactly with the direct method.
     """
-    return chi_c_window(chen_lin_series(instance, bound), instance.rho, breakdown=breakdown)
+    return chi_c_window(chen_lin_series(instance), instance.rho, breakdown=breakdown)

@@ -254,6 +254,20 @@ class TestOracle:
         assert code == 0
         assert "oracle: -2" in out
 
+    @pytest.mark.parametrize("vertices,message", [
+        ("0", "NoVertices: need at least one vertex"),
+        ("23", "TooManyVertices: m = 23 vertices exceeds the face-enumeration cap 22"),
+        ("1000000000",
+         "TooManyVertices: m = 1000000000 vertices exceeds the face-enumeration cap 22"),
+    ])
+    def test_vertex_count_refused_before_any_work(self, capsys, vertices, message):
+        # Refused before any vertex is built: 10^9 padded vertices would
+        # take gigabytes.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "oracle", "--vertices", vertices, "--rho", "1")
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_cap(self, capsys):
         code, _, err = run(capsys, "oracle", "--vertices", "23", "--rho", "1")
         assert code == 1

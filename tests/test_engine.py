@@ -11,13 +11,11 @@ from barychi.engine import (
     chi_c_direct,
     chi_c_strata,
     chi_join,
-    chi_quotient_wedge,
     chi_suspension,
     normalize_drop_heavy,
     normalize_drop_unit_weights,
     topological_chi_applicable,
 )
-from barychi.errors import InconsistentComponents
 from barychi.model import (
     ComponentSpec,
     ProblemInstance,
@@ -268,47 +266,6 @@ class TestSmallCalculators:
         for chi in range(-4, 5):
             assert chi_suspension(chi, 2) == chi
             assert chi_suspension(chi, 3) == 2 - chi
-
-
-class TestChiQuotientWedge:
-    def test_single_compact_component(self):
-        for chi in (-2, 0, 3):
-            for r in (1, 2, 4):
-                comp = (ComponentSpec(chi, True, frozenset(range(1, r + 1))),)
-                assert chi_quotient_wedge(comp) == chi - (r - 1)
-
-    def test_single_noncompact_component(self):
-        for chi in (-2, 0, 3):
-            for r in (1, 3):
-                comp = (ComponentSpec(chi, False, frozenset(range(1, r + 1))),)
-                assert chi_quotient_wedge(comp) == (chi + 1) - r
-
-    def test_two_compact_components(self):
-        comp = (
-            ComponentSpec(2, True, frozenset({1})),
-            ComponentSpec(-1, True, frozenset({2})),
-        )
-        assert chi_quotient_wedge(comp) == 2 + (-1) - 2 + 1
-
-    def test_mixed_components_and_spectators(self):
-        comp = (
-            ComponentSpec(1, False, frozenset({1, 2})),
-            ComponentSpec(3, True, frozenset({3})),
-            ComponentSpec(-2, True, frozenset()),
-        )
-        assert chi_quotient_wedge(comp) == (1 + 3 - 2) - 3 + 1
-
-    def test_no_singular_points(self):
-        comp = (ComponentSpec(2, True, frozenset()), ComponentSpec(1, True, frozenset()))
-        assert chi_quotient_wedge(comp) == 3 + 1
-
-    def test_overlapping_indices_rejected(self):
-        comp = (
-            ComponentSpec(1, True, frozenset({1})),
-            ComponentSpec(1, True, frozenset({1})),
-        )
-        with pytest.raises(InconsistentComponents):
-            chi_quotient_wedge(comp)
 
 
 class TestClosedFormFamilies:

@@ -65,6 +65,13 @@ class TestValidate:
             validate(
                 ProblemInstance(3, (F(1, 2), F(1, 2)), F(1), SpaceKind.UNION_OF_BASIC, components)
             )
+        # Both indices are covered, but index 1 sits in two components.
+        components = (ComponentSpec(2, True, frozenset({1, 2})),
+                      ComponentSpec(1, True, frozenset({1})))
+        with pytest.raises(InconsistentComponents, match="assigned twice"):
+            validate(
+                ProblemInstance(3, (F(1, 2), F(1, 2)), F(1), SpaceKind.UNION_OF_BASIC, components)
+            )
 
     def test_canonical_sort_keeps_source_positions(self):
         inst = validate(ProblemInstance(0, (F(3, 5), F(1, 2), F(1, 2)), F(2)))

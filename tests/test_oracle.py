@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from barychi.combinatorics import ext_binomial
 from barychi.engine import chi_c_direct, chi_c_strata
-from barychi.errors import NonPositiveWeight, TooManyVertices
+from barychi.errors import BarychiError, NonPositiveWeight, NoVertices, TooManyVertices
 from barychi.model import validate
 from barychi.oracle import FiniteWeightedSpace, oracle_chi, skeleton_chi
 from barychi.series import chi_c_series
@@ -28,6 +28,16 @@ class TestFiniteWeightedSpace:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             FiniteWeightedSpace(())
+        with pytest.raises(NoVertices):
+            FiniteWeightedSpace.of(0)
+        assert issubclass(NoVertices, BarychiError)
+
+    def test_vertex_count_checked_before_building(self):
+        # At 10^9 vertices a padded tuple would take about 8 GB.
+        with pytest.raises(TooManyVertices):
+            FiniteWeightedSpace.of(10**9)
+        with pytest.raises(TooManyVertices):
+            FiniteWeightedSpace((F(1),) * 23)
 
     def test_rejects_surplus_weights(self):
         with pytest.raises(ValueError):

@@ -10,11 +10,10 @@ from barychi.engine import chi_c_direct
 from barychi.errors import NonPositiveRho, NonPositiveWeight
 from barychi.model import ProblemInstance, validate
 from barychi.series import (
-    SparseSeries,
     chen_lin_series,
     chi_c_series,
+    chi_c_window,
     expand_geometric_power,
-    multiply_truncated,
     truncation_bound,
 )
 
@@ -46,52 +45,57 @@ def brute_poly_product(a: dict, b: dict, bound: Fraction) -> dict:
 
 
 class TestSparseSeries:
+    """The series ``chen_lin_series`` returns: int keys over one scale, read
+    back by exponent value."""
+
     def test_zero_coefficients_dropped(self):
-        s = SparseSeries([(F(1, 2), 3), (F(1, 2), -3), (F(1), 2)])
-        assert len(s) == 1
-        assert s.coefficient(1) == 2
-        assert s.coefficient(F(1, 2)) == 0
+        # (1 + x + x^2 + x^3)(1 - x) cut at 3 is 1: every other term cancels.
+        g = chen_lin_series(validate(ProblemInstance(0, (F(1),), F(3))))
+        assert len(g) == 1
+        assert g.terms() == [(F(0), 1)]
 
     def test_exponent_value_identity(self):
-        s = SparseSeries([(F(2, 4), 1)])
-        assert s.coefficient(F(1, 2)) == 1
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            SparseSeries([(F(-1, 2), 1)])
+        # rho = 4/3 puts g at scale 6; the exponent 1/2 is stored as 3/6.
+        g = chen_lin_series(validate(ProblemInstance(1, (F(1, 2),), F(4, 3))))
+        assert g.scale == 6
+        assert g.terms() == [(F(0), 1), (F(1, 2), -1)]
 
     def test_equality_across_scales(self):
-        # The cancelled 1/3 term still sets the scale to 6.
-        wide = SparseSeries([(F(1, 2), 1), (F(1, 3), 2), (F(1, 3), -2)])
-        narrow = SparseSeries([(F(1, 2), 1)])
-        assert (wide.scale, narrow.scale) == (6, 2)
-        assert wide == narrow
-        assert wide.coefficient(F(1, 3)) == 0
-        assert narrow.coefficient(F(1, 4)) == 0
-        assert wide.terms() == narrow.terms() == [(F(1, 2), 1)]
+        inst = validate(ProblemInstance(1, (F(1, 2),), F(1)))
+        narrow, wide = chen_lin_series(inst), chen_lin_series(inst, F(4, 3))
+        assert (narrow.scale, wide.scale) == (2, 6)
+        assert narrow == wide
+        assert narrow != chen_lin_series(validate(ProblemInstance(1, (F(1, 3),), F(1))))
 
     def test_terms_sorted(self):
-        s = SparseSeries([(F(2), 1), (F(1, 3), 4), (F(1), -2)])
-        assert s.terms() == [(F(1, 3), 4), (F(1), -2), (F(2), 1)]
+        # The factor's terms land after the geometric power's in the dict.
+        g = chen_lin_series(validate(ProblemInstance(-1, (F(1, 3),), F(2))))
+        assert g.terms() == [(F(0), 1), (F(1, 3), -1), (F(1), 2), (F(4, 3), -2), (F(2), 3)]
+
+    def test_len_counts_terms(self):
+        # perfbench's tracer reads series.support_terms as len() of the
+        # series chen_lin_series returns.
+        g = chen_lin_series(validate(ProblemInstance(-2, (F(2, 5), F(4, 3)), F(7, 2))))
+        assert len(g) == len(g.terms()) == 13
 
 
 class TestExpandGeometricPower:
     def test_inverse_of_geometric(self):
-        assert expand_geometric_power(-1, 5) == SparseSeries([(F(0), 1), (F(1), -1)])
+        assert expand_geometric_power(-1, 5).terms() == [(F(0), 1), (F(1), -1)]
 
     def test_power_zero(self):
-        assert expand_geometric_power(0, 5) == SparseSeries([(F(0), 1)])
+        assert expand_geometric_power(0, 5).terms() == [(F(0), 1)]
 
     def test_square(self):
         # (1 + x + x^2 + x^3)^2 truncated: coefficients count pairs.
         base = {F(n): 1 for n in range(4)}
         expected = brute_poly_product(base, base, F(3))
-        assert expand_geometric_power(2, 3) == SparseSeries(expected)
+        assert expand_geometric_power(2, 3).terms() == sorted(expected.items())
 
     def test_coefficients_are_repetition_counts(self):
-        g = expand_geometric_power(3, 6)
+        terms = dict(expand_geometric_power(3, 6).terms())
         for n in range(7):
-            assert g.coefficient(n) == ext_binomial(3 + n - 1, n)
+            assert terms[F(n)] == ext_binomial(3 + n - 1, n)
 
     def test_fractional_bound_truncates_to_floor(self):
         g = expand_geometric_power(2, F(5, 2))
@@ -99,67 +103,42 @@ class TestExpandGeometricPower:
 
 
 class TestMultiplyTruncated:
+    """The truncated multiply by each factor 1 - x^w, through
+    ``chen_lin_series``; where chi_c = r the geometric power is 1 and g is
+    the bare product."""
+
     def test_identity(self):
-        a = SparseSeries([(F(0), 1), (F(1, 2), -1), (F(2), 5)])
-        one = SparseSeries([(F(0), 1)])
-        assert multiply_truncated(a, one, 10) == a
+        # A factor whose exponent is past the cut changes nothing.
+        g = chen_lin_series(validate(ProblemInstance(0, (F(5),), F(2))))
+        assert g == expand_geometric_power(1, 2)
 
     def test_exponent_merge(self):
-        root = SparseSeries([(F(0), 1), (F(1, 2), -1)])
-        sq = multiply_truncated(root, root, 2)
-        assert sq == SparseSeries([(F(0), 1), (F(1, 2), -2), (F(1), 1)])
+        g = chen_lin_series(validate(ProblemInstance(2, (F(1, 2), F(1, 2)), F(2))))
+        assert g.terms() == [(F(0), 1), (F(1, 2), -2), (F(1), 1)]
 
     def test_mixed_factors(self):
-        a = SparseSeries([(F(0), 1), (F(1), -1)])
-        b = SparseSeries([(F(0), 1), (F(1, 2), -1)])
-        got = multiply_truncated(a, b, 2)
-        assert got == SparseSeries(
-            [(F(0), 1), (F(1, 2), -1), (F(1), -1), (F(3, 2), 1)]
-        )
+        g = chen_lin_series(validate(ProblemInstance(2, (F(1), F(1, 2)), F(2))))
+        assert g.terms() == [(F(0), 1), (F(1, 2), -1), (F(1), -1), (F(3, 2), 1)]
 
     @given(st.integers(0, 40))
     def test_matches_brute_force(self, seed):
+        # The cut is a sum of some of the weights, so terms land exactly on it.
         import random
 
         rng = random.Random(seed)
-        def rand_series():
-            return {
-                F(rng.randint(0, 8), rng.randint(1, 4)): rng.randint(-3, 3)
-                for _ in range(rng.randint(0, 6))
-            }
-        a, b = rand_series(), rand_series()
-        bound = F(rng.randint(0, 10), rng.randint(1, 3))
-        got = multiply_truncated(SparseSeries(a), SparseSeries(b), bound)
-        assert got == SparseSeries(brute_poly_product(
-            {e: c for e, c in a.items() if c},
-            {e: c for e, c in b.items() if c},
-            bound,
-        ))
-
-    @given(st.data())
-    def test_constant_term_cases_match_brute_force(self, data):
-        # The shorter factor's constant term 1 copies the longer factor; the
-        # longer factor, both or neither may carry a 1 instead.
-        def series(constant):
-            terms = data.draw(st.dictionaries(
-                st.fractions(F(1, 6), F(6), max_denominator=6), st.integers(-4, 4), max_size=6))
-            if constant is not None:
-                terms[F(0)] = constant
-            return {e: c for e, c in terms.items() if c}
-        constants = st.sampled_from([1, 1, -1, 2, None])
-        a, b = series(data.draw(constants)), series(data.draw(constants))
-        bound = data.draw(st.fractions(F(0), F(8), max_denominator=6))
-        expected = SparseSeries(brute_poly_product(a, b, bound))
-        assert multiply_truncated(SparseSeries(a), SparseSeries(b), bound) == expected
-        assert multiply_truncated(SparseSeries(b), SparseSeries(a), bound) == expected
+        weights = [F(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
+        cut = sum(rng.sample(weights, rng.randint(1, len(weights))))
+        expected = {F(0): 1}
+        for w in weights:
+            expected = brute_poly_product(expected, {F(0): 1, w: -1}, cut)
+        g = chen_lin_series(validate(ProblemInstance(len(weights), tuple(weights), cut)))
+        assert g.terms() == sorted(expected.items())
 
 
 class TestChenLinSeries:
     def test_worked_expansion(self):
         inst = validate(ProblemInstance(2, (F(1, 2),), F(1)))
-        assert chen_lin_series(inst) == SparseSeries(
-            [(F(0), 1), (F(1, 2), -1), (F(1), -1)]
-        )
+        assert chen_lin_series(inst).terms() == [(F(0), 1), (F(1, 2), -1), (F(1), -1)]
 
     def test_no_weights_is_pure_geometric_power(self):
         for chi in (-3, 0, 2):
@@ -172,11 +151,11 @@ class TestChenLinSeries:
         expected = {F(0): 1}
         for w in weights:
             expected = brute_poly_product(expected, {F(0): 1, w: -1}, F(2))
-        assert chen_lin_series(inst) == SparseSeries(expected)
+        assert chen_lin_series(inst).terms() == sorted(expected.items())
 
     def test_constant_term_is_one(self):
         inst = validate(ProblemInstance(-4, (F(2, 5), F(7, 5), F(1)), F(6)))
-        assert chen_lin_series(inst).coefficient(0) == 1
+        assert chen_lin_series(inst).terms()[0] == (F(0), 1)
 
     @given(
         st.integers(-4, 4),
@@ -192,9 +171,7 @@ class TestChenLinSeries:
         expected = {e: c for e, c in expected.items() if c}
         for w in weights:
             expected = brute_poly_product(expected, {F(0): 1, w: -1}, cut)
-        got = chen_lin_series(inst, bound)
-        assert got == SparseSeries(expected)
-        assert got.terms() == sorted(expected.items())
+        assert chen_lin_series(inst, bound).terms() == sorted(expected.items())
 
     def test_validates_inputs(self):
         # validate is the one place the series route's inputs are checked.
@@ -236,12 +213,12 @@ class TestChiCSeries:
         inst = validate(ProblemInstance(-2, (F(2, 5), F(4, 3)), F(7, 2)))
         base = chi_c_series(inst).chi_c_value
         for bound in (F(4), F(6), F(15, 2)):
-            assert chi_c_series(inst, bound).chi_c_value == base
+            assert chi_c_window(chen_lin_series(inst, bound), inst.rho).chi_c_value == base
 
     @pytest.mark.parametrize("chi,weights,rho,bound", SCALE_CASES)
     def test_coprime_denominators_and_ties(self, chi, weights, rho, bound):
         inst = validate(ProblemInstance(chi, weights, rho))
-        res = chi_c_series(inst, bound, breakdown=True)
+        res = chi_c_window(chen_lin_series(inst, bound), rho, breakdown=True)
         assert res.chi_c_value == chi_c_direct(inst).chi_c_value
         assert res.term_breakdown == tuple(
             (e, c) for e, c in chen_lin_series(inst, bound).terms() if 0 < e <= rho
