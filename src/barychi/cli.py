@@ -15,6 +15,8 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import accumulate
+from operator import itemgetter
 
 from .classifier import (
     Bary,
@@ -31,7 +33,13 @@ from .engine import (
     chi_c_strata,
     topological_chi_applicable,
 )
-from .errors import BarychiError, InputFormatError, OutOfScope, TooManySingularPoints
+from .errors import (
+    BarychiError,
+    InputFormatError,
+    OutOfScope,
+    TooManyDigits,
+    TooManySingularPoints,
+)
 from .model import (
     ComponentSpec,
     ProblemInstance,
@@ -44,7 +52,7 @@ from .model import (
     parse_weights,
     validate,
 )
-from .oracle import FiniteWeightedSpace, oracle_chi
+from .oracle import FiniteWeightedSpace, _check_vertex_count, oracle_chi
 from .series import (
     chen_lin_series,
     chi_c_series,
@@ -55,8 +63,9 @@ from .series import (
 
 _METHOD_RUNNERS = {"direct": chi_c_direct, "strata": chi_c_strata, "series": chi_c_series}
 
-# --breakdown prints a row per subset: at r = 16, --method all --json takes
-# about 2.3 s and 200 MB, and each further point doubles both.
+# --breakdown prints a row per subset: at r = 16 with every subset fitting
+# (weights k/(k+1), rho 40), --method all --json takes about 8 s and 415 MB,
+# and each further point doubles both.
 MAX_BREAKDOWN_POINTS = 16
 
 
@@ -193,6 +202,21 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _check_digits(values: list[int]) -> None:
+    """Refuse output that holds an integer with more digits than ``str``
+    converts (``sys.get_int_max_str_digits()``, 0 for no limit), before any
+    of it is printed."""
+    limit = sys.get_int_max_str_digits()
+    # 2^(3 * limit) < 10^limit: only a value past that bit length can be too long.
+    if limit and max(map(int.bit_length, values), default=0) > 3 * limit:
+        bound = 10 ** limit
+        if not all(-bound < v < bound for v in values):
+            raise TooManyDigits(
+                f"a result has more than {limit} digits, the int-to-str limit "
+                "(sys.get_int_max_str_digits())"
+            )
+
+
 # ---------------------------------------------------------------------------
 # compute
 
@@ -206,6 +230,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         )
     names = list(_METHOD_RUNNERS) if args.method == "all" else [args.method]
     results = [_METHOD_RUNNERS[name](instance, breakdown=args.breakdown) for name in names]
+    printed = [res.chi_c_value for res in results]
+    printed += [1 - value for value in printed]  # d_rho
+    for res in results:
+        printed += map(itemgetter(1), res.term_breakdown)
+    _check_digits(printed)
     report = build_report(instance, results, breakdown=args.breakdown)
     if args.json:
         print(_dump(report))
@@ -273,6 +302,11 @@ def _cmd_series(args: argparse.Namespace) -> int:
     g = chen_lin_series(instance, bound)
     result = chi_c_window(g, instance.rho)
     terms = g.terms()[1:]  # the constant term 1 (checked by chen_lin_series) is no output
+    # The window is the leading run of the positive-exponent terms.
+    inside = len(window_keys(g, instance.rho))
+    coefficients = [c for _, c in terms]
+    _check_digits([result.chi_c_value, result.degree_d_rho, *coefficients,
+                   *accumulate(coefficients[:inside])])
     if args.json:
         print(_dump({
             "instance": instance_to_json_dict(instance),
@@ -284,8 +318,6 @@ def _cmd_series(args: argparse.Namespace) -> int:
         }))
         return 0
     print(f"chi_c={result.chi_c_value} d_rho={result.degree_d_rho}")
-    # The window is the leading run of the positive-exponent terms.
-    inside = len(window_keys(g, instance.rho))
     running = 0
     for e, c in terms[:inside]:
         running += c
@@ -302,6 +334,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     weights = parse_weights(args.weights)
+    _check_vertex_count(args.vertices)
     if len(weights) > args.vertices:
         raise _InputError("--weights lists more entries than --vertices")
     space = FiniteWeightedSpace.of(args.vertices, weights)
@@ -344,6 +377,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     descriptor = _classify(instance, placement)
     chi = descriptor.chi()
     engine = chi_c_direct(instance).chi_c_value
+    _check_digits([chi, engine])
     verdict = "MATCH" if chi == engine else "MISMATCH"
     if args.json:
         print(_dump({

@@ -7,20 +7,31 @@ Two independent routes to the same integer:
 
       chi_c = 1 - sum_I (-1)^|I| * C(floor(rho - w_I) - chi_c(X) + r, floor(rho - w_I)),
 
-  with terms where floor(rho - w_I) < 0 set to zero.
+  with terms where floor(rho - w_I) < 0 set to zero.  It counts the
+  subsets per level by meet in the middle, over the two halves of the
+  weights.
 
 * ``chi_c_strata`` decomposes the space into locally closed strata (one
   family of strata per subset of singular points actually present in a
   configuration, one stratum per count of generic points) and adds up the
-  per-stratum values.
+  per-stratum values.  It enumerates the fitting subsets whole, by parity,
+  and tallies them per level.
 
-Both return a ``ChiResult`` carrying the Leray-Schauder degree
-``d_rho = 1 - chi_c`` and, when asked for, a term breakdown for reporting.
+The two share no enumerator: each builds its own subset sums, so their
+agreement checks the enumeration as well as the formulas.  Both return a
+``ChiResult`` carrying the Leray-Schauder degree ``d_rho = 1 - chi_c``
+and, when asked for, a term breakdown for reporting; only the breakdown
+rows come from ``scaled_subset_sums``.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
+from bisect import bisect_right
+from collections import Counter, defaultdict
+from collections.abc import Callable, Iterable
 from fractions import Fraction
+from itertools import repeat
+from math import lcm
+from operator import floordiv
 
 from .combinatorics import ext_binomial
 from .model import (
@@ -70,30 +81,96 @@ def chi_c_direct(instance: ValidatedInstance, *, breakdown: bool = False) -> Chi
     """Closed-form alternating sum over the power set of {1..r}.
 
     Valid for connected and disconnected X alike; only chi_c(X), the
-    weights, and rho enter.  Only the subsets with w_I <= rho are built
-    (the others contribute zero); they are tallied by level into signed
-    counts, so ``ext_binomial`` runs once per distinct level.  With
-    ``breakdown`` the result lists every subset's signed term, 0 for the
-    ones not built, in binary-counter order (see
-    ``enumerate_subset_weights``).
+    weights, and rho enter.  The sum needs only N(L), the signed count of
+    the subsets at each level L = floor(rho - w_I) (see
+    ``_signed_level_counts``), so ``ext_binomial`` runs once per level
+    whose count is nonzero.  With ``breakdown`` the result lists every
+    subset's signed term, 0 for the ones heavier than rho, in
+    binary-counter order (see ``enumerate_subset_weights``).
     """
     chi, r = instance.chi_c, instance.r
-    packed, top, scale = scaled_subset_sums(instance)
-    full = (1 << r) - 1
-    signed: dict[int, int] = {}
-    for e in packed:
-        level = (top - e) // scale
-        signed[level] = signed.get(level, 0) + (-1 if (e & full).bit_count() % 2 else 1)
-    value = {level: ext_binomial(level - chi + r, level) for level in signed}
-    acc = sum(count * value[level] for level, count in signed.items())
-    rows = []
+    counts = _signed_level_counts(instance)
+    acc = sum(count * ext_binomial(level - chi + r, level) for level, count in counts.items())
+    rows = ()
     if breakdown:
-        terms = [0] * (full + 1)  # pruned subsets contribute 0
+        packed, top, scale = scaled_subset_sums(instance)
+        full = (1 << r) - 1
+        terms = [0] * (full + 1)  # subsets heavier than rho contribute 0
+        value: dict[int, int] = {}
         for e in packed:
+            level = (top - e) // scale
+            if level not in value:
+                value[level] = ext_binomial(level - chi + r, level)
             mask = e & full
-            terms[mask] = (-1 if mask.bit_count() % 2 else 1) * value[(top - e) // scale]
-        rows = [(_members(mask), term) for mask, term in enumerate(terms)]
-    return ChiResult(1 - acc, METHOD_DIRECT, tuple(rows))
+            terms[mask] = -value[level] if mask.bit_count() % 2 else value[level]
+        rows = tuple((_members(mask), term) for mask, term in enumerate(terms))
+    return ChiResult(1 - acc, METHOD_DIRECT, rows)
+
+
+def _signed_level_counts(instance: ValidatedInstance) -> dict[int, int]:
+    """N(L) = sum of (-1)^|I| over the subsets I with floor(rho - w_I) = L,
+    for each level L >= 0 where it is nonzero.
+
+    Meet in the middle (Horowitz and Sahni, JACM 1974).  With rho and the
+    weights as integers over their LCD ``base`` (rho becomes ``top``), the
+    subsets of each half of the weights that stay under ``top`` are
+    enumerated apart, about 2^(r/2) each.  Write ``top - a = base*qa + ra``
+    for a first-half sum a and ``b = base*qb + rb`` for a second-half sum b,
+    with residues in [0, base).  The union of the two subsets has level
+    floor((top - a - b) / base) = qa - qb - [rb > ra], and it fits under rho
+    exactly when that is >= 0.  The second half is grouped by qb, with its
+    residues ascending and the running signed count beside them, so each
+    pair of a first-half group (one qa) and a second-half group (qb <= qa)
+    costs one ``bisect`` per first-half sum.  That is O(2^(r/2) * levels)
+    bisects in all.
+    """
+    rho = instance.rho
+    base = lcm(rho.denominator, *(w.denominator for w in instance.weights))
+    top = rho.numerator * (base // rho.denominator)
+    steps = [w.numerator * (base // w.denominator) for w in instance.weights]
+
+    # qa -> the residues ra of the first-half sums at that quotient, by parity.
+    first: dict[int, tuple[list[int], list[int]]] = {}
+    for parity, sums in enumerate(_fitting_sums(steps[0::2], top)):
+        for a in sums:
+            qa, ra = divmod(top - a, base)
+            first.setdefault(qa, ([], []))[parity].append(ra)
+    # qb -> (ascending residues rb, signed count of the first j of them at j).
+    even, odd = _fitting_sums(steps[1::2], top)
+    second: dict[int, tuple[list[int], list[int]]] = {}
+    for b, sign in sorted([*zip(even, repeat(1)), *zip(odd, repeat(-1))]):
+        qb, rb = divmod(b, base)
+        residues, running = second.setdefault(qb, ([], [0]))
+        residues.append(rb)
+        running.append(running[-1] + sign)
+
+    counts: defaultdict[int, int] = defaultdict(int)
+    for qa, (ra_even, ra_odd) in first.items():
+        net = len(ra_even) - len(ra_odd)
+        for qb, (residues, running) in second.items():
+            if qb > qa:
+                continue
+            # Signed count of the pairs with rb <= ra: they sit at level qa - qb.
+            at = running.__getitem__
+            low = (sum(map(at, map(bisect_right, repeat(residues), ra_even)))
+                   - sum(map(at, map(bisect_right, repeat(residues), ra_odd))))
+            counts[qa - qb] += low
+            if qa > qb:  # the pairs with rb > ra sit one level lower
+                counts[qa - qb - 1] += net * running[-1] - low
+    return {level: count for level, count in counts.items() if count}
+
+
+def _fitting_sums(steps: list[int], top: int) -> tuple[list[int], list[int]]:
+    """The sums of the subsets of ``steps`` that stay <= top, split by the
+    parity of the subset size: ``(even, odd)``.  The empty sum 0 is in
+    ``even``.  A step extends only the sums it keeps under ``top``; a
+    heavier sum has no fitting extension, as the steps are positive."""
+    even, odd = [0], []
+    for step in steps:
+        cap = top - step
+        even, odd = (even + [s + step for s in odd if s <= cap],
+                     odd + [s + step for s in even if s <= cap])
+    return even, odd
 
 
 def _members(mask: int) -> frozenset[int]:
@@ -101,52 +178,70 @@ def _members(mask: int) -> frozenset[int]:
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _stratum_chi(chi: int, r: int, k: int, cap: int) -> int:
-    """chi_c of the stratum whose configurations contain exactly a fixed set
-    of k singular points and at most ``cap`` generic points.
-
-    The stratum splits further into locally closed levels indexed by the
-    generic-point count i; additivity sums their chi_c values:
-
-    * level 0 exists only for k >= 1 (an open (k-1)-simplex, chi_c = (-1)^{k-1});
-    * level i >= 1 contributes (-1)^{k+1} * C(i - chi + r - 1, i).
-    """
-    sign = 1 if k % 2 else -1  # (-1)^{k+1}
-    total = sign if k >= 1 else 0
-    for i in range(1, cap + 1):
-        total += sign * ext_binomial(i - chi + r - 1, i)
-    return total
-
-
 def chi_c_strata(instance: ValidatedInstance, *, breakdown: bool = False) -> ChiResult:
     """Sum of chi_c over the disjoint stratification by singular support.
 
     Each subset I with rho - w_I >= 0 contributes one stratum family with
-    level cap floor(rho - w_I); subsets with rho - w_I < 0 contribute no
-    stratum at all.  Agrees with ``chi_c_direct`` on every instance.  With
-    ``breakdown`` the result lists each contributing subset's value, in
-    binary-counter order.
+    level cap L = floor(rho - w_I); subsets with rho - w_I < 0 contribute no
+    stratum at all.  The family of a fixed set of k singular points splits
+    into locally closed levels by its count i of generic points, and
+    additivity sums their chi_c values:
+
+    * level 0 exists only for k >= 1 (an open (k-1)-simplex, chi_c = (-1)^{k-1});
+    * level i >= 1 contributes (-1)^{k+1} * C(i - chi + r - 1, i).
+
+    With H(L) = 1 + sum_{i=1..L} C(i - chi + r - 1, i) (see
+    ``_family_values``), a family is worth H(L) for odd k, -H(L) for even
+    k >= 2 and 1 - H(L) for the empty set.  So chi_c is 1 plus the sum, over
+    levels, of (odd families - even families) * H(L): the fitting subsets
+    are only tallied per level and parity.  Agrees with ``chi_c_direct`` on
+    every instance.  With ``breakdown`` the result lists each contributing
+    subset's value, in binary-counter order.
     """
-    chi, r = instance.chi_c, instance.r
-    packed, top, scale = scaled_subset_sums(instance)
-    full = (1 << r) - 1
-    # _stratum_chi depends on k only through its class: 0 (k = 0), 1 (k odd)
-    # or 2 (k even >= 2).  The memo key is level * 3 + class.
-    memo: dict[int, int] = {}
-    rows = []
-    acc = 0
-    for e in packed:
-        mask = e & full
-        k = mask.bit_count()
-        key = (top - e) // scale * 3 + (k if k < 2 else 2 - k % 2)
-        value = memo.get(key)
-        if value is None:
-            level, size_class = divmod(key, 3)
-            value = memo[key] = _stratum_chi(chi, r, size_class, level)
-        if breakdown:
-            rows.append((_members(mask), value))
-        acc += value
-    return ChiResult(acc, METHOD_STRATA, tuple(rows))
+    chi, r, rho = instance.chi_c, instance.r, instance.rho
+    base = lcm(rho.denominator, *(w.denominator for w in instance.weights))
+    top = rho.numerator * (base // rho.denominator)
+    # (rho - w_I) * base for the fitting subsets I, |I| even / odd.
+    even, odd = [top], []
+    for w in instance.weights:
+        step = w.numerator * (base // w.denominator)
+        even, odd = (even + [room - step for room in odd if room >= step],
+                     odd + [room - step for room in even if room >= step])
+    odd_at = Counter(map(floordiv, odd, repeat(base)))  # level -> families
+    even_at = Counter(map(floordiv, even, repeat(base)))
+    value = _family_values(r - chi, odd_at.keys() | even_at.keys())
+    acc = (1 + sum(count * value[level] for level, count in odd_at.items())
+           - sum(count * value[level] for level, count in even_at.items()))
+    rows = ()
+    if breakdown:
+        packed, top, scale = scaled_subset_sums(instance)
+        full = (1 << r) - 1
+        rows = []
+        for e in packed:
+            mask = e & full
+            h = value[(top - e) // scale]
+            rows.append((_members(mask), h if mask.bit_count() % 2 else -h if mask else 1 - h))
+        rows = tuple(rows)
+    return ChiResult(acc, METHOD_STRATA, rows)
+
+
+def _family_values(m: int, levels: Iterable[int]) -> dict[int, int]:
+    """H(L) = 1 + sum_{i=1..L} C(m + i - 1, i) for each L in ``levels``.
+
+    One running sum serves every level: each term is the one before times
+    (m + i - 1) / i, exactly.  When m <= 0 the terms end at i = 1 - m
+    (C(m + i - 1, i) is then the polynomial (1 - x)^(-m)), and H stays put.
+    """
+    values = {}
+    term = total = 1
+    i = 0
+    for level in sorted(levels):
+        while i < level and term:
+            i += 1
+            term = term * (m + i - 1) // i
+            total += term
+        values[level] = total
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,11 @@ class TooManySingularPoints(BarychiError):
     """Singular-point count exceeds the subset-enumeration cap."""
 
 
+class TooManyDigits(BarychiError):
+    """A result has more digits than Python converts to text
+    (``sys.get_int_max_str_digits()``)."""
+
+
 class NoVertices(BarychiError, ValueError):
     """A finite space needs at least one vertex."""
 

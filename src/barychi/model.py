@@ -23,10 +23,11 @@ from .errors import (
     TooManySingularPoints,
 )
 
-# Direct, strata and the oracle build only the subsets with w_I <= rho, but
-# when rho >= sum(w) that is all 2^r.  There, at r = 22 with weights k/(k+1),
-# direct takes about 2 s and 270 MB and strata 3 s and 270 MB; each further
-# point doubles both.  The series route costs far more there (README, limits).
+# Strata and the oracle build only the subsets with w_I <= rho, but when
+# rho >= sum(w) that is all 2^r.  There, at r = 22 with weights k/(k+1),
+# strata takes about 1.6 s and 205 MB, and each further point doubles both;
+# direct builds about 2^(r/2) sums per half and takes 0.1 s.  The series
+# route costs far more there (README, limits).
 MAX_SINGULAR_POINTS = 22
 
 
@@ -258,6 +259,10 @@ def enumerate_subset_weights(instance: ValidatedInstance) -> Iterator[SubsetWeig
 
 def scaled_subset_sums(instance: ValidatedInstance) -> tuple[list[int], int, int]:
     """The subsets I with w_I <= rho, as packed integers: ``(packed, top, scale)``.
+
+    This fills the per-subset rows of ``--breakdown`` (``breakdown=True``
+    on the direct and strata routes) and nothing else: the routes compute
+    their values from their own enumerations.
 
     With ``base`` the LCD of rho and the weights, each entry is
     ``w_I * base << r | mask``, where bit i of ``mask`` is set exactly when

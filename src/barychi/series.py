@@ -89,7 +89,14 @@ def chen_lin_series(instance: ValidatedInstance, bound: Fraction | None = None) 
     the cut ``top``, the window end and every factor's exponent ``step``
     are integers.  Each factor 1 - x^w is one pass over the terms: the
     term at k is subtracted from the term at k + step while k + step <= top.
-    The constant term of the product is exactly 1 (checked).
+    The truncated product is the same in any order, so the factors go in
+    the order that keeps the passes short: by ascending denominator, and
+    heaviest first within one denominator.  After a set of factors every
+    exponent lies on the grid of the LCD of their denominators, so a coarse
+    grid bounds the support while it can; a heavier factor reaches fewer
+    terms under the cut.  (Heaviest first alone doubles the time when every
+    subset fits: weights k/(k+1) then put the large, coprime denominators
+    first.)  The constant term of the product is exactly 1 (checked).
     """
     bound = truncation_bound(instance.rho, bound)
     scale = lcm(
@@ -98,7 +105,7 @@ def chen_lin_series(instance: ValidatedInstance, bound: Fraction | None = None) 
     top = bound.numerator * (scale // bound.denominator)
     g = expand_geometric_power(instance.r - instance.chi_c, bound, scale)
     terms = g._terms
-    for w in instance.weights:
+    for w in sorted(instance.weights, key=lambda w: (w.denominator, -w)):
         step = w.numerator * (scale // w.denominator)
         cap = top - step
         # The snapshot holds the terms before this factor: each key is the

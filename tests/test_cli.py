@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -138,6 +139,41 @@ class TestOversizedNumbers:
             assert err.startswith("error: InputFormatError: ")
 
 
+class TestResultDigits:
+    """A result past the int-to-str digit limit is refused with a typed
+    error (exit 1) before anything is printed."""
+
+    LIMIT = ("error: TooManyDigits: a result has more than 4300 digits, "
+             "the int-to-str limit (sys.get_int_max_str_digits())\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--chi-c", "-100000", "--rho", "3000", "--method", "direct"],
+        ["compute", "--chi-c", "-100000", "--rho", "3000", "--method", "direct", "--json"],
+        ["series", "--chi-c", "-100000", "--rho", "3000"],
+        ["series", "--chi-c", "-100000", "--rho", "3000", "--json"],
+        ["classify", "--chi-c", "-100000", "--rho", "3000", "--weights", "1/2"],
+    ])
+    def test_refused_before_output(self, capsys, argv):
+        assert run(capsys, *argv) == (1, "", self.LIMIT)
+
+    @pytest.mark.parametrize("chi,refused", [(2 - 10**640, False), (1 - 10**640, True)])
+    def test_limit_is_exact(self, capsys, chi, refused):
+        # r = 0 and rho = 1: chi_c = chi_c(X), 640 digits either way, and
+        # d_rho = 1 - chi_c has 640 digits, or 641 (10^640) and is refused.
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run(capsys, "compute", "--chi-c", str(chi), "--rho", "1", "--json")
+        finally:
+            sys.set_int_max_str_digits(saved)
+        if refused:
+            assert (code, out) == (1, "")
+            assert err.startswith("error: TooManyDigits: a result has more than 640 digits")
+        else:
+            assert code == 0
+            assert json.loads(out)["d_rho"] == 1 - chi
+
+
 class TestStrictComponents:
     """Components must be a JSON list and singular_indices a list of JSON
     integers; anything else is an InputFormatError (exit 1), not a guess."""
@@ -256,6 +292,7 @@ class TestOracle:
 
     @pytest.mark.parametrize("vertices,message", [
         ("0", "NoVertices: need at least one vertex"),
+        ("-5", "NoVertices: need at least one vertex"),
         ("23", "TooManyVertices: m = 23 vertices exceeds the face-enumeration cap 22"),
         ("1000000000",
          "TooManyVertices: m = 1000000000 vertices exceeds the face-enumeration cap 22"),

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import floor
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from barychi.combinatorics import ext_binomial
 from barychi.engine import (
     ChiResult,
+    _signed_level_counts,
     chi_c_direct,
     chi_c_strata,
     chi_join,
@@ -21,6 +23,7 @@ from barychi.model import (
     ProblemInstance,
     SpaceKind,
     enumerate_subset_weights,
+    scaled_subset_sums,
     validate,
 )
 from barychi.series import chi_c_series
@@ -148,6 +151,82 @@ class TestBreakdown:
             assert plain.term_breakdown == ()
             assert full.term_breakdown
             assert plain == ChiResult(full.chi_c_value, full.method)
+
+
+@st.composite
+def kernel_instances(draw):
+    """r = 0..10 instances at the level kernels' edge cases.
+
+    Most weights share a small denominator, so many subset sums share a
+    residue mod the LCD; weights 1 and weights above rho are drawn too.
+    rho is a drawn subset's weight plus 0..2 (ties w_J = rho), an integer,
+    or free; chi_c(X) is small or very negative."""
+    den = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+    weight = st.one_of(st.just(F(1)), st.integers(1, 4 * den).map(lambda n: F(n, den)),
+                       st.fractions(F(1, 20), F(5), max_denominator=20))
+    weights = draw(st.lists(weight, min_size=0, max_size=10))
+    chosen = [w for w in weights if draw(st.booleans())]
+    rho = draw(st.one_of(
+        st.integers(0, 2).map(lambda n: sum(chosen, F(n))),
+        st.integers(1, 8).map(F),
+        st.integers(1, 8 * den).map(lambda n: F(n, den)),
+    ))
+    chi = draw(st.one_of(st.integers(-6, 6), st.integers(-10**6, -10**5)))
+    return make(chi, weights, rho if rho > 0 else F(1, den))
+
+
+def tally_levels(inst):
+    """N(L) by a signed tally over every entry of scaled_subset_sums."""
+    packed, top, scale = scaled_subset_sums(inst)
+    full = (1 << inst.r) - 1
+    counts = Counter()
+    for e in packed:
+        counts[(top - e) // scale] += -1 if (e & full).bit_count() % 2 else 1
+    return {level: count for level, count in counts.items() if count}
+
+
+def stratum_chi(chi, r, k, cap):
+    """chi_c of the stratum family of a fixed set of k singular points with at
+    most ``cap`` generic points, summed level by level: level 0 (k >= 1 only)
+    is an open (k-1)-simplex, level i >= 1 is worth
+    (-1)^{k+1} C(i - chi + r - 1, i)."""
+    sign = 1 if k % 2 else -1
+    total = sign if k >= 1 else 0
+    for i in range(1, cap + 1):
+        total += sign * ext_binomial(i - chi + r - 1, i)
+    return total
+
+
+class TestLevelKernels:
+    """Each kernel against the per-subset code it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_instances())
+    def test_meet_in_the_middle_counts_match_tally(self, inst):
+        assert _signed_level_counts(inst) == tally_levels(inst)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_instances())
+    def test_tallied_strata_match_per_subset_sum(self, inst):
+        chi, r = inst.chi_c, inst.r
+        packed, top, scale = scaled_subset_sums(inst)
+        full = (1 << r) - 1
+        memo = {}
+        expected = 0
+        for e in packed:
+            key = ((e & full).bit_count(), (top - e) // scale)
+            if key not in memo:
+                memo[key] = stratum_chi(chi, r, *key)
+            expected += memo[key]
+        assert chi_c_strata(inst).chi_c_value == expected
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_all_subsets_at_one_level(self, r):
+        # Unit weights under a large integer rho: every subset fits, and the
+        # ones of size k sit at level rho - k.
+        inst = make(-3, ["1"] * r, 9)
+        expected = {9 - k: (-1) ** k * ext_binomial(r, k) for k in range(r + 1)}
+        assert _signed_level_counts(inst) == expected
 
 
 class TestNormalizations:

@@ -1,8 +1,8 @@
 from fractions import Fraction
-from math import floor
+from math import floor, lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barychi.combinatorics import ext_binomial
@@ -10,12 +10,15 @@ from barychi.engine import chi_c_direct
 from barychi.errors import NonPositiveRho, NonPositiveWeight
 from barychi.model import ProblemInstance, validate
 from barychi.series import (
+    SparseSeries,
     chen_lin_series,
     chi_c_series,
     chi_c_window,
     expand_geometric_power,
     truncation_bound,
 )
+
+from test_engine import kernel_instances
 
 F = Fraction
 
@@ -232,3 +235,30 @@ class TestChiCSeries:
         assert res_plain.chi_c_value == chi_c_direct(plain).chi_c_value
         assert res_aug.chi_c_value == chi_c_direct(augmented).chi_c_value
         assert res_plain.chi_c_value == res_aug.chi_c_value
+
+
+def chen_lin_series_ascending(instance, bound=None):
+    """g expanded with the factors 1 - x^w applied lightest first."""
+    bound = truncation_bound(instance.rho, bound)
+    scale = lcm(bound.denominator, instance.rho.denominator,
+                *(w.denominator for w in instance.weights))
+    top = bound.numerator * (scale // bound.denominator)
+    terms = dict(expand_geometric_power(instance.r - instance.chi_c, bound, scale)._terms)
+    for w in instance.weights:
+        step = w.numerator * (scale // w.denominator)
+        for k, c in list(terms.items()):
+            if k + step <= top:
+                terms[k + step] = terms.get(k + step, 0) - c
+        terms = {k: c for k, c in terms.items() if c}
+    return SparseSeries(scale, terms)
+
+
+class TestFactorOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_instances(), st.sampled_from([None, F(1, 2), F(3, 2), F(2), F(7, 3)]))
+    def test_denominator_order_matches_ascending(self, inst, stretch):
+        if inst.r > 8:
+            inst = validate(ProblemInstance(inst.chi_c, inst.weights[:8], inst.rho))
+        bound = None if stretch is None else inst.rho * stretch
+        assert chen_lin_series(inst, bound).terms() == \
+            chen_lin_series_ascending(inst, bound).terms()
