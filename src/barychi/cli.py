@@ -28,6 +28,7 @@ from .classifier import (
     classify_r2_two_components,
 )
 from .engine import (
+    METHOD_SERIES,
     ChiResult,
     chi_c_direct,
     chi_c_strata,
@@ -160,8 +161,12 @@ def _instance_flags(sub: argparse.ArgumentParser) -> None:
 
 def _load_instance(args: argparse.Namespace) -> ValidatedInstance:
     if args.instance:
-        with open(args.instance, "r", encoding="utf-8") as fh:
-            return validate(instance_from_json(fh.read()))
+        try:
+            with open(args.instance, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputFormatError(f"cannot read --instance file: {exc}") from exc
+        return validate(instance_from_json(text))
     if args.chi_c is None or args.rho is None:
         raise _InputError("--chi-c and --rho are required (or pass --instance FILE)")
     weights = parse_weights(args.weights)
@@ -217,6 +222,20 @@ def _check_digits(values: list[int]) -> None:
             )
 
 
+def _exponent_ints(instance: ValidatedInstance, terms: list[tuple[Fraction, int]]) -> list[int]:
+    """The numerators and denominators of the ascending exponents of g in
+    ``terms``, for ``_check_digits``.  In lowest terms each is at most the
+    weights' LCD times the last exponent, rounded up; while that has at
+    most 3 * limit bits, all of them print and none is listed."""
+    limit = sys.get_int_max_str_digits()  # 0 means no limit
+    if not limit or not terms:
+        return []
+    cap = math.lcm(*(w.denominator for w in instance.weights)) * math.ceil(terms[-1][0])
+    if cap.bit_length() <= 3 * limit:
+        return []
+    return [n for e, _ in terms for n in e.as_integer_ratio()]
+
+
 # ---------------------------------------------------------------------------
 # compute
 
@@ -234,6 +253,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     printed += [1 - value for value in printed]  # d_rho
     for res in results:
         printed += map(itemgetter(1), res.term_breakdown)
+        if res.method == METHOD_SERIES:
+            printed += _exponent_ints(instance, res.term_breakdown)
     _check_digits(printed)
     report = build_report(instance, results, breakdown=args.breakdown)
     if args.json:
@@ -306,7 +327,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     inside = len(window_keys(g, instance.rho))
     coefficients = [c for _, c in terms]
     _check_digits([result.chi_c_value, result.degree_d_rho, *coefficients,
-                   *accumulate(coefficients[:inside])])
+                   *accumulate(coefficients[:inside]), *_exponent_ints(instance, terms)])
     if args.json:
         print(_dump({
             "instance": instance_to_json_dict(instance),
@@ -415,6 +436,8 @@ def _classify(instance: ValidatedInstance, placement: Placement | None) -> Space
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    if args.cases < 1:
+        raise _InputError(f"--cases must be at least 1, got {args.cases}")
     # selftest checks the oracle through this module, so it is imported late.
     from .selftest import run_selftest
 

@@ -21,7 +21,7 @@ The two share no enumerator: each builds its own subset sums, so their
 agreement checks the enumeration as well as the formulas.  Both return a
 ``ChiResult`` carrying the Leray-Schauder degree ``d_rho = 1 - chi_c``
 and, when asked for, a term breakdown for reporting; only the breakdown
-rows come from ``scaled_subset_sums``.
+rows come from the shared level table ``subset_levels``.
 """
 from __future__ import annotations
 
@@ -39,8 +39,9 @@ from .model import (
     ProblemInstance,
     SpaceKind,
     ValidatedInstance,
+    _members,
     _Record,
-    scaled_subset_sums,
+    subset_levels,
     validate,
 )
 
@@ -86,24 +87,18 @@ def chi_c_direct(instance: ValidatedInstance, *, breakdown: bool = False) -> Chi
     ``_signed_level_counts``), so ``ext_binomial`` runs once per level
     whose count is nonzero.  With ``breakdown`` the result lists every
     subset's signed term, 0 for the ones heavier than rho, in
-    binary-counter order (see ``enumerate_subset_weights``).
+    binary-counter order (see ``subset_levels``).
     """
     chi, r = instance.chi_c, instance.r
     counts = _signed_level_counts(instance)
     acc = sum(count * ext_binomial(level - chi + r, level) for level, count in counts.items())
     rows = ()
     if breakdown:
-        packed, top, scale = scaled_subset_sums(instance)
-        full = (1 << r) - 1
-        terms = [0] * (full + 1)  # subsets heavier than rho contribute 0
-        value: dict[int, int] = {}
-        for e in packed:
-            level = (top - e) // scale
-            if level not in value:
-                value[level] = ext_binomial(level - chi + r, level)
-            mask = e & full
-            terms[mask] = -value[level] if mask.bit_count() % 2 else value[level]
-        rows = tuple((_members(mask), term) for mask, term in enumerate(terms))
+        levels = subset_levels(instance)
+        # A subset heavier than rho has a negative level and contributes 0.
+        value = {level: ext_binomial(level - chi + r, level) for level in set(levels) if level >= 0}
+        rows = tuple((_members(mask), (-1) ** mask.bit_count() * value.get(level, 0))
+                     for mask, level in enumerate(levels))
     return ChiResult(1 - acc, METHOD_DIRECT, rows)
 
 
@@ -173,11 +168,6 @@ def _fitting_sums(steps: list[int], top: int) -> tuple[list[int], list[int]]:
     return even, odd
 
 
-def _members(mask: int) -> frozenset[int]:
-    """The canonical index set whose bits ``mask`` sets (bit i is index i+1)."""
-    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 def chi_c_strata(instance: ValidatedInstance, *, breakdown: bool = False) -> ChiResult:
     """Sum of chi_c over the disjoint stratification by singular support.
 
@@ -214,13 +204,11 @@ def chi_c_strata(instance: ValidatedInstance, *, breakdown: bool = False) -> Chi
            - sum(count * value[level] for level, count in even_at.items()))
     rows = ()
     if breakdown:
-        packed, top, scale = scaled_subset_sums(instance)
-        full = (1 << r) - 1
         rows = []
-        for e in packed:
-            mask = e & full
-            h = value[(top - e) // scale]
-            rows.append((_members(mask), h if mask.bit_count() % 2 else -h if mask else 1 - h))
+        for mask, level in enumerate(subset_levels(instance)):
+            if level >= 0:
+                h = value[level]
+                rows.append((_members(mask), h if mask.bit_count() % 2 else -h if mask else 1 - h))
         rows = tuple(rows)
     return ChiResult(acc, METHOD_STRATA, rows)
 

@@ -257,37 +257,25 @@ def enumerate_subset_weights(instance: ValidatedInstance) -> Iterator[SubsetWeig
         yield SubsetWeight(frozenset(members), total)
 
 
-def scaled_subset_sums(instance: ValidatedInstance) -> tuple[list[int], int, int]:
-    """The subsets I with w_I <= rho, as packed integers: ``(packed, top, scale)``.
-
-    This fills the per-subset rows of ``--breakdown`` (``breakdown=True``
-    on the direct and strata routes) and nothing else: the routes compute
-    their values from their own enumerations.
-
-    With ``base`` the LCD of rho and the weights, each entry is
-    ``w_I * base << r | mask``, where bit i of ``mask`` is set exactly when
-    canonical index i+1 is in I.  The entries come in binary-counter order
-    (the order of ``enumerate_subset_weights``, heavier subsets left out).
-    ``top = rho * base << r | (2^r - 1)`` and ``scale = base << r``, so
-    ``(top - entry) // scale`` is the subset's level floor(rho - w_I), and
-    ``entry & (2^r - 1)`` its mask.  The mask rides in the low bits so that
-    no second per-subset list is kept.
-
-    Weights are positive, so a subset heavier than rho has no superset that
-    fits: weight j extends only the subsets it keeps under rho.  Its new
-    block sets bit j on masks below 2^j, which keeps the order.  When
-    rho >= sum(w) every subset fits and the list has all 2^r entries.
-    """
-    rho, r = instance.rho, instance.r
+def subset_levels(instance: ValidatedInstance) -> list[int]:
+    """floor(rho - w_I) for every subset I, indexed by its mask (see
+    ``_members``), in the binary-counter order of ``enumerate_subset_weights``;
+    negative exactly when w_I > rho.  It fills the ``--breakdown`` rows and
+    the conic decomposition; the routes keep their own enumerations.
+    Weight j appends the masks with bit j set; each room (rho - w_I) * base,
+    over the LCD ``base``, is floor-divided once."""
+    rho = instance.rho
     base = lcm(rho.denominator, *(w.denominator for w in instance.weights))
-    top = rho.numerator * (base // rho.denominator)
-    packed = [0]
-    for j, w in enumerate(instance.weights):
+    rooms = [rho.numerator * (base // rho.denominator)]
+    for w in instance.weights:
         step = w.numerator * (base // w.denominator)
-        bit = (step << r) | (1 << j)
-        limit = (top - step + 1) << r  # e < limit exactly when (e >> r) + step <= top
-        packed += [e + bit for e in packed if e < limit]
-    return packed, (top << r) | ((1 << r) - 1), base << r
+        rooms += [room - step for room in rooms]
+    return [room // base for room in rooms]
+
+
+def _members(mask: int) -> frozenset[int]:
+    """The canonical index set whose bits ``mask`` sets (bit i is index i+1)."""
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 # ---------------------------------------------------------------------------

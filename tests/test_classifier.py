@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barychi.classifier import (
     Bary,
@@ -89,7 +91,36 @@ class TestPieceIncludes:
                     assert piece_includes(a, c)
 
 
+@st.composite
+def conic_instances(draw):
+    """r <= 9 weights in (0, 1), mostly on one small denominator so that
+    subset sums collide, and rho = w_J + n for a drawn J and n in 0..3, so
+    levels sit on ties."""
+    den = draw(st.sampled_from([2, 3, 4, 5, 6, 12]))
+    weight = st.one_of(st.integers(1, den - 1).map(lambda k: F(k, den)),
+                       st.fractions(F(1, 20), F(19, 20), max_denominator=20))
+    weights = draw(st.lists(weight, max_size=9))
+    chosen = [w for w in weights if draw(st.booleans())]
+    rho = sum(chosen, F(draw(st.integers(0, 3))))
+    return make(draw(st.integers(-3, 3)), weights, rho if rho > 0 else F(1, den))
+
+
+def pairwise_maximal(inst):
+    """The definition: the pieces that no other piece includes."""
+    pieces = colimit_pieces(inst)
+    return tuple(p for p in pieces if not any(q != p and piece_includes(p, q) for q in pieces))
+
+
 class TestMaximalPieces:
+    @settings(max_examples=150, deadline=None)
+    @given(conic_instances())
+    def test_neighbour_rule_matches_pairwise_definition(self, inst):
+        assert maximal_pieces(inst) == pairwise_maximal(inst)
+
+    def test_weight_one_rejected(self):
+        with pytest.raises(WeightOutOfRange):
+            maximal_pieces(make(2, ["1/2", 1], 2))
+
     def test_worked_decomposition(self):
         got = set(maximal_pieces(make(2, ["3/10", "2/5", "3/5"], "9/2")))
         assert got == {

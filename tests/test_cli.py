@@ -108,6 +108,28 @@ class TestCompute:
         assert "chi_c(B_rho) = 2" in out
 
 
+class TestUnreadableInstanceFile:
+    """An --instance file that cannot be read or decoded is an
+    InputFormatError (exit 1, one error line), not a traceback."""
+
+    def check(self, capsys, path):
+        code, out, err = run(capsys, "compute", "--instance", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: InputFormatError: cannot read --instance file: ")
+        assert err.count("\n") == 1
+
+    def test_missing(self, capsys, tmp_path):
+        self.check(capsys, tmp_path / "missing.json")
+
+    def test_directory(self, capsys, tmp_path):
+        self.check(capsys, tmp_path)
+
+    def test_not_utf8(self, capsys, tmp_path):
+        doc = tmp_path / "instance.json"
+        doc.write_bytes(b'{"chi_c": 2, "rho": "1", "note": "\xff"}')
+        self.check(capsys, doc)
+
+
 class TestOversizedNumbers:
     """A number at or past the int-to-str digit limit is an InputFormatError
     (exit 1) at once: printing it in the report would raise, and expanding a
@@ -155,6 +177,19 @@ class TestResultDigits:
     ])
     def test_refused_before_output(self, capsys, argv):
         assert run(capsys, *argv) == (1, "", self.LIMIT)
+
+    # Each input is under the limit, but the series exponent 1/(P*Q) is not.
+    COPRIME = f"1/{10**2500 + 1},1/{10**2500 + 3}"
+
+    @pytest.mark.parametrize("argv", [
+        ["series"],
+        ["series", "--json"],
+        ["compute", "--method", "series", "--breakdown"],
+        ["compute", "--method", "series", "--breakdown", "--json"],
+    ])
+    def test_series_exponent_refused_before_output(self, capsys, argv):
+        assert run(capsys, *argv, "--chi-c", "0", "--weights", self.COPRIME,
+                   "--rho", "1") == (1, "", self.LIMIT)
 
     @pytest.mark.parametrize("chi,refused", [(2 - 10**640, False), (1 - 10**640, True)])
     def test_limit_is_exact(self, capsys, chi, refused):
@@ -371,3 +406,8 @@ class TestSelftest:
         assert code == 0
         assert "seed: 7" in out
         assert "result: PASS" in out
+
+    @pytest.mark.parametrize("cases", ["0", "-5"])
+    def test_no_cases_refused(self, capsys, cases):
+        assert run(capsys, "selftest", "--cases", cases, "--seed", "1") == (
+            1, "", f"error: --cases must be at least 1, got {cases}\n")

@@ -23,7 +23,7 @@ from barychi.model import (
     ProblemInstance,
     SpaceKind,
     enumerate_subset_weights,
-    scaled_subset_sums,
+    subset_levels,
     validate,
 )
 from barychi.series import chi_c_series
@@ -176,12 +176,11 @@ def kernel_instances(draw):
 
 
 def tally_levels(inst):
-    """N(L) by a signed tally over every entry of scaled_subset_sums."""
-    packed, top, scale = scaled_subset_sums(inst)
-    full = (1 << inst.r) - 1
+    """N(L) by a signed tally over the fitting subsets of subset_levels."""
     counts = Counter()
-    for e in packed:
-        counts[(top - e) // scale] += -1 if (e & full).bit_count() % 2 else 1
+    for mask, level in enumerate(subset_levels(inst)):
+        if level >= 0:
+            counts[level] += -1 if mask.bit_count() % 2 else 1
     return {level: count for level, count in counts.items() if count}
 
 
@@ -209,12 +208,12 @@ class TestLevelKernels:
     @given(kernel_instances())
     def test_tallied_strata_match_per_subset_sum(self, inst):
         chi, r = inst.chi_c, inst.r
-        packed, top, scale = scaled_subset_sums(inst)
-        full = (1 << r) - 1
         memo = {}
         expected = 0
-        for e in packed:
-            key = ((e & full).bit_count(), (top - e) // scale)
+        for mask, level in enumerate(subset_levels(inst)):
+            if level < 0:
+                continue
+            key = (mask.bit_count(), level)
             if key not in memo:
                 memo[key] = stratum_chi(chi, r, *key)
             expected += memo[key]

@@ -23,7 +23,7 @@ from barychi.model import (
     instance_to_json_dict,
     parse_fraction,
     parse_weights,
-    scaled_subset_sums,
+    subset_levels,
     validate,
 )
 
@@ -135,7 +135,7 @@ class TestEnumerateSubsetWeights:
 @st.composite
 def tied_instances(draw):
     """r <= 10 weights with denominators <= 20 and rho = w_J exactly for a
-    drawn nonempty J, so subsets tie rho at the prune test."""
+    drawn nonempty J, so subsets tie rho and sit on level 0."""
     weights = draw(st.lists(st.fractions(F(1, 20), F(2), max_denominator=20),
                             min_size=1, max_size=10))
     chosen = draw(st.lists(st.booleans(), min_size=len(weights), max_size=len(weights))
@@ -144,41 +144,30 @@ def tied_instances(draw):
     return validate(ProblemInstance(0, tuple(weights), rho))
 
 
-def unpack(inst):
-    """(index set, w_I, level) of each entry of scaled_subset_sums."""
-    packed, top, scale = scaled_subset_sums(inst)
-    r = inst.r
-    return [
-        (frozenset(i + 1 for i in range(r) if e >> i & 1),
-         F(e >> r, scale >> r),
-         (top - e) // scale)
-        for e in packed
-    ]
-
-
-class TestScaledSubsetSums:
+class TestSubsetLevels:
     @settings(max_examples=150, deadline=None)
     @given(tied_instances())
-    def test_fitting_subsets_in_binary_counter_order(self, inst):
-        expected = [
-            (sw.index_set, sw.total, math.floor(inst.rho - sw.total))
-            for sw in enumerate_subset_weights(inst)
-            if sw.total <= inst.rho
-        ]
-        assert unpack(inst) == expected
+    def test_levels_in_binary_counter_order(self, inst):
+        expected = [math.floor(inst.rho - sw.total) for sw in enumerate_subset_weights(inst)]
+        assert subset_levels(inst) == expected
 
     def test_all_fit(self):
         inst = validate(ProblemInstance(0, (F(1, 4), F(1, 3), F(1, 2)), F(13, 12)))
-        sets = [tuple(sorted(index_set)) for index_set, _, _ in unpack(inst)]
-        assert sets == [(), (1,), (2,), (1, 2), (3,), (1, 3), (2, 3), (1, 2, 3)]
+        assert subset_levels(inst) == [1, 0, 0, 0, 0, 0, 0, 0]
 
     def test_none_fit(self):
+        # Every nonempty subset is heavier than rho: its level is negative.
         inst = validate(ProblemInstance(0, (F(1, 4), F(1, 3), F(1, 2)), F(1, 5)))
-        assert unpack(inst) == [(frozenset(), F(0), 0)]
+        assert subset_levels(inst) == [0, -1, -1, -1, -1, -1, -1, -1]
 
     def test_no_weights(self):
         inst = validate(ProblemInstance(0, (), F(7, 2)))
-        assert unpack(inst) == [(frozenset(), F(0), 3)]
+        assert subset_levels(inst) == [3]
+
+    def test_far_below_zero(self):
+        # floor(rho - w_I) for w_I = 7/2 + 5/2 over rho = 1/2: floor(-11/2) = -6.
+        inst = validate(ProblemInstance(0, (F(7, 2), F(5, 2)), F(1, 2)))
+        assert subset_levels(inst) == [0, -2, -3, -6]
 
 
 class TestFractionParsing:
