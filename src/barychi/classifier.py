@@ -15,7 +15,7 @@ from math import floor
 from .combinatorics import ext_binomial
 from .engine import chi_join, chi_suspension
 from .errors import OutOfScope, WeightOutOfRange
-from .model import ValidatedInstance, _members, _Record, subset_levels
+from .model import ValidatedInstance, _Record, subset_levels
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +162,13 @@ def _conic_levels(instance: ValidatedInstance) -> list[int]:
         if w >= 1:
             raise WeightOutOfRange(f"conic decomposition needs w < 1, got {w}")
     return subset_levels(instance)
+
+
+def _members(mask: int) -> frozenset[int]:
+    """The canonical index set whose bits ``mask`` sets (bit i is index i+1).
+    ``maximal_pieces`` builds one only for each piece it keeps, where a
+    ``subset_members`` table would hold all 2^r."""
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def colimit_pieces(instance: ValidatedInstance) -> tuple[ConicPiece, ...]:

@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import accumulate
 from operator import itemgetter
@@ -64,9 +65,8 @@ from .series import (
 
 _METHOD_RUNNERS = {"direct": chi_c_direct, "strata": chi_c_strata, "series": chi_c_series}
 
-# --breakdown prints a row per subset: at r = 16 with every subset fitting
-# (weights k/(k+1), rho 40), --method all --json takes about 8 s and 415 MB,
-# and each further point doubles both.
+# --breakdown prints a row per subset, and each further point doubles its
+# time and memory; README (limits) gives the measured cost at the cap.
 MAX_BREAKDOWN_POINTS = 16
 
 
@@ -222,18 +222,27 @@ def _check_digits(values: list[int]) -> None:
             )
 
 
-def _exponent_ints(instance: ValidatedInstance, terms: list[tuple[Fraction, int]]) -> list[int]:
-    """The numerators and denominators of the ascending exponents of g in
-    ``terms``, for ``_check_digits``.  In lowest terms each is at most the
-    weights' LCD times the last exponent, rounded up; while that has at
-    most 3 * limit bits, all of them print and none is listed."""
+def _exponent_ints(
+    instance: ValidatedInstance, top: Fraction, ratios: Iterable[tuple[int, int]]
+) -> list[int]:
+    """The integers of the exponents of g that ``ratios`` lists as
+    (numerator, denominator) pairs in lowest terms, each exponent at most
+    ``top``, for ``_check_digits``.  Each integer is at most the weights'
+    LCD times ``top``, rounded up; while that has at most 3 * limit bits,
+    all of them print and ``ratios`` is not read."""
     limit = sys.get_int_max_str_digits()  # 0 means no limit
-    if not limit or not terms:
+    if not limit:
         return []
-    cap = math.lcm(*(w.denominator for w in instance.weights)) * math.ceil(terms[-1][0])
+    cap = math.lcm(*(w.denominator for w in instance.weights)) * math.ceil(top)
     if cap.bit_length() <= 3 * limit:
         return []
-    return [n for e, _ in terms for n in e.as_integer_ratio()]
+    return [n for ratio in ratios for n in ratio]
+
+
+def _exponent_texts(terms: list[tuple[int, int, int]]) -> list[str]:
+    """Each exponent of ``SparseSeries.reduced_terms`` as ``str`` prints
+    the same ``Fraction``: "n/d", or "n" when d is 1."""
+    return [f"{n}/{d}" if d != 1 else str(n) for n, d, _ in terms]
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +263,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     for res in results:
         printed += map(itemgetter(1), res.term_breakdown)
         if res.method == METHOD_SERIES:
-            printed += _exponent_ints(instance, res.term_breakdown)
+            printed += _exponent_ints(instance, instance.rho,
+                                      (e.as_integer_ratio() for e, _ in res.term_breakdown))
     _check_digits(printed)
     report = build_report(instance, results, breakdown=args.breakdown)
     if args.json:
@@ -280,17 +290,12 @@ def build_report(
         "topological_chi_applies": topological_chi_applicable(instance),
     }
     if breakdown:
-        report["breakdown"] = {
-            res.method: [[_breakdown_key(key), value] for key, value in res.term_breakdown]
-            for res in results
-        }
+        tables = report["breakdown"] = {}
+        for res in results:
+            # Series rows are keyed by exponents, the others by index sets.
+            render = str if res.method == METHOD_SERIES else sorted
+            tables[res.method] = [(render(key), value) for key, value in res.term_breakdown]
     return report
-
-
-def _breakdown_key(key: frozenset[int] | Fraction) -> list[int] | str:
-    if isinstance(key, frozenset):
-        return sorted(key)
-    return str(key)
 
 
 def _print_report(report: dict) -> None:
@@ -305,11 +310,14 @@ def _print_report(report: dict) -> None:
         print(f"d_rho = {report['d_rho']}")
     print(f"topological chi applies: {'yes' if report['topological_chi_applies'] else 'no'}")
     if "breakdown" in report:
+        out = sys.stdout
         for method, rows in report["breakdown"].items():
-            print(f"{method} terms:")
-            for key, value in rows:
-                label = "{" + ",".join(map(str, key)) + "}" if isinstance(key, list) else key
-                print(f"  {label}: {value}")
+            out.write(f"{method} terms:\n")
+            if method == METHOD_SERIES:
+                out.writelines(f"  {key}: {value}\n" for key, value in rows)
+            else:  # an index set prints as {1,3}
+                out.writelines(f"  {{{','.join(map(str, key))}}}: {value}\n"
+                               for key, value in rows)
     print(f"verdict: {report['verdict']}")
 
 
@@ -322,30 +330,30 @@ def _cmd_series(args: argparse.Namespace) -> int:
     bound = truncation_bound(instance.rho, parse_fraction(args.bound) if args.bound else None)
     g = chen_lin_series(instance, bound)
     result = chi_c_window(g, instance.rho)
-    terms = g.terms()[1:]  # the constant term 1 (checked by chen_lin_series) is no output
+    terms = g.reduced_terms()[1:]  # the constant term 1 (checked by chen_lin_series) is no output
     # The window is the leading run of the positive-exponent terms.
     inside = len(window_keys(g, instance.rho))
-    coefficients = [c for _, c in terms]
-    _check_digits([result.chi_c_value, result.degree_d_rho, *coefficients,
-                   *accumulate(coefficients[:inside]), *_exponent_ints(instance, terms)])
+    coefficients = [c for _, _, c in terms]
+    sums = list(accumulate(coefficients[:inside]))
+    _check_digits([result.chi_c_value, result.degree_d_rho, *coefficients, *sums,
+                   *_exponent_ints(instance, bound, ((n, d) for n, d, _ in terms))])
+    exponents = _exponent_texts(terms)
     if args.json:
         print(_dump({
             "instance": instance_to_json_dict(instance),
             "bound": str(bound),
-            "terms": [[str(e), c] for e, c in terms],
+            "terms": list(zip(exponents, coefficients)),
             "window_sum": -result.chi_c_value,
             "chi_c": result.chi_c_value,
             "d_rho": result.degree_d_rho,
         }))
         return 0
-    print(f"chi_c={result.chi_c_value} d_rho={result.degree_d_rho}")
-    running = 0
-    for e, c in terms[:inside]:
-        running += c
-        print(f"{e} {c}\t# sum={running}")
-    print(f"# window end: rho={instance.rho}")
-    for e, c in terms[inside:]:
-        print(f"{e} {c}")
+    out = sys.stdout
+    out.write(f"chi_c={result.chi_c_value} d_rho={result.degree_d_rho}\n")
+    out.writelines(f"{e} {c}\t# sum={total}\n"
+                   for e, c, total in zip(exponents, coefficients, sums))
+    out.write(f"# window end: rho={instance.rho}\n")
+    out.writelines(f"{e} {c}\n" for e, c in zip(exponents[inside:], coefficients[inside:]))
     return 0
 
 

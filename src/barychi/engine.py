@@ -20,8 +20,10 @@ Two independent routes to the same integer:
 The two share no enumerator: each builds its own subset sums, so their
 agreement checks the enumeration as well as the formulas.  Both return a
 ``ChiResult`` carrying the Leray-Schauder degree ``d_rho = 1 - chi_c``
-and, when asked for, a term breakdown for reporting; only the breakdown
-rows come from the shared level table ``subset_levels``.
+and, when asked for, a term breakdown for reporting.  Only the breakdown
+rows come from shared tables, both in binary-counter (mask) order: the
+levels floor(rho - w_I) of ``subset_levels`` and the index sets of
+``subset_members``.
 """
 from __future__ import annotations
 
@@ -39,9 +41,9 @@ from .model import (
     ProblemInstance,
     SpaceKind,
     ValidatedInstance,
-    _members,
     _Record,
     subset_levels,
+    subset_members,
     validate,
 )
 
@@ -97,8 +99,8 @@ def chi_c_direct(instance: ValidatedInstance, *, breakdown: bool = False) -> Chi
         levels = subset_levels(instance)
         # A subset heavier than rho has a negative level and contributes 0.
         value = {level: ext_binomial(level - chi + r, level) for level in set(levels) if level >= 0}
-        rows = tuple((_members(mask), (-1) ** mask.bit_count() * value.get(level, 0))
-                     for mask, level in enumerate(levels))
+        rows = tuple((members, -value.get(level, 0) if len(members) % 2 else value.get(level, 0))
+                     for members, level in zip(subset_members(r), levels))
     return ChiResult(1 - acc, METHOD_DIRECT, rows)
 
 
@@ -205,10 +207,10 @@ def chi_c_strata(instance: ValidatedInstance, *, breakdown: bool = False) -> Chi
     rows = ()
     if breakdown:
         rows = []
-        for mask, level in enumerate(subset_levels(instance)):
+        for members, level in zip(subset_members(r), subset_levels(instance)):
             if level >= 0:
                 h = value[level]
-                rows.append((_members(mask), h if mask.bit_count() % 2 else -h if mask else 1 - h))
+                rows.append((members, h if len(members) % 2 else -h if members else 1 - h))
         rows = tuple(rows)
     return ChiResult(acc, METHOD_STRATA, rows)
 

@@ -166,9 +166,18 @@ def validate(instance: ProblemInstance | ValidatedInstance) -> ValidatedInstance
 
     Idempotent: validating a ``ValidatedInstance`` returns an equal one.
 
-    Raises ``NonPositiveWeight``, ``NonPositiveRho``,
+    Raises ``InputFormatError`` for a ``chi_c`` (of the instance or of a
+    component) that is not an int, and for a weight or rho that is a float
+    (inexact) or a bool; then ``NonPositiveWeight``, ``NonPositiveRho``,
     ``InconsistentComponents``, or ``TooManySingularPoints``.
     """
+    if not _is_int(instance.chi_c):
+        raise InputFormatError(f"chi_c must be an int, got {instance.chi_c!r}")
+    for value in (*instance.weights, instance.rho):
+        if isinstance(value, (float, bool)):
+            raise InputFormatError(
+                f"weights and rho must be exact (an int or a Fraction), got {value!r}"
+            )
     if isinstance(instance, ValidatedInstance):
         positions = instance.source_positions
     else:
@@ -213,6 +222,9 @@ def _check_components(
 ) -> tuple[ComponentSpec, ...]:
     """Reconcile component data with the totals and remap singular indices
     (1-based positions in the incoming weight tuple) to canonical order."""
+    for c in components:
+        if not _is_int(c.chi_c):
+            raise InputFormatError(f"component chi_c must be an int, got {c.chi_c!r}")
     total_chi = sum(c.chi_c for c in components)
     if total_chi != chi_c:
         raise InconsistentComponents(
@@ -258,12 +270,13 @@ def enumerate_subset_weights(instance: ValidatedInstance) -> Iterator[SubsetWeig
 
 
 def subset_levels(instance: ValidatedInstance) -> list[int]:
-    """floor(rho - w_I) for every subset I, indexed by its mask (see
-    ``_members``), in the binary-counter order of ``enumerate_subset_weights``;
-    negative exactly when w_I > rho.  It fills the ``--breakdown`` rows and
-    the conic decomposition; the routes keep their own enumerations.
-    Weight j appends the masks with bit j set; each room (rho - w_I) * base,
-    over the LCD ``base``, is floor-divided once."""
+    """floor(rho - w_I) for every subset I, indexed by its mask (bit i is
+    index i+1, the index set ``subset_members`` lists at the same place), in
+    the binary-counter order of ``enumerate_subset_weights``; negative
+    exactly when w_I > rho.  It fills the ``--breakdown`` rows and the conic
+    decomposition; the routes keep their own enumerations.  Weight j appends
+    the masks with bit j set; each room (rho - w_I) * base, over the LCD
+    ``base``, is floor-divided once."""
     rho = instance.rho
     base = lcm(rho.denominator, *(w.denominator for w in instance.weights))
     rooms = [rho.numerator * (base // rho.denominator)]
@@ -273,9 +286,14 @@ def subset_levels(instance: ValidatedInstance) -> list[int]:
     return [room // base for room in rooms]
 
 
-def _members(mask: int) -> frozenset[int]:
-    """The canonical index set whose bits ``mask`` sets (bit i is index i+1)."""
-    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+def subset_members(r: int) -> list[frozenset[int]]:
+    """The index set of every subset of {1..r}, indexed by its mask in the
+    order of ``subset_levels``.  Index j appends the sets that hold it, so
+    each set is built once, from the one without j."""
+    sets = [frozenset()]
+    for j in range(1, r + 1):
+        sets += [s | {j} for s in sets]
+    return sets
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +355,7 @@ def instance_from_json(doc: str | dict) -> ProblemInstance:
         raw_rho = doc["rho"]
     except KeyError as exc:
         raise InputFormatError(f"instance document missing field {exc}") from exc
-    if not _is_json_int(chi_c):
+    if not _is_int(chi_c):
         raise InputFormatError("chi_c must be a JSON integer")
     if isinstance(raw_weights, str):
         weights = parse_weights(raw_weights)
@@ -372,7 +390,8 @@ def parse_components(entries: object) -> tuple[ComponentSpec, ...]:
     return tuple(_component_from_json(entry) for entry in entries)
 
 
-def _is_json_int(value: object) -> bool:
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is an int, and not a bool posing as one."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
@@ -385,11 +404,11 @@ def _component_from_json(entry: object) -> ComponentSpec:
         indices = entry.get("singular_indices", [])
     except KeyError as exc:
         raise InputFormatError(f"component missing field {exc}") from exc
-    if not _is_json_int(chi_c):
+    if not _is_int(chi_c):
         raise InputFormatError("component chi_c must be a JSON integer")
     if not isinstance(is_compact, bool):
         raise InputFormatError("component is_compact must be a JSON boolean")
-    if not isinstance(indices, list) or not all(map(_is_json_int, indices)):
+    if not isinstance(indices, list) or not all(map(_is_int, indices)):
         raise InputFormatError("component singular_indices must be a list of JSON integers")
     return ComponentSpec(chi_c, is_compact, frozenset(indices))
 

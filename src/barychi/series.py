@@ -17,7 +17,7 @@ the window end are integer comparisons.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, lcm
+from math import floor, gcd, lcm
 
 from .engine import METHOD_SERIES, ChiResult
 from .model import ValidatedInstance
@@ -41,6 +41,13 @@ class SparseSeries:
     def terms(self) -> list[tuple[Fraction, int]]:
         """(exponent, coefficient) pairs in increasing exponent order."""
         return [(Fraction(k, self.scale), c) for k, c in sorted(self._terms.items())]
+
+    def reduced_terms(self) -> list[tuple[int, int, int]]:
+        """(numerator, denominator, coefficient) triples in increasing
+        exponent order, each exponent in lowest terms: the values of
+        ``terms()`` as integers, with one gcd per term and no ``Fraction``."""
+        scale, terms = self.scale, self._terms
+        return [(k // (g := gcd(k, scale)), scale // g, terms[k]) for k in sorted(terms)]
 
     def __len__(self) -> int:
         return len(self._terms)

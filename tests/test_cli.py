@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barychi.cli import MAX_BREAKDOWN_POINTS, main
-from barychi.engine import chi_c_direct
-from barychi.model import MAX_SINGULAR_POINTS, ProblemInstance, validate
+from barychi.engine import chi_c_direct, chi_c_strata, topological_chi_applicable
+from barychi.model import MAX_SINGULAR_POINTS, ProblemInstance, instance_to_json_dict, validate
+from barychi.series import chen_lin_series, chi_c_series, truncation_bound
+from test_engine import tie_heavy_instances
 from test_series import SCALE_CASES
 
 
@@ -159,6 +165,101 @@ class TestOversizedNumbers:
             assert code == 1
             assert out == ""
             assert err.startswith("error: InputFormatError: ")
+
+
+def run_quiet(*argv):
+    """main(argv) with its exit code and captured stdout, outside pytest's
+    capture fixtures (hypothesis runs one test body many times)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def reference_compute(inst, as_json):
+    """compute --method all --breakdown output, rendered from the routes'
+    term_breakdown with sorted index sets and str(Fraction) exponents."""
+    results = [route(inst, breakdown=True)
+               for route in (chi_c_direct, chi_c_strata, chi_c_series)]
+    chi = results[0].chi_c_value
+    assert all(res.chi_c_value == chi for res in results)
+    doc = instance_to_json_dict(inst)
+    tables = {res.method: [[sorted(key) if isinstance(key, frozenset) else str(key), value]
+                           for key, value in res.term_breakdown] for res in results}
+    if as_json:
+        return json.dumps({
+            "instance": doc,
+            "methods": {res.method: res.chi_c_value for res in results},
+            "chi_c": chi,
+            "d_rho": 1 - chi,
+            "verdict": "MATCH",
+            "topological_chi_applies": topological_chi_applicable(inst),
+            "breakdown": tables,
+        }, separators=(",", ":")) + "\n"
+    lines = [f"instance: chi_c={inst.chi_c} weights={','.join(doc['weights'])} "
+             f"rho={inst.rho} space=compact"]
+    lines += [f"{res.method}: {res.chi_c_value}" for res in results]
+    lines += [f"chi_c(B_rho) = {chi}", f"d_rho = {1 - chi}",
+              f"topological chi applies: {'yes' if topological_chi_applicable(inst) else 'no'}"]
+    for method, rows in tables.items():
+        lines.append(f"{method} terms:")
+        for key, value in rows:
+            label = "{" + ",".join(map(str, key)) + "}" if isinstance(key, list) else key
+            lines.append(f"  {label}: {value}")
+    lines.append("verdict: MATCH")
+    return "\n".join(lines) + "\n"
+
+
+def reference_series(inst, bound, as_json):
+    """series output, rendered from terms() with str(Fraction) exponents."""
+    cut = truncation_bound(inst.rho, bound)
+    terms = chen_lin_series(inst, cut).terms()[1:]
+    chi = chi_c_direct(inst).chi_c_value
+    if as_json:
+        return json.dumps({
+            "instance": instance_to_json_dict(inst),
+            "bound": str(cut),
+            "terms": [[str(e), c] for e, c in terms],
+            "window_sum": -chi,
+            "chi_c": chi,
+            "d_rho": 1 - chi,
+        }, separators=(",", ":")) + "\n"
+    lines = [f"chi_c={chi} d_rho={1 - chi}"]
+    running = 0
+    for e, c in terms:
+        if e > inst.rho:
+            break
+        running += c
+        lines.append(f"{e} {c}\t# sum={running}")
+    lines.append(f"# window end: rho={inst.rho}")
+    lines += [f"{e} {c}" for e, c in terms if e > inst.rho]
+    return "\n".join(lines) + "\n"
+
+
+class TestOutputsMatchReference:
+    """Every byte of compute --breakdown and series on tie-heavy instances
+    (r <= 8) equals a rendering of the library's documented values, and the
+    report's instance read back through --instance gives the same bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=tie_heavy_instances(max_r=8),
+           bound=st.none() | st.fractions(Fraction(1, 7), 30, max_denominator=12),
+           as_json=st.booleans())
+    def test_compute_and_series(self, tmp_path_factory, inst, bound, as_json):
+        flags = ["--json"] if as_json else []
+        given_flags = ["--chi-c", str(inst.chi_c),
+                       "--weights", ",".join(map(str, inst.weights)), "--rho", str(inst.rho)]
+        compute = run_quiet("compute", *given_flags, "--method", "all", "--breakdown", *flags)
+        assert compute == (0, reference_compute(inst, as_json))
+        for cut in (None, bound):
+            bound_flags = [] if cut is None else ["--bound", str(cut)]
+            assert run_quiet("series", *given_flags, *bound_flags, *flags) == (
+                0, reference_series(inst, cut, as_json))
+        if as_json:
+            doc = tmp_path_factory.mktemp("doc") / "instance.json"
+            doc.write_text(json.dumps(json.loads(compute[1])["instance"]))
+            assert run_quiet("compute", "--instance", str(doc), "--method", "all",
+                             "--breakdown", "--json") == compute
 
 
 class TestResultDigits:

@@ -104,12 +104,12 @@ class TestChiCStrata:
 
 
 @st.composite
-def tie_heavy_instances(draw):
-    """r <= 10 weights with denominators <= 20 and rho = w_J + n for a drawn
-    nonempty J and n in 0..3, so floor(rho - w_I) sits on a tie for I = J
-    and for every I with the same weight sum."""
+def tie_heavy_instances(draw, max_r=10):
+    """r <= max_r weights with denominators <= 20 and rho = w_J + n for a
+    drawn nonempty J and n in 0..3, so floor(rho - w_I) sits on a tie for
+    I = J and for every I with the same weight sum."""
     weights = draw(st.lists(st.fractions(F(1, 20), F(2), max_denominator=20),
-                            min_size=1, max_size=10))
+                            min_size=1, max_size=max_r))
     chosen = draw(st.lists(st.booleans(), min_size=len(weights), max_size=len(weights))
                   .filter(any))
     rho = sum((w for w, c in zip(weights, chosen) if c), F(0)) + draw(st.integers(0, 3))

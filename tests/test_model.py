@@ -24,6 +24,7 @@ from barychi.model import (
     parse_fraction,
     parse_weights,
     subset_levels,
+    subset_members,
     validate,
 )
 
@@ -94,6 +95,31 @@ class TestValidate:
     def test_idempotent(self):
         inst = validate(ProblemInstance(1, (F(3, 5), F(1, 2)), F(2)))
         assert validate(inst) == inst
+
+    @pytest.mark.parametrize("chi,weights,rho", [
+        (1, (0.1,), 1),        # would become 3602879701896397/36028797018963968
+        (1, (True,), 2),
+        (1, (F(1, 2),), 1.5),
+        (1, (F(1, 2),), True),
+        (True, (F(1, 2),), 1),  # would be reported as JSON true
+        (1.0, (F(1, 2),), 1),   # would die in chi_c_direct with a TypeError
+        ("1", (F(1, 2),), 1),
+    ], ids=["float-weight", "bool-weight", "float-rho", "bool-rho", "bool-chi",
+            "float-chi", "str-chi"])
+    def test_inexact_or_mistyped_number_refused(self, chi, weights, rho):
+        with pytest.raises(InputFormatError):
+            validate(ProblemInstance(chi, weights, rho))
+
+    @pytest.mark.parametrize("chi", [1.0, True], ids=["float", "bool"])
+    def test_mistyped_component_chi_refused(self, chi):
+        components = (ComponentSpec(chi, True, frozenset({1})),
+                      ComponentSpec(0, True, frozenset()))
+        with pytest.raises(InputFormatError):
+            validate(ProblemInstance(1, (F(1, 2),), F(1), SpaceKind.UNION_OF_BASIC, components))
+
+    def test_int_weights_and_rho_accepted(self):
+        inst = validate(ProblemInstance(-1, (1, 2), 3))
+        assert (inst.weights, inst.rho) == ((F(1), F(2)), F(3))
 
 
 class TestEnumerateSubsetWeights:
@@ -168,6 +194,24 @@ class TestSubsetLevels:
         # floor(rho - w_I) for w_I = 7/2 + 5/2 over rho = 1/2: floor(-11/2) = -6.
         inst = validate(ProblemInstance(0, (F(7, 2), F(5, 2)), F(1, 2)))
         assert subset_levels(inst) == [0, -2, -3, -6]
+
+
+def members_by_bits(mask: int) -> frozenset[int]:
+    """The reference index set of ``mask``: bit i set means index i+1."""
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+class TestSubsetMembers:
+    @pytest.mark.parametrize("r", range(13))
+    def test_every_mask_matches_its_bits(self, r):
+        members = subset_members(r)
+        assert len(members) == 1 << r
+        assert all(s == members_by_bits(mask) for mask, s in enumerate(members))
+        assert all(type(s) is frozenset for s in members)
+
+    def test_order_matches_enumerate_subset_weights(self):
+        inst = validate(ProblemInstance(0, (F(1, 4), F(1, 3), F(1, 2), F(2, 3)), F(1)))
+        assert subset_members(inst.r) == [sw.index_set for sw in enumerate_subset_weights(inst)]
 
 
 class TestFractionParsing:

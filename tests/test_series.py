@@ -1,10 +1,11 @@
 from fractions import Fraction
-from math import floor, lcm
+from math import floor, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from barychi.cli import _exponent_texts
 from barychi.combinatorics import ext_binomial
 from barychi.engine import chi_c_direct
 from barychi.errors import NonPositiveRho, NonPositiveWeight
@@ -74,6 +75,33 @@ class TestSparseSeries:
         # The factor's terms land after the geometric power's in the dict.
         g = chen_lin_series(validate(ProblemInstance(-1, (F(1, 3),), F(2))))
         assert g.terms() == [(F(0), 1), (F(1, 3), -1), (F(1), 2), (F(4, 3), -2), (F(2), 3)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_reduced_terms_are_terms_as_integers(self, data):
+        scale = data.draw(st.one_of(
+            st.integers(1, 60),
+            st.sampled_from([2**61 - 1, 10**40 + 3, 2**40 * 3**20, 10**1000 + 1]),
+            st.integers(1, 10**80),
+        ), label="scale")
+        key = st.one_of(
+            st.just(0),
+            st.integers(1, 40).map(lambda q: q * scale),  # integer exponents
+            st.integers(1, 10**6).filter(lambda k: gcd(k, scale) == 1),
+            st.integers(1, 10**90),
+        )
+        keys = data.draw(st.lists(key, min_size=1, max_size=8, unique=True), label="keys")
+        g = SparseSeries(scale, {k: c for c, k in enumerate(keys, -3) if c})
+        reduced = g.reduced_terms()
+        assert reduced == [(e.numerator, e.denominator, c) for e, c in g.terms()]
+        assert _exponent_texts(reduced) == [str(F(k, scale)) for k in sorted(g._terms)]
+
+    def test_reduced_terms_of_a_series(self):
+        # The constant term (key 0) and the key 3 at scale 6, which reduces to 1/2.
+        g = chen_lin_series(validate(ProblemInstance(1, (F(1, 2),), F(4, 3))))
+        assert g.scale == 6
+        assert g.reduced_terms() == [(0, 1, 1), (1, 2, -1)]
+        assert _exponent_texts(g.reduced_terms()) == ["0", "1/2"]
 
     def test_len_counts_terms(self):
         # perfbench's tracer reads series.support_terms as len() of the
