@@ -18,12 +18,15 @@ Two independent routes to the same integer:
   and tallies them per level.
 
 The two share no enumerator: each builds its own subset sums, so their
-agreement checks the enumeration as well as the formulas.  Both return a
-``ChiResult`` carrying the Leray-Schauder degree ``d_rho = 1 - chi_c``
-and, when asked for, a term breakdown for reporting.  Only the breakdown
-rows come from shared tables, both in binary-counter (mask) order: the
-levels floor(rho - w_I) of ``subset_levels`` and the index sets of
-``subset_members``.
+agreement checks the enumeration as well as the formulas.  Both walk the
+weights heaviest first, against the ascending canonical order: no superset
+of a subset heavier than rho fits, so the heavy weights cut the lists of
+fitting sums while they are short, and the tallies do not depend on the
+order.  Both return a ``ChiResult`` carrying the Leray-Schauder degree
+``d_rho = 1 - chi_c`` and, when asked for, a term breakdown for reporting.
+Only the breakdown rows come from shared tables, both in binary-counter
+(mask) order: the levels floor(rho - w_I) of ``subset_levels`` and the
+index sets of ``subset_members``.
 """
 from __future__ import annotations
 
@@ -161,9 +164,12 @@ def _fitting_sums(steps: list[int], top: int) -> tuple[list[int], list[int]]:
     """The sums of the subsets of ``steps`` that stay <= top, split by the
     parity of the subset size: ``(even, odd)``.  The empty sum 0 is in
     ``even``.  A step extends only the sums it keeps under ``top``; a
-    heavier sum has no fitting extension, as the steps are positive."""
+    heavier sum has no fitting extension, as the steps are positive.  The
+    steps come in ascending (canonical) order and are walked from the
+    heaviest, which prunes while the lists are short; the sums are the same
+    in any order."""
     even, odd = [0], []
-    for step in steps:
+    for step in reversed(steps):
         cap = top - step
         even, odd = (even + [s + step for s in odd if s <= cap],
                      odd + [s + step for s in even if s <= cap])
@@ -186,16 +192,19 @@ def chi_c_strata(instance: ValidatedInstance, *, breakdown: bool = False) -> Chi
     ``_family_values``), a family is worth H(L) for odd k, -H(L) for even
     k >= 2 and 1 - H(L) for the empty set.  So chi_c is 1 plus the sum, over
     levels, of (odd families - even families) * H(L): the fitting subsets
-    are only tallied per level and parity.  Agrees with ``chi_c_direct`` on
-    every instance.  With ``breakdown`` the result lists each contributing
-    subset's value, in binary-counter order.
+    are only tallied per level and parity.  The weights are walked heaviest
+    first (``reversed`` canonical order): a room a heavy weight does not fit
+    in is dropped before the light weights would double it, and the tally is
+    the same in any order.  Agrees with ``chi_c_direct`` on every instance.
+    With ``breakdown`` the result lists each contributing subset's value, in
+    binary-counter order.
     """
     chi, r, rho = instance.chi_c, instance.r, instance.rho
     base = lcm(rho.denominator, *(w.denominator for w in instance.weights))
     top = rho.numerator * (base // rho.denominator)
     # (rho - w_I) * base for the fitting subsets I, |I| even / odd.
     even, odd = [top], []
-    for w in instance.weights:
+    for w in reversed(instance.weights):
         step = w.numerator * (base // w.denominator)
         even, odd = (even + [room - step for room in odd if room >= step],
                      odd + [room - step for room in even if room >= step])

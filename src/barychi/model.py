@@ -167,12 +167,17 @@ def validate(instance: ProblemInstance | ValidatedInstance) -> ValidatedInstance
     Idempotent: validating a ``ValidatedInstance`` returns an equal one.
 
     Raises ``InputFormatError`` for a ``chi_c`` (of the instance or of a
-    component) that is not an int, and for a weight or rho that is a float
-    (inexact) or a bool; then ``NonPositiveWeight``, ``NonPositiveRho``,
-    ``InconsistentComponents``, or ``TooManySingularPoints``.
+    component) that is not an int, for a weight or rho that is a float
+    (inexact) or a bool, for a ``space_kind`` that is not a ``SpaceKind``,
+    and for a component's ``is_compact`` that is not a bool or singular
+    index that is not an int; then ``NonPositiveWeight``,
+    ``NonPositiveRho``, ``InconsistentComponents``, or
+    ``TooManySingularPoints``.  (An int here is never a bool.)
     """
     if not _is_int(instance.chi_c):
         raise InputFormatError(f"chi_c must be an int, got {instance.chi_c!r}")
+    if not isinstance(instance.space_kind, SpaceKind):
+        raise InputFormatError(f"space_kind must be a SpaceKind, got {instance.space_kind!r}")
     for value in (*instance.weights, instance.rho):
         if isinstance(value, (float, bool)):
             raise InputFormatError(
@@ -225,6 +230,11 @@ def _check_components(
     for c in components:
         if not _is_int(c.chi_c):
             raise InputFormatError(f"component chi_c must be an int, got {c.chi_c!r}")
+        if not isinstance(c.is_compact, bool):
+            raise InputFormatError(f"component is_compact must be a bool, got {c.is_compact!r}")
+        for i in c.singular_indices:
+            if not _is_int(i):
+                raise InputFormatError(f"singular index must be an int, got {i!r}")
     total_chi = sum(c.chi_c for c in components)
     if total_chi != chi_c:
         raise InconsistentComponents(

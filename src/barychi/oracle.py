@@ -73,8 +73,10 @@ def oracle_chi(space: FiniteWeightedSpace, rho: Fraction | int) -> int:
     Face weights are integers over the LCD of rho and the vertex weights,
     kept in two lists by the parity of |S|.  Each vertex extends only the
     subsets it keeps under rho (one integer add each); a heavier subset
-    has no face among its supersets.  O(2^m) time and memory when rho is
-    at least the total weight.
+    has no face among its supersets.  The vertices go heaviest first, in
+    descending weight order, so that pruning cuts the lists while they are
+    short; the count is the same in any order.  O(2^m) time and memory when
+    rho is at least the total weight.
     """
     rho = Fraction(rho)
     scale = lcm(rho.denominator, *(w.denominator for w in space.vertex_weights))
@@ -82,8 +84,8 @@ def oracle_chi(space: FiniteWeightedSpace, rho: Fraction | int) -> int:
     if top < 0:
         return 0  # not even the empty set fits
     even, odd = [0], []  # weights * scale of the subsets that fit, |S| even / odd
-    for w in space.vertex_weights:
-        step = w.numerator * (scale // w.denominator)
+    for step in sorted((w.numerator * (scale // w.denominator) for w in space.vertex_weights),
+                       reverse=True):
         cap = top - step  # s + step <= top
         even, odd = (even + [s + step for s in odd if s <= cap],
                      odd + [s + step for s in even if s <= cap])

@@ -112,8 +112,10 @@ def chen_lin_series(instance: ValidatedInstance, bound: Fraction | None = None) 
     top = bound.numerator * (scale // bound.denominator)
     g = expand_geometric_power(instance.r - instance.chi_c, bound, scale)
     terms = g._terms
-    for w in sorted(instance.weights, key=lambda w: (w.denominator, -w)):
-        step = w.numerator * (scale // w.denominator)
+    # Sorted as int pairs (denominator, -step): the order above.
+    for _, step in sorted((w.denominator, -w.numerator * (scale // w.denominator))
+                          for w in instance.weights):
+        step = -step
         cap = top - step
         # The snapshot holds the terms before this factor: each key is the
         # source of one subtraction and the target of at most one.
@@ -155,6 +157,14 @@ def chi_c_series(instance: ValidatedInstance, *, breakdown: bool = False) -> Chi
     """chi_c via the coefficient window (0, rho] of g (see ``chi_c_window``).
 
     The window ends at rho and the cut is never below it, so g is expanded
-    at rho.  Agrees exactly with the direct method.
+    at rho, its factors by ascending denominator and heaviest first within
+    one (see ``chen_lin_series``: a heavy factor reaches few terms under the
+    cut).  Cut at rho, every term of g but the constant 1 lies in the
+    window, so chi_c is 1 minus the sum of all of g's coefficients, read in
+    one sum with no window test.  The breakdown rows come from
+    ``chi_c_window``.  Agrees exactly with the direct method.
     """
-    return chi_c_window(chen_lin_series(instance), instance.rho, breakdown=breakdown)
+    g = chen_lin_series(instance)
+    if breakdown:
+        return chi_c_window(g, instance.rho, breakdown=True)
+    return ChiResult(1 - sum(g._terms.values()), METHOD_SERIES)

@@ -117,6 +117,26 @@ class TestValidate:
         with pytest.raises(InputFormatError):
             validate(ProblemInstance(1, (F(1, 2),), F(1), SpaceKind.UNION_OF_BASIC, components))
 
+    @pytest.mark.parametrize("kind", ["compact", None], ids=["str", "none"])
+    def test_mistyped_space_kind_refused(self, kind):
+        # Accepted, "compact" would read as not compact in
+        # topological_chi_applicable and break instance_to_json_dict.
+        with pytest.raises(InputFormatError):
+            validate(ProblemInstance(1, (F(1, 2),), F(1), kind))
+
+    def test_mistyped_is_compact_refused(self):
+        # Accepted, it would be reported as "is_compact": 1, which
+        # instance_from_json refuses.
+        components = (ComponentSpec(1, 1, frozenset({1})),)
+        with pytest.raises(InputFormatError):
+            validate(ProblemInstance(1, (F(1, 2),), F(1), SpaceKind.UNION_OF_BASIC, components))
+
+    @pytest.mark.parametrize("index", [1.0, True], ids=["float", "bool"])
+    def test_mistyped_singular_index_refused(self, index):
+        components = (ComponentSpec(1, True, frozenset({index})),)
+        with pytest.raises(InputFormatError):
+            validate(ProblemInstance(1, (F(1, 2),), F(1), SpaceKind.UNION_OF_BASIC, components))
+
     def test_int_weights_and_rho_accepted(self):
         inst = validate(ProblemInstance(-1, (1, 2), 3))
         assert (inst.weights, inst.rho) == ((F(1), F(2)), F(3))

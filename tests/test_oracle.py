@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -13,6 +14,17 @@ from barychi.oracle import FiniteWeightedSpace, oracle_chi, skeleton_chi
 from barychi.series import chi_c_series
 
 F = Fraction
+
+
+def fraction_face_count(weights, rho):
+    """sum of (-1)^(|S|+1) over the nonempty vertex sets S with w(S) <= rho,
+    each w(S) summed as a Fraction."""
+    faces = [
+        mask.bit_count()
+        for mask in range(1, 1 << len(weights))
+        if sum((w for i, w in enumerate(weights) if mask >> i & 1), F(0)) <= rho
+    ]
+    return sum(1 if k % 2 else -1 for k in faces)
 
 
 class TestFiniteWeightedSpace:
@@ -83,13 +95,26 @@ class TestOracleChi:
         chosen = data.draw(st.lists(st.booleans(), min_size=len(weights),
                                     max_size=len(weights)))
         rho = sum((w for w, c in zip(weights, chosen) if c), F(0)) + data.draw(st.integers(0, 2))
-        faces = [
-            mask.bit_count()
-            for mask in range(1, 1 << len(weights))
-            if sum((w for i, w in enumerate(weights) if mask >> i & 1), F(0)) <= rho
-        ]
-        expected = sum(1 if k % 2 else -1 for k in faces)
+        expected = fraction_face_count(weights, rho)
         assert oracle_chi(FiniteWeightedSpace(tuple(weights)), rho) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_vertex_order_does_not_matter(self, data):
+        # Half the spaces are all-unit.  rho is a drawn face's weight plus
+        # 0 or 1, or at most the heaviest vertex, which can then weigh more.
+        weight = st.just(F(1))
+        if not data.draw(st.booleans()):
+            weight |= st.fractions(F(1, 12), F(4), max_denominator=12)
+        weights = data.draw(st.lists(weight, min_size=1, max_size=6))
+        chosen = data.draw(st.lists(st.booleans(), min_size=len(weights), max_size=len(weights)))
+        rho = data.draw(st.one_of(
+            st.integers(0, 1).map(lambda n: sum((w for w, c in zip(weights, chosen) if c), F(n))),
+            st.fractions(F(1, 12), max(weights), max_denominator=12),
+        ))
+        expected = fraction_face_count(weights, rho)
+        for order in set(permutations(weights)):
+            assert oracle_chi(FiniteWeightedSpace(order), rho) == expected
 
     def test_negative_rho_has_no_faces(self):
         assert oracle_chi(FiniteWeightedSpace.of(3), F(-1, 2)) == 0

@@ -264,6 +264,17 @@ class TestChiCSeries:
         assert res_aug.chi_c_value == chi_c_direct(augmented).chi_c_value
         assert res_plain.chi_c_value == res_aug.chi_c_value
 
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_instances(), st.booleans())
+    def test_one_sum_read_is_the_window_rule(self, inst, breakdown):
+        # chi_c_series reads the series cut at rho in one sum; the window
+        # rule read off any longer cut must give the same result.
+        res = chi_c_series(inst, breakdown=breakdown)
+        assert res.chi_c_value == chi_c_direct(inst).chi_c_value
+        for bound in (None, inst.rho, inst.rho * F(3, 2), inst.rho + F(7, 3)):
+            g = chen_lin_series(inst, bound)
+            assert chi_c_window(g, inst.rho, breakdown=breakdown) == res
+
 
 def chen_lin_series_ascending(instance, bound=None):
     """g expanded with the factors 1 - x^w applied lightest first."""
