@@ -11,13 +11,13 @@ would mean a genuine bug; the algorithms are proven equal).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from itertools import accumulate
-from operator import itemgetter
+from itertools import accumulate, chain
 
 from .classifier import (
     Bary,
@@ -55,13 +55,7 @@ from .model import (
     validate,
 )
 from .oracle import FiniteWeightedSpace, _check_vertex_count, oracle_chi
-from .series import (
-    chen_lin_series,
-    chi_c_series,
-    chi_c_window,
-    truncation_bound,
-    window_keys,
-)
+from .series import chen_lin_series, chi_c_series, truncation_bound, window_keys
 
 _METHOD_RUNNERS = {"direct": chi_c_direct, "strata": chi_c_strata, "series": chi_c_series}
 
@@ -207,36 +201,22 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _check_digits(values: list[int]) -> None:
-    """Refuse output that holds an integer with more digits than ``str``
-    converts (``sys.get_int_max_str_digits()``, 0 for no limit), before any
-    of it is printed."""
-    limit = sys.get_int_max_str_digits()
-    # 2^(3 * limit) < 10^limit: only a value past that bit length can be too long.
-    if limit and max(map(int.bit_length, values), default=0) > 3 * limit:
-        bound = 10 ** limit
-        if not all(-bound < v < bound for v in values):
-            raise TooManyDigits(
-                f"a result has more than {limit} digits, the int-to-str limit "
-                "(sys.get_int_max_str_digits())"
-            )
-
-
-def _exponent_ints(
-    instance: ValidatedInstance, top: Fraction, ratios: Iterable[tuple[int, int]]
-) -> list[int]:
-    """The integers of the exponents of g that ``ratios`` lists as
-    (numerator, denominator) pairs in lowest terms, each exponent at most
-    ``top``, for ``_check_digits``.  Each integer is at most the weights'
-    LCD times ``top``, rounded up; while that has at most 3 * limit bits,
-    all of them print and ``ratios`` is not read."""
-    limit = sys.get_int_max_str_digits()  # 0 means no limit
-    if not limit:
-        return []
-    cap = math.lcm(*(w.denominator for w in instance.weights)) * math.ceil(top)
-    if cap.bit_length() <= 3 * limit:
-        return []
-    return [n for ratio in ratios for n in ratio]
+def _write(render: Callable[[], Iterable[str]]) -> None:
+    """Build the whole text that ``render`` makes, then write it, or write
+    none of it.  ``str`` raises ValueError for an int past Python's
+    int-to-str limit; that is refused as ``TooManyDigits``, so ``render``
+    and the lines it returns must only make text, never run a route.  The
+    lines go into one buffer as they are made, so a lazy ``render`` never
+    holds them all as separate strings."""
+    text = io.StringIO()
+    try:
+        text.writelines(render())
+    except ValueError as exc:
+        raise TooManyDigits(
+            f"a result has more than {sys.get_int_max_str_digits()} digits, "
+            "the int-to-str limit (sys.get_int_max_str_digits())"
+        ) from exc
+    sys.stdout.write(text.getvalue())
 
 
 def _exponent_texts(terms: list[tuple[int, int, int]]) -> list[str]:
@@ -258,20 +238,13 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         )
     names = list(_METHOD_RUNNERS) if args.method == "all" else [args.method]
     results = [_METHOD_RUNNERS[name](instance, breakdown=args.breakdown) for name in names]
-    printed = [res.chi_c_value for res in results]
-    printed += [1 - value for value in printed]  # d_rho
-    for res in results:
-        printed += map(itemgetter(1), res.term_breakdown)
-        if res.method == METHOD_SERIES:
-            printed += _exponent_ints(instance, instance.rho,
-                                      (e.as_integer_ratio() for e, _ in res.term_breakdown))
-    _check_digits(printed)
-    report = build_report(instance, results, breakdown=args.breakdown)
-    if args.json:
-        print(_dump(report))
-    else:
-        _print_report(report)
-    return 0 if report["verdict"] == "MATCH" else 2
+
+    def render() -> Iterable[str]:
+        report = build_report(instance, results, breakdown=args.breakdown)
+        return [_dump(report), "\n"] if args.json else _report_text(report)
+
+    _write(render)
+    return 0 if len({res.chi_c_value for res in results}) == 1 else 2
 
 
 def build_report(
@@ -298,27 +271,24 @@ def build_report(
     return report
 
 
-def _print_report(report: dict) -> None:
+def _report_text(report: dict) -> Iterator[str]:
     inst = report["instance"]
     weights = ",".join(inst["weights"]) or "(none)"
-    print(f"instance: chi_c={inst['chi_c']} weights={weights} rho={inst['rho']} "
-          f"space={inst['space']['kind']}")
+    yield (f"instance: chi_c={inst['chi_c']} weights={weights} rho={inst['rho']} "
+           f"space={inst['space']['kind']}\n")
     for name, value in report["methods"].items():
-        print(f"{name}: {value}")
+        yield f"{name}: {value}\n"
     if report["chi_c"] is not None:
-        print(f"chi_c(B_rho) = {report['chi_c']}")
-        print(f"d_rho = {report['d_rho']}")
-    print(f"topological chi applies: {'yes' if report['topological_chi_applies'] else 'no'}")
-    if "breakdown" in report:
-        out = sys.stdout
-        for method, rows in report["breakdown"].items():
-            out.write(f"{method} terms:\n")
-            if method == METHOD_SERIES:
-                out.writelines(f"  {key}: {value}\n" for key, value in rows)
-            else:  # an index set prints as {1,3}
-                out.writelines(f"  {{{','.join(map(str, key))}}}: {value}\n"
-                               for key, value in rows)
-    print(f"verdict: {report['verdict']}")
+        yield f"chi_c(B_rho) = {report['chi_c']}\n"
+        yield f"d_rho = {report['d_rho']}\n"
+    yield f"topological chi applies: {'yes' if report['topological_chi_applies'] else 'no'}\n"
+    for method, rows in report.get("breakdown", {}).items():
+        yield f"{method} terms:\n"
+        if method == METHOD_SERIES:
+            yield from (f"  {key}: {value}\n" for key, value in rows)
+        else:  # an index set prints as {1,3}
+            yield from (f"  {{{','.join(map(str, key))}}}: {value}\n" for key, value in rows)
+    yield f"verdict: {report['verdict']}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -329,31 +299,31 @@ def _cmd_series(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     bound = truncation_bound(instance.rho, parse_fraction(args.bound) if args.bound else None)
     g = chen_lin_series(instance, bound)
-    result = chi_c_window(g, instance.rho)
     terms = g.reduced_terms()[1:]  # the constant term 1 (checked by chen_lin_series) is no output
     # The window is the leading run of the positive-exponent terms.
     inside = len(window_keys(g, instance.rho))
     coefficients = [c for _, _, c in terms]
     sums = list(accumulate(coefficients[:inside]))
-    _check_digits([result.chi_c_value, result.degree_d_rho, *coefficients, *sums,
-                   *_exponent_ints(instance, bound, ((n, d) for n, d, _ in terms))])
-    exponents = _exponent_texts(terms)
-    if args.json:
-        print(_dump({
-            "instance": instance_to_json_dict(instance),
-            "bound": str(bound),
-            "terms": list(zip(exponents, coefficients)),
-            "window_sum": -result.chi_c_value,
-            "chi_c": result.chi_c_value,
-            "d_rho": result.degree_d_rho,
-        }))
-        return 0
-    out = sys.stdout
-    out.write(f"chi_c={result.chi_c_value} d_rho={result.degree_d_rho}\n")
-    out.writelines(f"{e} {c}\t# sum={total}\n"
-                   for e, c, total in zip(exponents, coefficients, sums))
-    out.write(f"# window end: rho={instance.rho}\n")
-    out.writelines(f"{e} {c}\n" for e, c in zip(exponents[inside:], coefficients[inside:]))
+    chi_c = -sums[-1] if sums else 0
+
+    def render() -> Iterable[str]:
+        exponents = _exponent_texts(terms)
+        if args.json:
+            return [_dump({
+                "instance": instance_to_json_dict(instance),
+                "bound": str(bound),
+                "terms": list(zip(exponents, coefficients)),
+                "window_sum": -chi_c,
+                "chi_c": chi_c,
+                "d_rho": 1 - chi_c,
+            }), "\n"]
+        return chain([f"chi_c={chi_c} d_rho={1 - chi_c}\n"],
+                     (f"{e} {c}\t# sum={total}\n"
+                      for e, c, total in zip(exponents, coefficients, sums)),
+                     [f"# window end: rho={instance.rho}\n"],
+                     (f"{e} {c}\n" for e, c in zip(exponents[inside:], coefficients[inside:])))
+
+    _write(render)
     return 0
 
 
@@ -406,21 +376,21 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     descriptor = _classify(instance, placement)
     chi = descriptor.chi()
     engine = chi_c_direct(instance).chi_c_value
-    _check_digits([chi, engine])
     verdict = "MATCH" if chi == engine else "MISMATCH"
-    if args.json:
-        print(_dump({
-            "instance": instance_to_json_dict(instance),
-            "descriptor": descriptor.render(),
-            "descriptor_chi": chi,
-            "engine_chi_c": engine,
-            "verdict": verdict,
-        }))
-    else:
-        print(f"descriptor: {descriptor.render()}")
-        print(f"descriptor chi: {chi}")
-        print(f"engine chi_c: {engine}")
-        print(f"verdict: {verdict}")
+
+    def render() -> list[str]:
+        if args.json:
+            return [_dump({
+                "instance": instance_to_json_dict(instance),
+                "descriptor": descriptor.render(),
+                "descriptor_chi": chi,
+                "engine_chi_c": engine,
+                "verdict": verdict,
+            }), "\n"]
+        return [f"descriptor: {descriptor.render()}\n", f"descriptor chi: {chi}\n",
+                f"engine chi_c: {engine}\n", f"verdict: {verdict}\n"]
+
+    _write(render)
     return 0 if verdict == "MATCH" else 2
 
 

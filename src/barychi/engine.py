@@ -61,8 +61,9 @@ class ChiResult(_Record):
     ``term_breakdown`` entries are ``(key, value)`` pairs: subset index
     sets for the direct and strata methods, rational exponents for the
     series method.  For the direct method, chi_c_value = 1 - sum(values);
-    for strata, chi_c_value = sum(values).  It is empty unless the route
-    was called with ``breakdown=True``.
+    for strata, chi_c_value = sum(values); for series, chi_c_value =
+    -sum(values).  It is empty unless the route was called with
+    ``breakdown=True``.
     """
 
     __slots__ = ("chi_c_value", "method", "term_breakdown")

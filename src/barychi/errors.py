@@ -34,6 +34,10 @@ class NoVertices(BarychiError, ValueError):
     """A finite space needs at least one vertex."""
 
 
+class TooManyWeights(BarychiError, ValueError):
+    """A finite space lists more vertex weights than it has vertices."""
+
+
 class TooManyVertices(BarychiError):
     """Finite-space vertex count exceeds the face-enumeration cap."""
 

@@ -167,19 +167,19 @@ def validate(instance: ProblemInstance | ValidatedInstance) -> ValidatedInstance
     Idempotent: validating a ``ValidatedInstance`` returns an equal one.
 
     Raises ``InputFormatError`` for a ``chi_c`` (of the instance or of a
-    component) that is not an int, for a weight or rho that is a float
-    (inexact) or a bool, for a ``space_kind`` that is not a ``SpaceKind``,
-    and for a component's ``is_compact`` that is not a bool or singular
-    index that is not an int; then ``NonPositiveWeight``,
-    ``NonPositiveRho``, ``InconsistentComponents``, or
-    ``TooManySingularPoints``.  (An int here is never a bool.)
+    component) that is not an int, for a weight or rho that is not an int
+    or a ``Fraction`` (a float, bool, str or complex), for a ``space_kind``
+    that is not a ``SpaceKind``, and for a component's ``is_compact`` that
+    is not a bool or singular index that is not an int; then
+    ``NonPositiveWeight``, ``NonPositiveRho``, ``InconsistentComponents``,
+    or ``TooManySingularPoints``.  (An int here is never a bool.)
     """
     if not _is_int(instance.chi_c):
         raise InputFormatError(f"chi_c must be an int, got {instance.chi_c!r}")
     if not isinstance(instance.space_kind, SpaceKind):
         raise InputFormatError(f"space_kind must be a SpaceKind, got {instance.space_kind!r}")
     for value in (*instance.weights, instance.rho):
-        if isinstance(value, (float, bool)):
+        if not _is_exact(value):
             raise InputFormatError(
                 f"weights and rho must be exact (an int or a Fraction), got {value!r}"
             )
@@ -403,6 +403,12 @@ def parse_components(entries: object) -> tuple[ComponentSpec, ...]:
 def _is_int(value: object) -> bool:
     """Whether ``value`` is an int, and not a bool posing as one."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_exact(value: object) -> bool:
+    """Whether ``value`` is an int (never a bool) or a ``Fraction``: a float
+    is inexact, and a str would skip ``parse_fraction``'s digit guard."""
+    return _is_int(value) or isinstance(value, Fraction)
 
 
 def _component_from_json(entry: object) -> ComponentSpec:

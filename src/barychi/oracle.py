@@ -10,8 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, lcm
 
-from .errors import NonPositiveWeight, NoVertices, TooManyVertices
-from .model import ProblemInstance, SpaceKind, _Record
+from .errors import InputFormatError, NonPositiveWeight, NoVertices, TooManyVertices, TooManyWeights
+from .model import ProblemInstance, SpaceKind, _is_exact, _Record
 
 # 2^m faces are enumerated outright.
 MAX_VERTICES = 22
@@ -27,13 +27,18 @@ def _check_vertex_count(m: int) -> None:
 
 class FiniteWeightedSpace(_Record):
     """A finite discrete space: one weight per vertex (1 = generic), with
-    1 to ``MAX_VERTICES`` vertices."""
+    1 to ``MAX_VERTICES`` vertices.  Each weight is an int or a ``Fraction``
+    (``InputFormatError`` otherwise, as in ``validate``)."""
 
     __slots__ = ("vertex_weights",)
 
     def __init__(self, vertex_weights: tuple[Fraction, ...]) -> None:
         _check_vertex_count(len(vertex_weights))
         for w in vertex_weights:
+            if not _is_exact(w):
+                raise InputFormatError(
+                    f"vertex weights must be exact (an int or a Fraction), got {w!r}"
+                )
             if w <= 0:
                 raise NonPositiveWeight(f"vertex weight {w} is not strictly positive")
         object.__setattr__(self, "vertex_weights", vertex_weights)
@@ -49,9 +54,8 @@ class FiniteWeightedSpace(_Record):
         any weight is built."""
         _check_vertex_count(m)
         if len(singular_weights) > m:
-            raise ValueError("more weights than vertices")
-        pad = (Fraction(1),) * (m - len(singular_weights))
-        return cls(tuple(Fraction(w) for w in singular_weights) + pad)
+            raise TooManyWeights("more weights than vertices")
+        return cls(tuple(singular_weights) + (Fraction(1),) * (m - len(singular_weights)))
 
     def matching_instance(self, rho: Fraction | int) -> ProblemInstance:
         """The engine-side view of this space: chi_c = m (m compact points),

@@ -139,32 +139,18 @@ def window_keys(g: SparseSeries, rho: Fraction) -> list[int]:
     return [k for k in g._terms if 0 < k <= top]
 
 
-def chi_c_window(g: SparseSeries, rho: Fraction, *, breakdown: bool = False) -> ChiResult:
-    """chi_c read off the coefficient window of g: minus the sum of
-    coefficients at exponents in (0, rho] (see ``window_keys``).
-
-    With ``breakdown`` the result lists the window's (exponent,
-    coefficient) pairs in increasing exponent order.
-    """
-    keys = window_keys(g, rho)
-    rows = ()
-    if breakdown:
-        rows = tuple((Fraction(k, g.scale), g._terms[k]) for k in sorted(keys))
-    return ChiResult(-sum(g._terms[k] for k in keys), METHOD_SERIES, rows)
-
-
 def chi_c_series(instance: ValidatedInstance, *, breakdown: bool = False) -> ChiResult:
-    """chi_c via the coefficient window (0, rho] of g (see ``chi_c_window``).
+    """chi_c via the coefficient window (0, rho] of g (see ``window_keys``):
+    minus the sum of the window's coefficients.
 
     The window ends at rho and the cut is never below it, so g is expanded
     at rho, its factors by ascending denominator and heaviest first within
     one (see ``chen_lin_series``: a heavy factor reaches few terms under the
     cut).  Cut at rho, every term of g but the constant 1 lies in the
     window, so chi_c is 1 minus the sum of all of g's coefficients, read in
-    one sum with no window test.  The breakdown rows come from
-    ``chi_c_window``.  Agrees exactly with the direct method.
+    one sum with no window test, and the breakdown rows are ``g.terms()``
+    past the constant.  Agrees exactly with the direct method.
     """
     g = chen_lin_series(instance)
-    if breakdown:
-        return chi_c_window(g, instance.rho, breakdown=True)
-    return ChiResult(1 - sum(g._terms.values()), METHOD_SERIES)
+    rows = tuple(g.terms()[1:]) if breakdown else ()
+    return ChiResult(1 - sum(g._terms.values()), METHOD_SERIES, rows)

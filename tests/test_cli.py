@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from barychi import cli
 from barychi.cli import MAX_BREAKDOWN_POINTS, main
 from barychi.engine import chi_c_direct, chi_c_strata, topological_chi_applicable
 from barychi.model import MAX_SINGULAR_POINTS, ProblemInstance, instance_to_json_dict, validate
@@ -275,9 +276,31 @@ class TestResultDigits:
         ["series", "--chi-c", "-100000", "--rho", "3000"],
         ["series", "--chi-c", "-100000", "--rho", "3000", "--json"],
         ["classify", "--chi-c", "-100000", "--rho", "3000", "--weights", "1/2"],
+        ["classify", "--chi-c", "-100000", "--rho", "3000", "--weights", "1/2", "--json"],
+        *(["compute", "--chi-c", "-100000", "--rho", "3000", "--method", method, *flags]
+          for method in ("strata", "series", "all") for flags in ([], ["--json"])),
     ])
     def test_refused_before_output(self, capsys, argv):
         assert run(capsys, *argv) == (1, "", self.LIMIT)
+
+    @pytest.mark.parametrize("argv,route", [
+        (["compute", "--method", "direct"], "direct"),
+        (["series"], "chen_lin_series"),
+        (["classify"], "chi_c_direct"),
+    ], ids=["compute", "series", "classify"])
+    def test_route_value_error_is_not_refused_as_digits(self, capsys, monkeypatch, argv, route):
+        # Only text making is read as the digit limit: a route's own
+        # ValueError propagates as it is, and nothing is printed.
+        def broken(*args, **kwargs):
+            raise ValueError("route failed")
+
+        if route in cli._METHOD_RUNNERS:
+            monkeypatch.setitem(cli._METHOD_RUNNERS, route, broken)
+        else:
+            monkeypatch.setattr(cli, route, broken)
+        with pytest.raises(ValueError, match="route failed"):
+            main([*argv, "--chi-c", "2", "--weights", "1/2", "--rho", "1"])
+        assert capsys.readouterr() == ("", "")
 
     # Each input is under the limit, but the series exponent 1/(P*Q) is not.
     COPRIME = f"1/{10**2500 + 1},1/{10**2500 + 3}"

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -104,8 +105,14 @@ class TestValidate:
         (True, (F(1, 2),), 1),  # would be reported as JSON true
         (1.0, (F(1, 2),), 1),   # would die in chi_c_direct with a TypeError
         ("1", (F(1, 2),), 1),
+        (0, (F(1, 2),), "1e1000000"),  # would skip parse_fraction's digit guard
+        (1, ("1/2",), 1),
+        (1, (1j,), 1),               # would raise a bare TypeError
+        (1, (F(1, 2),), "abc"),      # would raise a bare ValueError
+        (1, (Decimal("0.5"),), 1),
     ], ids=["float-weight", "bool-weight", "float-rho", "bool-rho", "bool-chi",
-            "float-chi", "str-chi"])
+            "float-chi", "str-chi", "str-rho", "str-weight", "complex-weight",
+            "unparsable-str-rho", "decimal-weight"])
     def test_inexact_or_mistyped_number_refused(self, chi, weights, rho):
         with pytest.raises(InputFormatError):
             validate(ProblemInstance(chi, weights, rho))

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from barychi.combinatorics import ext_binomial
 from barychi.engine import chi_c_direct, chi_c_strata
-from barychi.errors import BarychiError, NonPositiveWeight, NoVertices, TooManyVertices
+from barychi.errors import (
+    BarychiError,
+    InputFormatError,
+    NonPositiveWeight,
+    NoVertices,
+    TooManyVertices,
+    TooManyWeights,
+)
 from barychi.model import validate
 from barychi.oracle import FiniteWeightedSpace, oracle_chi, skeleton_chi
 from barychi.series import chi_c_series
@@ -54,6 +61,23 @@ class TestFiniteWeightedSpace:
     def test_rejects_surplus_weights(self):
         with pytest.raises(ValueError):
             FiniteWeightedSpace.of(1, (F(1, 2), F(1, 3)))
+        with pytest.raises(TooManyWeights):
+            FiniteWeightedSpace.of(1, (F(1, 2), F(1, 3)))
+        assert issubclass(TooManyWeights, BarychiError)
+
+    @pytest.mark.parametrize("weight", [0.5, True, "1/2", 1j],
+                             ids=["float", "bool", "str", "complex"])
+    def test_rejects_inexact_weight(self, weight):
+        # Accepted, a float would fail in oracle_chi with an AttributeError.
+        with pytest.raises(InputFormatError):
+            FiniteWeightedSpace((F(1, 2), weight))
+        with pytest.raises(InputFormatError):
+            FiniteWeightedSpace.of(3, (weight,))
+
+    def test_int_weights_accepted(self):
+        space = FiniteWeightedSpace.of(3, (2,))
+        assert space == FiniteWeightedSpace((F(2), F(1), F(1)))
+        assert oracle_chi(space, F(3)) == oracle_chi(FiniteWeightedSpace.of(3, (F(2),)), F(3))
 
 
 class TestOracleChi:

@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 
 from barychi.cli import _exponent_texts
 from barychi.combinatorics import ext_binomial
-from barychi.engine import chi_c_direct
+from barychi.engine import METHOD_SERIES, ChiResult, chi_c_direct
 from barychi.errors import NonPositiveRho, NonPositiveWeight
 from barychi.model import ProblemInstance, validate
 from barychi.series import (
     SparseSeries,
     chen_lin_series,
     chi_c_series,
-    chi_c_window,
     expand_geometric_power,
     truncation_bound,
+    window_keys,
 )
 
 from test_engine import kernel_instances
@@ -35,6 +35,13 @@ SCALE_CASES = [
     (2, (F(2, 5), F(4, 3), F(1, 2)), F(67, 30), F(9, 4)),
     (0, (F(3, 4), F(3, 4), F(5, 6)), F(3, 2), F(17, 7)),
 ]
+
+
+def window_reference(g: SparseSeries, rho: Fraction) -> tuple[int, tuple]:
+    """(chi_c, rows) read off g's coefficient window by its definition: the
+    rows of ``g.terms()`` with 0 < e <= rho, and minus their sum."""
+    rows = tuple((e, c) for e, c in g.terms() if 0 < e <= rho)
+    return -sum(c for _, c in rows), rows
 
 
 def brute_poly_product(a: dict, b: dict, bound: Fraction) -> dict:
@@ -244,16 +251,15 @@ class TestChiCSeries:
         inst = validate(ProblemInstance(-2, (F(2, 5), F(4, 3)), F(7, 2)))
         base = chi_c_series(inst).chi_c_value
         for bound in (F(4), F(6), F(15, 2)):
-            assert chi_c_window(chen_lin_series(inst, bound), inst.rho).chi_c_value == base
+            assert window_reference(chen_lin_series(inst, bound), inst.rho)[0] == base
 
     @pytest.mark.parametrize("chi,weights,rho,bound", SCALE_CASES)
     def test_coprime_denominators_and_ties(self, chi, weights, rho, bound):
         inst = validate(ProblemInstance(chi, weights, rho))
-        res = chi_c_window(chen_lin_series(inst, bound), rho, breakdown=True)
-        assert res.chi_c_value == chi_c_direct(inst).chi_c_value
-        assert res.term_breakdown == tuple(
-            (e, c) for e, c in chen_lin_series(inst, bound).terms() if 0 < e <= rho
-        )
+        chi, rows = window_reference(chen_lin_series(inst, bound), rho)
+        assert chi == chi_c_direct(inst).chi_c_value
+        # A longer cut leaves the window's rows as they are at rho.
+        assert chi_c_series(inst, breakdown=True) == ChiResult(chi, METHOD_SERIES, rows)
 
     def test_unit_weight_factor_consistency(self):
         plain = validate(ProblemInstance(1, (F(2, 5),), F(3)))
@@ -273,7 +279,9 @@ class TestChiCSeries:
         assert res.chi_c_value == chi_c_direct(inst).chi_c_value
         for bound in (None, inst.rho, inst.rho * F(3, 2), inst.rho + F(7, 3)):
             g = chen_lin_series(inst, bound)
-            assert chi_c_window(g, inst.rho, breakdown=breakdown) == res
+            chi, rows = window_reference(g, inst.rho)
+            assert res == ChiResult(chi, METHOD_SERIES, rows if breakdown else ())
+            assert len(window_keys(g, inst.rho)) == len(rows)
 
 
 def chen_lin_series_ascending(instance, bound=None):
