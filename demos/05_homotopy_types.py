@@ -11,13 +11,10 @@ from fractions import Fraction as F
 
 from barychi import (
     ComponentSpec,
-    Placement,
     ProblemInstance,
     SpaceKind,
     chi_c_direct,
-    classify_r1,
-    classify_r2_connected,
-    classify_r2_two_components,
+    classify,
     validate,
 )
 
@@ -34,7 +31,7 @@ def show(instance, descriptor):
 print("one singular point on X with chi = 3, rho = 5/2 (so eps = 1/2):")
 for w in (F(3, 10), F(7, 10)):
     inst = validate(ProblemInstance(3, (w,), F(5, 2)))
-    show(inst, classify_r1(inst))
+    show(inst, classify(inst))
 
 print("\ntwo singular points, connected X with chi = 3, rho = 5/2:")
 for w1, w2 in [
@@ -45,18 +42,18 @@ for w1, w2 in [
     (F(4, 5), F(9, 10)),   # jointly heavy: the plain barycenter space
 ]:
     inst = validate(ProblemInstance(3, (w1, w2), F(5, 2)))
-    show(inst, classify_r2_connected(inst))
+    show(inst, classify(inst))
 
 print("\nsame weights on a two-component space (chi = 2 and 1):")
-components = (
-    ComponentSpec(2, True, frozenset({1})),
-    ComponentSpec(1, True, frozenset({2})),
-)
-inst = validate(ProblemInstance(
-    3, (F(3, 10), F(2, 5)), F(5, 2), SpaceKind.UNION_OF_BASIC, components,
-))
-for placement in Placement:
-    descriptor = classify_r2_two_components(inst, placement)
-    print(f"  {placement.value:<11}", end="")
-    show(inst, descriptor)
+# The components' singular indices say where the points sit.
+for placement, first, second in (("one-each", {1}, {2}), ("both-first", {1, 2}, set())):
+    components = (
+        ComponentSpec(2, True, frozenset(first)),
+        ComponentSpec(1, True, frozenset(second)),
+    )
+    inst = validate(ProblemInstance(
+        3, (F(3, 10), F(2, 5)), F(5, 2), SpaceKind.UNION_OF_BASIC, components,
+    ))
+    print(f"  {placement:<11}", end="")
+    show(inst, classify(inst))
 print("  (different homotopy types, same Euler characteristic)")

@@ -11,13 +11,7 @@ The names below are the ones README's "Library API" section documents;
 everything else lives in the submodules.
 """
 
-from .classifier import (
-    Placement,
-    classify_r1,
-    classify_r2_connected,
-    classify_r2_two_components,
-    maximal_pieces,
-)
+from .classifier import classify, maximal_pieces
 from .engine import (
     chi_c_direct,
     chi_c_strata,
@@ -36,16 +30,13 @@ __all__ = [
     "BarychiError",
     "ComponentSpec",
     "FiniteWeightedSpace",
-    "Placement",
     "ProblemInstance",
     "SpaceKind",
     "chen_lin_series",
     "chi_c_direct",
     "chi_c_series",
     "chi_c_strata",
-    "classify_r1",
-    "classify_r2_connected",
-    "classify_r2_two_components",
+    "classify",
     "instance_from_json",
     "maximal_pieces",
     "normalize_drop_heavy",

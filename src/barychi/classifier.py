@@ -2,14 +2,13 @@
 decomposition with maximality filtering.
 
 The classifier only answers in the regimes where the homotopy type is
-actually pinned down (r = 1, r = 2 over a connected space, r = 2 over two
+actually pinned down (r <= 2 over a connected space, r = 2 over two
 components, all weights <= 1); everything else raises ``OutOfScope``.
 Descriptors evaluate to an Euler characteristic that must agree with the
 engine whenever the topological chi applies.
 """
 from __future__ import annotations
 
-from enum import Enum
 from math import floor
 
 from .combinatorics import ext_binomial
@@ -128,7 +127,7 @@ class Suspension(SpaceExpr):
         object.__setattr__(self, "inner", inner)
 
     def chi(self) -> int:
-        return chi_suspension(self.inner.chi(), 1)
+        return chi_suspension(self.inner.chi())
 
     def render(self) -> str:
         return f"susp({self.inner.render()})"
@@ -207,21 +206,43 @@ def maximal_pieces(instance: ValidatedInstance) -> tuple[ConicPiece, ...]:
 # Homotopy-type tables.
 
 
-class Placement(Enum):
-    """Where the two singular points sit on a two-component space."""
+def classify(instance: ValidatedInstance) -> SpaceExpr:
+    """The homotopy type for r <= 2 singular points of weight <= 1.
 
-    ONE_EACH = "one-each"
-    BOTH_IN_FIRST = "both-first"
-
-
-def classify_r1(instance: ValidatedInstance) -> SpaceExpr:
-    """Homotopy type with a single singular point of weight 0 < w <= 1.
-
-    Writing rho = floor(rho) + eps: for w <= eps the space cones off and
-    is contractible; otherwise it is B_floor(rho) of X itself.
+    r = 0 gives B_floor(rho)(X).  r = 1, and r = 2 on a connected space,
+    use their case tables; on r = 2 the table glues X and a circle.  On
+    X = A1 u A2 (two disjoint components) the r = 2 table glues A1 and A2
+    when each holds one point, and otherwise wedges a circle onto the
+    component that holds both.  Any other r, or r = 2 over another number
+    of components, raises ``OutOfScope``.
     """
-    if instance.r != 1:
-        raise OutOfScope(f"r = {instance.r}, classifier handles r = 1")
+    if instance.r > 2:
+        raise OutOfScope(f"no homotopy classification for r = {instance.r}")
+    if instance.r == 0:
+        return Bary(floor(instance.rho), Base(instance.chi_c))
+    if instance.r == 1:
+        return _r1_table(instance)
+    if instance.components is None:
+        x = Base(instance.chi_c)
+        return _r2_table(instance, Wedge((x, Circle())), x)
+    if len(instance.components) != 2:
+        raise OutOfScope("need exactly two components with chi values")
+    c1, c2 = instance.components
+    a1 = Base(c1.chi_c, "A1")
+    a2 = Base(c2.chi_c, "A2")
+    if c1.singular_indices and c2.singular_indices:
+        glued: SpaceExpr = Wedge((a1, a2))
+    elif c1.singular_indices:
+        glued = DisjointUnion((Wedge((a1, Circle())), a2))
+    else:
+        glued = DisjointUnion((a1, Wedge((a2, Circle()))))
+    return _r2_table(instance, glued, DisjointUnion((a1, a2)))
+
+
+def _r1_table(instance: ValidatedInstance) -> SpaceExpr:
+    """One singular point of weight 0 < w <= 1.  Writing rho = n + eps:
+    for w <= eps the space cones off and is contractible; otherwise it is
+    B_n of X itself."""
     w = instance.weights[0]
     if w > 1:
         raise OutOfScope(f"w = {w} > 1: complement-like regime, not classified")
@@ -229,38 +250,6 @@ def classify_r1(instance: ValidatedInstance) -> SpaceExpr:
     if floor(instance.rho - w) < n:
         return Bary(n, Base(instance.chi_c))
     return Contractible()
-
-
-def classify_r2_connected(instance: ValidatedInstance) -> SpaceExpr:
-    """Homotopy type for two singular points on a connected space X:
-    ``_r2_table`` with glued space X v S1 and split space X."""
-    if instance.r != 2:
-        raise OutOfScope(f"r = {instance.r}, classifier handles r = 2")
-    x = Base(instance.chi_c)
-    return _r2_table(instance, Wedge((x, Circle())), x)
-
-
-def classify_r2_two_components(instance: ValidatedInstance, placement: Placement) -> SpaceExpr:
-    """Homotopy type for two singular points on X = A1 u A2 (disjoint).
-
-    The case conditions are those of the connected table; the target
-    spaces differ by placement: with one point on each component the
-    quotient wedges A1 and A2 together, with both on the first it wedges
-    a circle onto A1 and leaves A2 disjoint.  Cases 1 and 3 are
-    contractible either way, and case 5 is B_n(A1 | A2) for both.
-    """
-    if instance.r != 2:
-        raise OutOfScope(f"r = {instance.r}, classifier handles r = 2")
-    if instance.components is None or len(instance.components) != 2:
-        raise OutOfScope("need exactly two components with chi values")
-    c1, c2 = instance.components
-    a1 = Base(c1.chi_c, "A1")
-    a2 = Base(c2.chi_c, "A2")
-    if placement is Placement.ONE_EACH:
-        glued: SpaceExpr = Wedge((a1, a2))
-    else:
-        glued = DisjointUnion((Wedge((a1, Circle())), a2))
-    return _r2_table(instance, glued, DisjointUnion((a1, a2)))
 
 
 def _r2_table(instance: ValidatedInstance, glued: SpaceExpr, split: SpaceExpr) -> SpaceExpr:
@@ -305,14 +294,14 @@ def chi_disjoint_union_decomposition(chi_a: int, chi_b: int, k: int) -> int:
 
     parts = [
         bary(k, chi_a),
-        chi_suspension(bary(k - 1, chi_a), 1),
+        chi_suspension(bary(k - 1, chi_a)),
         bary(k, chi_b),
-        chi_suspension(bary(k - 1, chi_b), 1),
+        chi_suspension(bary(k - 1, chi_b)),
     ]
     for l in range(1, k):
         parts.append(chi_join((bary(k - l, chi_a), True), (bary(l, chi_b), True)))
     for l in range(2, k):
         parts.append(
-            chi_suspension(chi_join((bary(k - l, chi_a), True), (bary(l - 1, chi_b), True)), 1)
+            chi_suspension(chi_join((bary(k - l, chi_a), True), (bary(l - 1, chi_b), True)))
         )
     return sum(parts) - 2 * k

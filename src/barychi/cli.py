@@ -13,21 +13,12 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from itertools import accumulate, chain
 
-from .classifier import (
-    Bary,
-    Base,
-    Placement,
-    SpaceExpr,
-    classify_r1,
-    classify_r2_connected,
-    classify_r2_two_components,
-)
+from .classifier import classify
 from .engine import (
     METHOD_SERIES,
     ChiResult,
@@ -38,7 +29,6 @@ from .engine import (
 from .errors import (
     BarychiError,
     InputFormatError,
-    OutOfScope,
     TooManyDigits,
     TooManySingularPoints,
 )
@@ -123,8 +113,8 @@ def _build_parser() -> _Parser:
     _instance_flags(classify)
     classify.add_argument(
         "--placement",
-        choices=[p.value for p in Placement],
-        help="two-component placement of the singular points",
+        choices=["one-each", "both-first"],
+        help="how --chi-a/--chi-b split the singular points (default: one-each)",
     )
     classify.add_argument("--chi-a", type=int, help="chi of the first component")
     classify.add_argument("--chi-b", type=int, help="chi of the second component")
@@ -186,11 +176,10 @@ def _components_for(args: argparse.Namespace, r: int) -> tuple[ComponentSpec, ..
         return None
     if chi_a is None or chi_b is None:
         raise _InputError("--chi-a and --chi-b must be given together")
-    placement = Placement(getattr(args, "placement", None) or Placement.ONE_EACH.value)
-    if placement is Placement.ONE_EACH:
-        split = (frozenset(range(1, min(r, 1) + 1)), frozenset(range(2, r + 1)))
-    else:
+    if getattr(args, "placement", None) == "both-first":
         split = (frozenset(range(1, r + 1)), frozenset())
+    else:
+        split = (frozenset(range(1, min(r, 1) + 1)), frozenset(range(2, r + 1)))
     return (
         ComponentSpec(chi_a, True, split[0]),
         ComponentSpec(chi_b, True, split[1]),
@@ -372,8 +361,14 @@ def compare_with_oracle(
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
-    placement = Placement(args.placement) if args.placement else None
-    descriptor = _classify(instance, placement)
+    if args.placement and (instance.components is None or instance.r != 2):
+        raise _InputError("--placement needs two components (--chi-a/--chi-b)")
+    descriptor = classify(instance)
+    # Checked last, so that an input refused for another reason keeps its message.
+    split_flags = (args.chi_a, args.chi_b, args.placement)
+    if (args.components or args.instance) and any(f is not None for f in split_flags):
+        raise _InputError("--chi-a, --chi-b and --placement cannot be combined with "
+                          "--components or --instance")
     chi = descriptor.chi()
     engine = chi_c_direct(instance).chi_c_value
     verdict = "MATCH" if chi == engine else "MISMATCH"
@@ -392,21 +387,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
     _write(render)
     return 0 if verdict == "MATCH" else 2
-
-
-def _classify(instance: ValidatedInstance, placement: Placement | None) -> SpaceExpr:
-    if instance.components is not None and instance.r == 2:
-        return classify_r2_two_components(instance, placement or Placement.ONE_EACH)
-    if placement is not None:
-        raise _InputError("--placement needs two components (--chi-a/--chi-b)")
-    if instance.r == 0:
-        # No singular points: the space is plain B_floor(rho)(X).
-        return Bary(math.floor(instance.rho), Base(instance.chi_c))
-    if instance.r == 1:
-        return classify_r1(instance)
-    if instance.r == 2:
-        return classify_r2_connected(instance)
-    raise OutOfScope(f"no homotopy classification for r = {instance.r}")
 
 
 # ---------------------------------------------------------------------------

@@ -335,8 +335,6 @@ def chi_join(x: tuple[int, bool], y: tuple[int, bool]) -> int:
     return chi_x + chi_y - chi_x * chi_y
 
 
-def chi_suspension(chi_c: int, k: int) -> int:
-    """chi_c of the k-fold suspension: 1 + (-1)^k (chi_c - 1)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return 1 + (chi_c - 1 if k % 2 == 0 else 1 - chi_c)
+def chi_suspension(chi_c: int) -> int:
+    """chi_c of the suspension: 2 - chi_c."""
+    return 2 - chi_c

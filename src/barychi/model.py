@@ -118,12 +118,10 @@ class ProblemInstance(_Record):
 class ValidatedInstance(_Record):
     """A checked instance with weights in canonical (ascending) order.
 
-    ``source_positions[i]`` is the 1-based position the i-th canonical
-    weight had in the caller's list, kept for reporting only.  Component
-    singular indices are remapped to canonical positions.
+    Component singular indices are remapped to canonical positions.
     """
 
-    __slots__ = ("chi_c", "weights", "rho", "space_kind", "components", "source_positions")
+    __slots__ = ("chi_c", "weights", "rho", "space_kind", "components")
 
     def __init__(
         self,
@@ -132,14 +130,12 @@ class ValidatedInstance(_Record):
         rho: Fraction,
         space_kind: SpaceKind,
         components: tuple[ComponentSpec, ...] | None,
-        source_positions: tuple[int, ...],
     ) -> None:
         object.__setattr__(self, "chi_c", chi_c)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "space_kind", space_kind)
         object.__setattr__(self, "components", components)
-        object.__setattr__(self, "source_positions", source_positions)
 
     @property
     def r(self) -> int:
@@ -183,10 +179,6 @@ def validate(instance: ProblemInstance | ValidatedInstance) -> ValidatedInstance
             raise InputFormatError(
                 f"weights and rho must be exact (an int or a Fraction), got {value!r}"
             )
-    if isinstance(instance, ValidatedInstance):
-        positions = instance.source_positions
-    else:
-        positions = tuple(range(1, len(instance.weights) + 1))
 
     weights = tuple(Fraction(w) for w in instance.weights)
     for w in weights:
@@ -203,7 +195,6 @@ def validate(instance: ProblemInstance | ValidatedInstance) -> ValidatedInstance
 
     order = sorted(range(r), key=lambda i: weights[i])  # stable ascending
     canonical = tuple(weights[i] for i in order)
-    source = tuple(positions[i] for i in order)
 
     components = instance.components
     if components is not None:
@@ -215,7 +206,6 @@ def validate(instance: ProblemInstance | ValidatedInstance) -> ValidatedInstance
         rho=rho,
         space_kind=instance.space_kind,
         components=components,
-        source_positions=source,
     )
 
 

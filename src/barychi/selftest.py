@@ -10,13 +10,7 @@ import random
 from collections.abc import Callable
 from fractions import Fraction
 
-from .classifier import (
-    Placement,
-    chi_disjoint_union_decomposition,
-    classify_r1,
-    classify_r2_connected,
-    classify_r2_two_components,
-)
+from .classifier import chi_disjoint_union_decomposition, classify
 from .combinatorics import ext_binomial, gould_convolution, hockey_stick_sum
 from .engine import (
     chi_c_direct,
@@ -135,7 +129,7 @@ def classifier_sweep_failures() -> list[str]:
         for w in tenths:
             for rho in rhos:
                 inst = validate(ProblemInstance(chi, (w,), rho))
-                got = classify_r1(inst).chi()
+                got = classify(inst).chi()
                 want = chi_c_direct(inst).chi_c_value
                 if got != want:
                     failures.append(f"r1 chi={chi} w={w} rho={rho}: {got} != {want}")
@@ -145,7 +139,7 @@ def classifier_sweep_failures() -> list[str]:
             for w2 in tenths[i:]:
                 for rho in rhos:
                     inst = validate(ProblemInstance(chi, (w1, w2), rho))
-                    got = classify_r2_connected(inst).chi()
+                    got = classify(inst).chi()
                     want = chi_c_direct(inst).chi_c_value
                     if got != want:
                         failures.append(
@@ -166,25 +160,25 @@ def classifier_sweep_failures() -> list[str]:
 def _two_component_case(
     chi_1: int, chi_2: int, w1: Fraction, w2: Fraction, rho: Fraction
 ) -> list[str]:
-    components = (
-        ComponentSpec(chi_1, True, frozenset({1})),
-        ComponentSpec(chi_2, True, frozenset({2})),
-    )
-    inst = validate(
-        ProblemInstance(chi_1 + chi_2, (w1, w2), rho, SpaceKind.UNION_OF_BASIC, components)
-    )
-    want = chi_c_direct(inst).chi_c_value
     failures = []
-    values = {}
-    for placement in Placement:
-        got = classify_r2_two_components(inst, placement).chi()
-        values[placement] = got
+    values = []
+    for name, first, second in (("one-each", {1}, {2}), ("both-first", {1, 2}, set())):
+        components = (
+            ComponentSpec(chi_1, True, frozenset(first)),
+            ComponentSpec(chi_2, True, frozenset(second)),
+        )
+        inst = validate(
+            ProblemInstance(chi_1 + chi_2, (w1, w2), rho, SpaceKind.UNION_OF_BASIC, components)
+        )
+        got = classify(inst).chi()
+        want = chi_c_direct(inst).chi_c_value
+        values.append(got)
         if got != want:
             failures.append(
-                f"r2-two-components {placement.value} chi=({chi_1},{chi_2}) "
+                f"r2-two-components {name} chi=({chi_1},{chi_2}) "
                 f"w=({w1},{w2}) rho={rho}: {got} != {want}"
             )
-    if values[Placement.ONE_EACH] != values[Placement.BOTH_IN_FIRST]:
+    if values[0] != values[1]:
         failures.append(
             f"placement changed chi for chi=({chi_1},{chi_2}) w=({w1},{w2}) rho={rho}"
         )

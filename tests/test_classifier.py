@@ -13,14 +13,11 @@ from barychi.classifier import (
     ConicPiece,
     Contractible,
     DisjointUnion,
-    Placement,
     Point,
     Suspension,
     Wedge,
     chi_disjoint_union_decomposition,
-    classify_r1,
-    classify_r2_connected,
-    classify_r2_two_components,
+    classify,
     colimit_pieces,
     maximal_pieces,
     piece_includes,
@@ -37,10 +34,18 @@ def make(chi_c, weights, rho, kind=SpaceKind.COMPACT, components=None):
     return validate(ProblemInstance(chi_c, tuple(F(w) for w in weights), F(rho), kind, components))
 
 
-def two_component(chi_1, chi_2, weights, rho):
+# Where the two singular points sit: (indices on A1, indices on A2).
+ONE_EACH = ({1}, {2})
+BOTH_IN_FIRST = ({1, 2}, set())
+BOTH_IN_SECOND = (set(), {1, 2})
+PLACEMENTS = (ONE_EACH, BOTH_IN_FIRST, BOTH_IN_SECOND)
+
+
+def two_component(chi_1, chi_2, weights, rho, placement):
+    first, second = placement
     components = (
-        ComponentSpec(chi_1, True, frozenset({1})),
-        ComponentSpec(chi_2, True, frozenset({2})),
+        ComponentSpec(chi_1, True, frozenset(first)),
+        ComponentSpec(chi_2, True, frozenset(second)),
     )
     return make(chi_1 + chi_2, weights, rho, SpaceKind.UNION_OF_BASIC, components)
 
@@ -151,55 +156,61 @@ class TestMaximalPieces:
                 assert not piece_includes(q, p)
 
 
+class TestClassifyR0:
+    def test_no_singular_points(self):
+        assert classify(make(0, [], 3)) == Bary(3, Base(0))
+        assert classify(make(2, [], "7/2")) == Bary(3, Base(2))
+
+
 class TestClassifyR1:
     def test_heavy_point_keeps_the_space(self):
-        desc = classify_r1(make(3, ["7/10"], "5/2"))
+        desc = classify(make(3, ["7/10"], "5/2"))
         assert desc == Bary(2, Base(3))
 
     def test_light_point_cones_off(self):
-        assert classify_r1(make(2, ["3/10"], "5/2")) == Contractible()
+        assert classify(make(2, ["3/10"], "5/2")) == Contractible()
 
     def test_unit_weight(self):
         # weight exactly 1 is a generic point: B_1(X) is X itself
-        assert classify_r1(make(4, [1], 1)) == Bary(1, Base(4))
+        assert classify(make(4, [1], 1)) == Bary(1, Base(4))
 
     def test_out_of_scope(self):
         with pytest.raises(OutOfScope):
-            classify_r1(make(2, ["3/2"], 2))
-        with pytest.raises(OutOfScope):
-            classify_r1(make(2, ["1/2", "1/2"], 2))
+            classify(make(2, ["3/2"], 2))
+        with pytest.raises(OutOfScope, match="r = 3"):
+            classify(make(2, ["1/2", "1/2", "1/2"], 2))
 
     def test_engine_consistency_sweep(self):
         for chi in range(-5, 6):
             for tenths in range(1, 11):
                 for quarters in range(1, 25):
                     inst = make(chi, [F(tenths, 10)], F(quarters, 4))
-                    assert classify_r1(inst).chi() == chi_c_direct(inst).chi_c_value
+                    assert classify(inst).chi() == chi_c_direct(inst).chi_c_value
 
 
 class TestClassifyR2Connected:
     def test_both_light_suspension(self):
-        desc = classify_r2_connected(make(3, ["3/10", "2/5"], "5/2"))
+        desc = classify(make(3, ["3/10", "2/5"], "5/2"))
         assert desc == Suspension(Bary(2, Wedge((Base(3), Circle()))))
         assert desc.render() == "susp(B_2(X v S1))"
 
     def test_both_heavy_wedge(self):
-        desc = classify_r2_connected(make(3, ["3/5", "7/10"], "5/2"))
+        desc = classify(make(3, ["3/5", "7/10"], "5/2"))
         assert desc == Bary(2, Wedge((Base(3), Circle())))
 
     def test_very_heavy_pair(self):
-        desc = classify_r2_connected(make(3, ["4/5", "9/10"], "5/2"))
+        desc = classify(make(3, ["4/5", "9/10"], "5/2"))
         assert desc == Bary(2, Base(3))
 
     def test_tiny_pair_contractible(self):
-        assert classify_r2_connected(make(0, ["1/10", "1/10"], "5/2")) == Contractible()
+        assert classify(make(0, ["1/10", "1/10"], "5/2")) == Contractible()
 
     def test_split_pair_contractible(self):
-        assert classify_r2_connected(make(0, ["2/5", "4/5"], "5/2")) == Contractible()
+        assert classify(make(0, ["2/5", "4/5"], "5/2")) == Contractible()
 
     def test_out_of_scope(self):
         with pytest.raises(OutOfScope):
-            classify_r2_connected(make(2, ["1/2", "3/2"], 2))
+            classify(make(2, ["1/2", "3/2"], 2))
 
     def test_engine_consistency_sweep(self):
         tenths = [F(k, 10) for k in range(1, 11)]
@@ -208,40 +219,48 @@ class TestClassifyR2Connected:
                 for w2 in tenths[i:]:
                     for quarters in range(1, 25):
                         inst = make(chi, [w1, w2], F(quarters, 4))
-                        got = classify_r2_connected(inst).chi()
+                        got = classify(inst).chi()
                         assert got == chi_c_direct(inst).chi_c_value, (chi, w1, w2, quarters)
 
 
 class TestClassifyR2TwoComponents:
     def test_one_each_suspension(self):
-        inst = two_component(2, 1, ["3/10", "2/5"], "5/2")
-        desc = classify_r2_two_components(inst, Placement.ONE_EACH)
+        desc = classify(two_component(2, 1, ["3/10", "2/5"], "5/2", ONE_EACH))
         assert desc == Suspension(Bary(2, Wedge((Base(2, "A1"), Base(1, "A2")))))
         assert desc.render() == "susp(B_2(A1 v A2))"
 
     def test_both_first_suspension(self):
-        inst = two_component(2, 1, ["3/10", "2/5"], "5/2")
-        desc = classify_r2_two_components(inst, Placement.BOTH_IN_FIRST)
+        desc = classify(two_component(2, 1, ["3/10", "2/5"], "5/2", BOTH_IN_FIRST))
         assert desc == Suspension(
             Bary(2, DisjointUnion((Wedge((Base(2, "A1"), Circle())), Base(1, "A2"))))
         )
         assert desc.render() == "susp(B_2(A1 v S1 | A2))"
 
+    def test_both_second_suspension(self):
+        desc = classify(two_component(2, 1, ["3/10", "2/5"], "5/2", BOTH_IN_SECOND))
+        assert desc == Suspension(
+            Bary(2, DisjointUnion((Base(2, "A1"), Wedge((Base(1, "A2"), Circle())))))
+        )
+        assert desc.render() == "susp(B_2(A1 | A2 v S1))"
+
     def test_very_heavy_pair_ignores_placement(self):
-        inst = two_component(2, 1, ["4/5", "9/10"], "5/2")
-        for placement in Placement:
-            desc = classify_r2_two_components(inst, placement)
+        for placement in PLACEMENTS:
+            desc = classify(two_component(2, 1, ["4/5", "9/10"], "5/2", placement))
             assert desc == Bary(2, DisjointUnion((Base(2, "A1"), Base(1, "A2"))))
 
     def test_contractible_cases(self):
-        inst = two_component(1, 1, ["1/10", "1/10"], "5/2")
-        assert classify_r2_two_components(inst, Placement.ONE_EACH) == Contractible()
-        inst = two_component(1, 1, ["2/5", "4/5"], "5/2")
-        assert classify_r2_two_components(inst, Placement.BOTH_IN_FIRST) == Contractible()
+        inst = two_component(1, 1, ["1/10", "1/10"], "5/2", ONE_EACH)
+        assert classify(inst) == Contractible()
+        inst = two_component(1, 1, ["2/5", "4/5"], "5/2", BOTH_IN_FIRST)
+        assert classify(inst) == Contractible()
 
     def test_requires_components(self):
-        with pytest.raises(OutOfScope):
-            classify_r2_two_components(make(2, ["1/2", "1/2"], 2), Placement.ONE_EACH)
+        one = (ComponentSpec(2, True, frozenset({1, 2})),)
+        three = (*one, ComponentSpec(0, True, frozenset()), ComponentSpec(0, False, frozenset()))
+        for components in (one, three):
+            inst = make(2, ["1/2", "1/2"], 2, SpaceKind.UNION_OF_BASIC, components)
+            with pytest.raises(OutOfScope, match="exactly two components"):
+                classify(inst)
 
     def test_engine_consistency_and_placement_equality(self):
         tenths = [F(k, 10) for k in range(1, 11)]
@@ -249,14 +268,10 @@ class TestClassifyR2TwoComponents:
             for chi_2 in range(-2, 4):
                 for i, w1 in enumerate(tenths):
                     for w2 in tenths[i:]:
-                        inst = two_component(chi_1, chi_2, [w1, w2], F(13, 4))
-                        want = chi_c_direct(inst).chi_c_value
-                        got = {
-                            p: classify_r2_two_components(inst, p).chi()
-                            for p in Placement
-                        }
-                        assert got[Placement.ONE_EACH] == want
-                        assert got[Placement.BOTH_IN_FIRST] == want
+                        instances = [two_component(chi_1, chi_2, [w1, w2], F(13, 4), p)
+                                     for p in PLACEMENTS]
+                        want = chi_c_direct(instances[0]).chi_c_value
+                        assert [classify(inst).chi() for inst in instances] == [want] * 3
 
 
 class TestChiOfDescriptor:

@@ -523,6 +523,76 @@ class TestClassify:
         assert doc["descriptor"] == "B_2(X v S1)"
         assert doc["descriptor_chi"] == doc["engine_chi_c"]
 
+    # --components with the two points (weights 3/10 and 2/5) placed as
+    # given, and the descriptor the placement gives.
+    PLACED = [
+        ([1, 2], [], "susp(B_2(A1 v S1 | A2))"),
+        ([], [1, 2], "susp(B_2(A1 | A2 v S1))"),
+        ([1], [2], "susp(B_2(A1 v A2))"),
+        ([2], [1], "susp(B_2(A1 v A2))"),
+    ]
+
+    @staticmethod
+    def components(first, second):
+        return json.dumps([{"chi_c": 2, "is_compact": True, "singular_indices": first},
+                           {"chi_c": 1, "is_compact": True, "singular_indices": second}])
+
+    @pytest.mark.parametrize("first,second,descriptor", PLACED)
+    def test_components_place_the_points(self, capsys, first, second, descriptor):
+        argv = ["classify", "--chi-c", "3", "--weights", "3/10,2/5", "--rho", "5/2",
+                "--components", self.components(first, second)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[0] == f"descriptor: {descriptor}"
+        assert "verdict: MATCH" in out
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["descriptor"] == descriptor
+        assert doc["instance"]["space"]["components"][0]["singular_indices"] == first
+
+    @pytest.mark.parametrize("extra", [
+        ["--chi-a", "2"],
+        ["--chi-b", "1"],
+        ["--chi-a", "2", "--chi-b", "1"],
+        ["--placement", "one-each"],
+        ["--placement", "both-first"],
+        ["--chi-a", "2", "--chi-b", "1", "--placement", "both-first"],
+    ])
+    def test_components_refuse_split_flags(self, capsys, extra):
+        code, out, err = run(capsys, "classify", "--chi-c", "3", "--weights", "3/10,2/5",
+                             "--rho", "5/2", "--components", self.components([1], [2]),
+                             *extra)
+        assert code == 1
+        assert out == ""
+        assert err == ("error: --chi-a, --chi-b and --placement cannot be combined with "
+                       "--components or --instance\n")
+
+    def test_instance_refuses_split_flags(self, capsys, tmp_path):
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({"chi_c": 3, "weights": ["3/10", "2/5"], "rho": "5/2",
+                                    "space": {"kind": "union", "components": [
+                                        {"chi_c": 2, "singular_indices": [1]},
+                                        {"chi_c": 1, "singular_indices": [2]}]}}))
+        code, out, _ = run(capsys, "classify", "--instance", str(path))
+        assert (code, out.splitlines()[0]) == (0, "descriptor: susp(B_2(A1 v A2))")
+        code, out, err = run(capsys, "classify", "--instance", str(path),
+                             "--placement", "both-first")
+        assert (code, out) == (1, "")
+        assert "cannot be combined" in err
+
+    def test_other_refusals_keep_their_message(self, capsys):
+        # Each of these was refused before the split flags were checked
+        # against --components; the refusal and its message stay.
+        base = ["classify", "--chi-c", "3", "--rho", "5/2", "--placement", "one-each"]
+        code, _, err = run(capsys, *base, "--weights", "3/10",
+                           "--components", self.components([1], []))
+        assert (code, err) == (1, "error: --placement needs two components (--chi-a/--chi-b)\n")
+        code, _, err = run(capsys, *base, "--weights", "3/10,2/5",
+                           "--components", self.components([1], [1]))
+        assert code == 1
+        assert err.startswith("error: InconsistentComponents:")
+
 
 class TestSelftest:
     def test_small_run(self, capsys):

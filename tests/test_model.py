@@ -75,12 +75,6 @@ class TestValidate:
                 ProblemInstance(3, (F(1, 2), F(1, 2)), F(1), SpaceKind.UNION_OF_BASIC, components)
             )
 
-    def test_canonical_sort_keeps_source_positions(self):
-        inst = validate(ProblemInstance(0, (F(3, 5), F(1, 2), F(1, 2)), F(2)))
-        assert inst.weights == (F(1, 2), F(1, 2), F(3, 5))
-        # stable: the two equal weights keep their input order
-        assert inst.source_positions == (2, 3, 1)
-
     def test_component_indices_follow_the_sort(self):
         components = (
             ComponentSpec(1, True, frozenset({1})),   # the 3/5 point

@@ -38,9 +38,9 @@ RECORDS = [
     (ProblemInstance, (2, (F(1, 2),), F(3), SpaceKind.UNION_OF_BASIC, (COMPONENT,)),
      dict(chi_c=2, weights=(F(1, 2),), rho=F(3), space_kind=SpaceKind.UNION_OF_BASIC,
           components=(COMPONENT,))),
-    (ValidatedInstance, (2, (F(1, 2),), F(3), SpaceKind.COMPACT, None, (1,)),
+    (ValidatedInstance, (2, (F(1, 2),), F(3), SpaceKind.COMPACT, None),
      dict(chi_c=2, weights=(F(1, 2),), rho=F(3), space_kind=SpaceKind.COMPACT,
-          components=None, source_positions=(1,))),
+          components=None)),
     (SubsetWeight, (frozenset({1, 2}), F(5, 6)), dict(index_set=frozenset({1, 2}), total=F(5, 6))),
     (ChiResult, (3, "strata", ((frozenset(), 1),)),
      dict(chi_c_value=3, method="strata", term_breakdown=((frozenset(), 1),))),
@@ -110,7 +110,7 @@ def test_equality_needs_the_same_class_and_equal_fields():
     assert ConicPiece(2, frozenset({1})) != (2, frozenset({1}))
     # Same field values, different record types.
     same = dict(chi_c=1, weights=(), rho=F(2), space_kind=SpaceKind.COMPACT, components=None)
-    assert ProblemInstance(**same) != ValidatedInstance(**same, source_positions=())
+    assert ProblemInstance(**same) != ValidatedInstance(**same)
     assert Wedge((Base(1),)) != DisjointUnion((Base(1),))
     assert len({Circle(), Circle(), Point(), ConicPiece(1, frozenset()),
                 ConicPiece(1, frozenset())}) == 3
@@ -127,7 +127,7 @@ def test_repr_is_dataclass_style():
 
 
 def test_properties_survive():
-    assert ValidatedInstance(0, (F(1), F(2)), F(3), SpaceKind.COMPACT, None, (1, 2)).r == 2
+    assert ValidatedInstance(0, (F(1), F(2)), F(3), SpaceKind.COMPACT, None).r == 2
     assert SubsetWeight(frozenset({1, 2, 3}), F(1)).parity == -1
     assert ChiResult(3, "direct").degree_d_rho == -2
     assert FiniteWeightedSpace((F(1), F(1, 2))).m == 2
