@@ -35,14 +35,14 @@ for result in (direct, strata, series):
 assert direct.chi_c_value == strata.chi_c_value == series.chi_c_value
 
 print("\nhow the direct sum assembles (subset of singular points -> signed term):")
-for index_set, term in direct.term_breakdown:
-    label = "{" + ",".join(map(str, sorted(index_set))) + "}"
+for indices, term in direct.term_breakdown:
+    label = "{" + ",".join(map(str, indices)) + "}"
     print(f"  {label:>9}: {term:>4}")
 print(f"  chi_c = 1 - (sum of terms) = {direct.chi_c_value}")
 
 print("\nthe strata route adds per-stratum values instead:")
-for index_set, value in strata.term_breakdown:
-    label = "{" + ",".join(map(str, sorted(index_set))) + "}"
+for indices, value in strata.term_breakdown:
+    label = "{" + ",".join(map(str, indices)) + "}"
     print(f"  {label:>9}: {value:>4}")
 print(f"  chi_c = sum of strata = {strata.chi_c_value}")
 

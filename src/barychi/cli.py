@@ -17,6 +17,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from itertools import accumulate, chain
+from operator import itemgetter
 
 from .classifier import classify
 from .engine import (
@@ -131,7 +132,7 @@ def _build_parser() -> _Parser:
 
 def _instance_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--chi-c", type=int, help="Euler characteristic (compact supports) of X")
-    sub.add_argument("--weights", default="", help="comma-separated singular weights")
+    sub.add_argument("--weights", help="comma-separated singular weights")
     sub.add_argument("--rho", help="total-mass bound, exact fraction")
     sub.add_argument(
         "--space",
@@ -145,6 +146,13 @@ def _instance_flags(sub: argparse.ArgumentParser) -> None:
 
 def _load_instance(args: argparse.Namespace) -> ValidatedInstance:
     if args.instance:
+        # None is each flag's default, so an empty --weights "" counts as given.
+        given = [flag for flag, value in (("--chi-c", args.chi_c), ("--weights", args.weights),
+                                          ("--rho", args.rho), ("--space", args.space),
+                                          ("--components", args.components))
+                 if value is not None]
+        if given:
+            raise _InputError(f"--instance cannot be combined with {', '.join(given)}")
         try:
             with open(args.instance, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -153,7 +161,7 @@ def _load_instance(args: argparse.Namespace) -> ValidatedInstance:
         return validate(instance_from_json(text))
     if args.chi_c is None or args.rho is None:
         raise _InputError("--chi-c and --rho are required (or pass --instance FILE)")
-    weights = parse_weights(args.weights)
+    weights = parse_weights(args.weights or "")
     rho = parse_fraction(args.rho)
     components = _components_for(args, len(weights))
     if components is not None:
@@ -187,7 +195,8 @@ def _components_for(args: argparse.Namespace, r: int) -> tuple[ComponentSpec, ..
 
 
 def _dump(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+    # A report is built fresh for each output and holds no cycles.
+    return json.dumps(obj, separators=(",", ":"), check_circular=False)
 
 
 def _write(render: Callable[[], Iterable[str]]) -> None:
@@ -208,10 +217,12 @@ def _write(render: Callable[[], Iterable[str]]) -> None:
     sys.stdout.write(text.getvalue())
 
 
-def _exponent_texts(terms: list[tuple[int, int, int]]) -> list[str]:
-    """Each exponent of ``SparseSeries.reduced_terms`` as ``str`` prints
-    the same ``Fraction``: "n/d", or "n" when d is 1."""
-    return [f"{n}/{d}" if d != 1 else str(n) for n, d, _ in terms]
+def _exponent_texts(terms: Iterable[tuple[int, ...]]) -> list[str]:
+    """Each exponent as ``str`` prints the same ``Fraction``: "n/d", or "n"
+    when d is 1.  An exponent is the leading (n, d) of each item, so a
+    ``SparseSeries.reduced_terms`` triple and a series breakdown key both
+    serve; indexing reads them faster than unpacking both shapes."""
+    return [f"{t[0]}/{t[1]}" if t[1] != 1 else str(t[0]) for t in terms]
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +265,12 @@ def build_report(
     if breakdown:
         tables = report["breakdown"] = {}
         for res in results:
-            # Series rows are keyed by exponents, the others by index sets.
-            render = str if res.method == METHOD_SERIES else sorted
-            tables[res.method] = [(render(key), value) for key, value in res.term_breakdown]
+            # Index tuples print as they are; series exponents print as text.
+            rows = res.term_breakdown
+            if res.method == METHOD_SERIES:
+                rows = list(zip(_exponent_texts(map(itemgetter(0), rows)),
+                                map(itemgetter(1), rows)))
+            tables[res.method] = rows
     return report
 
 
@@ -275,7 +289,7 @@ def _report_text(report: dict) -> Iterator[str]:
         yield f"{method} terms:\n"
         if method == METHOD_SERIES:
             yield from (f"  {key}: {value}\n" for key, value in rows)
-        else:  # an index set prints as {1,3}
+        else:  # an index tuple (1, 3) prints as {1,3}
             yield from (f"  {{{','.join(map(str, key))}}}: {value}\n" for key, value in rows)
     yield f"verdict: {report['verdict']}\n"
 

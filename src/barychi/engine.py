@@ -26,7 +26,7 @@ order.  Both return a ``ChiResult`` carrying the Leray-Schauder degree
 ``d_rho = 1 - chi_c`` and, when asked for, a term breakdown for reporting.
 Only the breakdown rows come from shared tables, both in binary-counter
 (mask) order: the levels floor(rho - w_I) of ``subset_levels`` and the
-index sets of ``subset_members``.
+ascending index tuples of ``subset_members``.
 """
 from __future__ import annotations
 
@@ -58,12 +58,13 @@ METHOD_SERIES = "series"
 class ChiResult(_Record):
     """chi_c of the weighted barycenter space, with provenance.
 
-    ``term_breakdown`` entries are ``(key, value)`` pairs: subset index
-    sets for the direct and strata methods, rational exponents for the
-    series method.  For the direct method, chi_c_value = 1 - sum(values);
-    for strata, chi_c_value = sum(values); for series, chi_c_value =
-    -sum(values).  It is empty unless the route was called with
-    ``breakdown=True``.
+    ``term_breakdown`` entries are ``(key, value)`` pairs, keyed as the
+    report prints them: a subset's indices as an ascending tuple of ints
+    for the direct and strata methods, an exponent in lowest terms as an
+    int pair ``(numerator, denominator)`` for the series method.  For the
+    direct method, chi_c_value = 1 - sum(values); for strata, chi_c_value =
+    sum(values); for series, chi_c_value = -sum(values).  It is empty
+    unless the route was called with ``breakdown=True``.
     """
 
     __slots__ = ("chi_c_value", "method", "term_breakdown")
@@ -72,7 +73,7 @@ class ChiResult(_Record):
         self,
         chi_c_value: int,
         method: str,
-        term_breakdown: tuple[tuple[frozenset[int] | Fraction, int], ...] = (),
+        term_breakdown: tuple[tuple[tuple[int, ...], int], ...] = (),
     ) -> None:
         object.__setattr__(self, "chi_c_value", chi_c_value)
         object.__setattr__(self, "method", method)

@@ -271,7 +271,7 @@ def enumerate_subset_weights(instance: ValidatedInstance) -> Iterator[SubsetWeig
 
 def subset_levels(instance: ValidatedInstance) -> list[int]:
     """floor(rho - w_I) for every subset I, indexed by its mask (bit i is
-    index i+1, the index set ``subset_members`` lists at the same place), in
+    index i+1, the indices ``subset_members`` lists at the same place), in
     the binary-counter order of ``enumerate_subset_weights``; negative
     exactly when w_I > rho.  It fills the ``--breakdown`` rows and the conic
     decomposition; the routes keep their own enumerations.  Weight j appends
@@ -286,13 +286,14 @@ def subset_levels(instance: ValidatedInstance) -> list[int]:
     return [room // base for room in rooms]
 
 
-def subset_members(r: int) -> list[frozenset[int]]:
-    """The index set of every subset of {1..r}, indexed by its mask in the
-    order of ``subset_levels``.  Index j appends the sets that hold it, so
-    each set is built once, from the one without j."""
-    sets = [frozenset()]
+def subset_members(r: int) -> list[tuple[int, ...]]:
+    """The indices of every subset of {1..r} as an ascending tuple, indexed
+    by its mask in the order of ``subset_levels``.  Index j appends the
+    subsets that hold it, each built once from the one without j by putting
+    j, the largest index so far, at its end."""
+    sets = [()]
     for j in range(1, r + 1):
-        sets += [s | {j} for s in sets]
+        sets += [s + (j,) for s in sets]
     return sets
 
 

@@ -17,7 +17,9 @@ the window end are integer comparisons.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import floor, gcd, lcm
+from operator import floordiv
 
 from .engine import METHOD_SERIES, ChiResult
 from .model import ValidatedInstance
@@ -47,7 +49,10 @@ class SparseSeries:
         exponent order, each exponent in lowest terms: the values of
         ``terms()`` as integers, with one gcd per term and no ``Fraction``."""
         scale, terms = self.scale, self._terms
-        return [(k // (g := gcd(k, scale)), scale // g, terms[k]) for k in sorted(terms)]
+        keys = sorted(terms)
+        gcds = list(map(gcd, keys, repeat(scale)))
+        return list(zip(map(floordiv, keys, gcds), map(floordiv, repeat(scale), gcds),
+                        map(terms.__getitem__, keys)))
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -148,9 +153,11 @@ def chi_c_series(instance: ValidatedInstance, *, breakdown: bool = False) -> Chi
     one (see ``chen_lin_series``: a heavy factor reaches few terms under the
     cut).  Cut at rho, every term of g but the constant 1 lies in the
     window, so chi_c is 1 minus the sum of all of g's coefficients, read in
-    one sum with no window test, and the breakdown rows are ``g.terms()``
-    past the constant.  Agrees exactly with the direct method.
+    one sum with no window test, and the breakdown rows are the terms past
+    the constant, each exponent keyed as ``reduced_terms`` gives it, an int
+    pair ``(numerator, denominator)`` in lowest terms.  Agrees exactly with
+    the direct method.
     """
     g = chen_lin_series(instance)
-    rows = tuple(g.terms()[1:]) if breakdown else ()
+    rows = tuple(((n, d), c) for n, d, c in g.reduced_terms()[1:]) if breakdown else ()
     return ChiResult(1 - sum(g._terms.values()), METHOD_SERIES, rows)

@@ -115,6 +115,38 @@ class TestCompute:
         assert "chi_c(B_rho) = 2" in out
 
 
+class TestInstanceRefusesInstanceFlags:
+    """--instance names the whole instance, so a flag that would describe
+    it too is refused (exit 1, one error line, no output), not dropped."""
+
+    @pytest.mark.parametrize("command", ["compute", "series", "classify"])
+    @pytest.mark.parametrize("extra,named", [
+        (["--chi-c", "7"], "--chi-c"),
+        (["--weights", "1/3,1/4"], "--weights"),
+        (["--weights", ""], "--weights"),
+        (["--rho", "9"], "--rho"),
+        (["--space", "lc"], "--space"),
+        (["--components", '[{"chi_c":1}]'], "--components"),
+        (["--chi-c", "7", "--rho", "9", "--weights", "1/3,1/4"], "--chi-c, --weights, --rho"),
+    ], ids=["chi-c", "weights", "empty-weights", "rho", "space", "components", "three"])
+    def test_refused(self, capsys, tmp_path, command, extra, named):
+        doc = tmp_path / "instance.json"
+        doc.write_text('{"chi_c": 3, "weights": ["1/2"], "rho": "2"}')
+        code, out, err = run(capsys, command, "--instance", str(doc), *extra)
+        assert (code, out) == (1, "")
+        assert err == f"error: --instance cannot be combined with {named}\n"
+
+    def test_other_flags_still_combine(self, capsys, tmp_path):
+        doc = tmp_path / "instance.json"
+        doc.write_text('{"chi_c": 3, "weights": ["1/2"], "rho": "2"}')
+        code, out, _ = run(capsys, "series", "--instance", str(doc), "--bound", "3", "--json")
+        assert code == 0
+        assert json.loads(out)["bound"] == "3"
+        code, out, _ = run(capsys, "compute", "--instance", str(doc), "--method", "direct")
+        assert (code, out.splitlines()[0]) == (0, "instance: chi_c=3 weights=1/2 rho=2 "
+                                                  "space=compact")
+
+
 class TestUnreadableInstanceFile:
     """An --instance file that cannot be read or decoded is an
     InputFormatError (exit 1, one error line), not a traceback."""
@@ -179,13 +211,14 @@ def run_quiet(*argv):
 
 def reference_compute(inst, as_json):
     """compute --method all --breakdown output, rendered from the routes'
-    term_breakdown with sorted index sets and str(Fraction) exponents."""
+    term_breakdown with index tuples as lists and (n, d) exponents as
+    str(Fraction(n, d))."""
     results = [route(inst, breakdown=True)
                for route in (chi_c_direct, chi_c_strata, chi_c_series)]
     chi = results[0].chi_c_value
     assert all(res.chi_c_value == chi for res in results)
     doc = instance_to_json_dict(inst)
-    tables = {res.method: [[sorted(key) if isinstance(key, frozenset) else str(key), value]
+    tables = {res.method: [[str(Fraction(*key)) if res.method == "series" else list(key), value]
                            for key, value in res.term_breakdown] for res in results}
     if as_json:
         return json.dumps({

@@ -68,8 +68,8 @@ class TestChiCStrata:
     def test_single_half_weight_contributions(self):
         res = chi_c_strata(make(2, ["1/2"], 1), breakdown=True)
         by_set = dict(res.term_breakdown)
-        assert by_set[frozenset()] == 1
-        assert by_set[frozenset({1})] == 1
+        assert by_set[()] == 1
+        assert by_set[(1,)] == 1
         assert res.chi_c_value == 2
 
     def test_no_singular_points_telescopes(self):
@@ -81,7 +81,7 @@ class TestChiCStrata:
         res = chi_c_strata(make(2, ["1/2", "3/4"], "1/4"), breakdown=True)
         # only the empty subset qualifies, and floor(rho) = 0 means no levels
         assert res.chi_c_value == 0
-        assert dict(res.term_breakdown)[frozenset()] == 0
+        assert dict(res.term_breakdown)[()] == 0
 
     def test_contributions_match_closed_forms(self):
         inst = make(-1, ["1/3", "2/3", "5/4"], "10/3")
@@ -118,17 +118,19 @@ def tie_heavy_instances(draw, max_r=10):
 
 def reference_rows(inst):
     """Direct and strata rows from enumerate_subset_weights and Fraction
-    floors; strata values by the closed forms of each stratum family."""
+    floors, keyed by sorted index tuples; strata values by the closed forms
+    of each stratum family."""
     chi, r = inst.chi_c, inst.r
     direct, strata = [], []
     for sw in enumerate_subset_weights(inst):
+        key = tuple(sorted(sw.index_set))
         level = floor(inst.rho - sw.total)
         if level < 0:
-            direct.append((sw.index_set, 0))
+            direct.append((key, 0))
             continue
         binomial = ext_binomial(level - chi + r, level)
-        direct.append((sw.index_set, sw.parity * binomial))
-        strata.append((sw.index_set, -sw.parity * binomial if sw.index_set else 1 - binomial))
+        direct.append((key, sw.parity * binomial))
+        strata.append((key, -sw.parity * binomial if sw.index_set else 1 - binomial))
     return tuple(direct), tuple(strata)
 
 
@@ -151,6 +153,15 @@ class TestBreakdown:
             assert plain.term_breakdown == ()
             assert full.term_breakdown
             assert plain == ChiResult(full.chi_c_value, full.method)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tie_heavy_instances())
+    def test_row_keys_are_ascending_int_tuples(self, inst):
+        for route in (chi_c_direct, chi_c_strata):
+            for key, _ in route(inst, breakdown=True).term_breakdown:
+                assert type(key) is tuple
+                assert all(type(i) is int and 1 <= i <= inst.r for i in key)
+                assert list(key) == sorted(set(key))
 
 
 @st.composite

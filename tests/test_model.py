@@ -227,12 +227,13 @@ class TestSubsetMembers:
     def test_every_mask_matches_its_bits(self, r):
         members = subset_members(r)
         assert len(members) == 1 << r
-        assert all(s == members_by_bits(mask) for mask, s in enumerate(members))
-        assert all(type(s) is frozenset for s in members)
+        assert all(s == tuple(sorted(members_by_bits(mask))) for mask, s in enumerate(members))
+        assert all(type(s) is tuple for s in members)
 
     def test_order_matches_enumerate_subset_weights(self):
         inst = validate(ProblemInstance(0, (F(1, 4), F(1, 3), F(1, 2), F(2, 3)), F(1)))
-        assert subset_members(inst.r) == [sw.index_set for sw in enumerate_subset_weights(inst)]
+        assert subset_members(inst.r) == [tuple(sorted(sw.index_set))
+                                          for sw in enumerate_subset_weights(inst)]
 
 
 class TestFractionParsing:

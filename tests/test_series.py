@@ -19,7 +19,7 @@ from barychi.series import (
     window_keys,
 )
 
-from test_engine import kernel_instances
+from test_engine import kernel_instances, tie_heavy_instances
 
 F = Fraction
 
@@ -39,8 +39,9 @@ SCALE_CASES = [
 
 def window_reference(g: SparseSeries, rho: Fraction) -> tuple[int, tuple]:
     """(chi_c, rows) read off g's coefficient window by its definition: the
-    rows of ``g.terms()`` with 0 < e <= rho, and minus their sum."""
-    rows = tuple((e, c) for e, c in g.terms() if 0 < e <= rho)
+    rows of ``g.terms()`` with 0 < e <= rho, each keyed by e's
+    (numerator, denominator), and minus their sum."""
+    rows = tuple(((e.numerator, e.denominator), c) for e, c in g.terms() if 0 < e <= rho)
     return -sum(c for _, c in rows), rows
 
 
@@ -224,7 +225,7 @@ class TestChiCSeries:
         res = chi_c_series(validate(ProblemInstance(2, (F(1, 2),), F(1))), breakdown=True)
         assert res.chi_c_value == 2
         assert res.degree_d_rho == -1
-        assert res.term_breakdown == ((F(1, 2), -1), (F(1), -1))
+        assert res.term_breakdown == (((1, 2), -1), ((1, 1), -1))
 
     def test_no_weights_contract(self):
         for chi in range(-5, 6):
@@ -269,6 +270,17 @@ class TestChiCSeries:
         assert res_plain.chi_c_value == chi_c_direct(plain).chi_c_value
         assert res_aug.chi_c_value == chi_c_direct(augmented).chi_c_value
         assert res_plain.chi_c_value == res_aug.chi_c_value
+
+    @settings(max_examples=100, deadline=None)
+    @given(tie_heavy_instances())
+    def test_row_keys_are_reduced_int_pairs(self, inst):
+        rows = chi_c_series(inst, breakdown=True).term_breakdown
+        terms = chen_lin_series(inst).terms()[1:]
+        assert len(rows) == len(terms)
+        for ((n, d), c), (e, coefficient) in zip(rows, terms):
+            assert type(n) is int and type(d) is int
+            assert d >= 1 and gcd(n, d) == 1
+            assert (Fraction(n, d), c) == (e, coefficient)
 
     @settings(max_examples=150, deadline=None)
     @given(kernel_instances(), st.booleans())
