@@ -12,7 +12,6 @@ from __future__ import annotations
 from math import floor
 
 from .combinatorics import ext_binomial
-from .engine import chi_join, chi_suspension
 from .errors import OutOfScope, WeightOutOfRange
 from .model import ValidatedInstance, _Record, subset_levels
 
@@ -53,16 +52,6 @@ class Circle(SpaceExpr):
 
     def render(self) -> str:
         return "S1"
-
-
-class Point(SpaceExpr):
-    __slots__ = ()
-
-    def chi(self) -> int:
-        return 1
-
-    def render(self) -> str:
-        return "pt"
 
 
 class Wedge(SpaceExpr):
@@ -127,7 +116,7 @@ class Suspension(SpaceExpr):
         object.__setattr__(self, "inner", inner)
 
     def chi(self) -> int:
-        return chi_suspension(self.inner.chi())
+        return 2 - self.inner.chi()
 
     def render(self) -> str:
         return f"susp({self.inner.render()})"
@@ -281,8 +270,9 @@ def _r2_table(instance: ValidatedInstance, glued: SpaceExpr, split: SpaceExpr) -
 
 def chi_disjoint_union_decomposition(chi_a: int, chi_b: int, k: int) -> int:
     """chi of B_k(A u B) evaluated term by term over its wedge decomposition
-    (A, B compact): barycenter spaces of each part, suspensions, joins of
-    complementary parts, and the wedge-point correction -2k.
+    (A, B compact): barycenter spaces of each part, suspensions (chi 2 - x),
+    joins of complementary parts (of compact x and y: x + y - x*y), and the
+    wedge-point correction -2k.
 
     Equals 1 - C(k - chi_a - chi_b, k) for every k >= 2.
     """
@@ -294,14 +284,14 @@ def chi_disjoint_union_decomposition(chi_a: int, chi_b: int, k: int) -> int:
 
     parts = [
         bary(k, chi_a),
-        chi_suspension(bary(k - 1, chi_a)),
+        2 - bary(k - 1, chi_a),
         bary(k, chi_b),
-        chi_suspension(bary(k - 1, chi_b)),
+        2 - bary(k - 1, chi_b),
     ]
     for l in range(1, k):
-        parts.append(chi_join((bary(k - l, chi_a), True), (bary(l, chi_b), True)))
+        x, y = bary(k - l, chi_a), bary(l, chi_b)
+        parts.append(x + y - x * y)
     for l in range(2, k):
-        parts.append(
-            chi_suspension(chi_join((bary(k - l, chi_a), True), (bary(l - 1, chi_b), True)))
-        )
+        x, y = bary(k - l, chi_a), bary(l - 1, chi_b)
+        parts.append(2 - (x + y - x * y))
     return sum(parts) - 2 * k

@@ -145,8 +145,8 @@ def _instance_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _load_instance(args: argparse.Namespace) -> ValidatedInstance:
-    if args.instance:
-        # None is each flag's default, so an empty --weights "" counts as given.
+    # None is each flag's default, so an empty flag ("") counts as given.
+    if args.instance is not None:
         given = [flag for flag, value in (("--chi-c", args.chi_c), ("--weights", args.weights),
                                           ("--rho", args.rho), ("--space", args.space),
                                           ("--components", args.components))
@@ -172,7 +172,7 @@ def _load_instance(args: argparse.Namespace) -> ValidatedInstance:
 
 
 def _components_for(args: argparse.Namespace, r: int) -> tuple[ComponentSpec, ...] | None:
-    if getattr(args, "components", None):
+    if getattr(args, "components", None) is not None:
         try:
             entries = json.loads(args.components)
         except ValueError as exc:  # malformed, or an int past the digit limit
@@ -300,7 +300,8 @@ def _report_text(report: dict) -> Iterator[str]:
 
 def _cmd_series(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
-    bound = truncation_bound(instance.rho, parse_fraction(args.bound) if args.bound else None)
+    bound = truncation_bound(instance.rho,
+                             parse_fraction(args.bound) if args.bound is not None else None)
     g = chen_lin_series(instance, bound)
     terms = g.reduced_terms()[1:]  # the constant term 1 (checked by chen_lin_series) is no output
     # The window is the leading run of the positive-exponent terms.
@@ -380,7 +381,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     descriptor = classify(instance)
     # Checked last, so that an input refused for another reason keeps its message.
     split_flags = (args.chi_a, args.chi_b, args.placement)
-    if (args.components or args.instance) and any(f is not None for f in split_flags):
+    if ((args.components is not None or args.instance is not None)
+            and any(f is not None for f in split_flags)):
         raise _InputError("--chi-a, --chi-b and --placement cannot be combined with "
                           "--components or --instance")
     chi = descriptor.chi()

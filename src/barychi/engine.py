@@ -319,23 +319,3 @@ def topological_chi_applicable(instance: ValidatedInstance) -> bool:
     if kind is SpaceKind.UNION_OF_BASIC and instance.components is not None:
         return all(c.is_compact for c in instance.components)
     return False
-
-
-# ---------------------------------------------------------------------------
-# Small chi_c calculators used by the classifier.
-
-
-def chi_join(x: tuple[int, bool], y: tuple[int, bool]) -> int:
-    """chi_c of the join X * Y from (chi_c, is_compact) pairs.
-
-    Both non-compact: -chi_x * chi_y; otherwise chi_x + chi_y - chi_x * chi_y.
-    """
-    (chi_x, compact_x), (chi_y, compact_y) = x, y
-    if not compact_x and not compact_y:
-        return -chi_x * chi_y
-    return chi_x + chi_y - chi_x * chi_y
-
-
-def chi_suspension(chi_c: int) -> int:
-    """chi_c of the suspension: 2 - chi_c."""
-    return 2 - chi_c

@@ -11,7 +11,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from .classifier import chi_disjoint_union_decomposition, classify
-from .combinatorics import ext_binomial, gould_convolution, hockey_stick_sum
+from .combinatorics import ext_binomial
 from .engine import (
     chi_c_direct,
     chi_c_strata,
@@ -183,6 +183,33 @@ def _two_component_case(
             f"placement changed chi for chi=({chi_1},{chi_2}) w=({w1},{w2}) rho={rho}"
         )
     return failures
+
+
+def hockey_stick_sum(m: int, n: int) -> int:
+    """1 + sum_{j=1..n} C(m+j-1, j), which telescopes to C(m+n, n).
+
+    Valid for every integer m, including m <= 0; n must be >= 0.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    total = 1
+    for j in range(1, n + 1):
+        total += ext_binomial(m + j - 1, j)
+    return total
+
+
+def gould_convolution(chi1: int, chi2: int, k: int) -> int:
+    """sum_{l=0..k} C(k-l-chi1, k-l) * C(l-1-chi2, l).
+
+    The Vandermonde-style convolution that collapses a two-part
+    decomposition into the single coefficient C(k-chi1-chi2, k).
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    total = 0
+    for l in range(k + 1):
+        total += ext_binomial(k - l - chi1, k - l) * ext_binomial(l - 1 - chi2, l)
+    return total
 
 
 def identity_failures() -> list[str]:

@@ -15,7 +15,7 @@ from barychi.classifier import (
     maximal_pieces,
     piece_includes,
 )
-from barychi.combinatorics import ext_binomial, gould_convolution, hockey_stick_sum
+from barychi.combinatorics import ext_binomial
 from barychi.engine import (
     chi_c_direct,
     chi_c_strata,
@@ -24,7 +24,7 @@ from barychi.engine import (
 )
 from barychi.model import ProblemInstance, SpaceKind, validate
 from barychi.oracle import oracle_chi, skeleton_chi
-from barychi.selftest import classifier_sweep_failures
+from barychi.selftest import classifier_sweep_failures, gould_convolution, hockey_stick_sum
 from barychi.series import chi_c_series
 
 F = Fraction

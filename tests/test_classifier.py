@@ -13,7 +13,6 @@ from barychi.classifier import (
     ConicPiece,
     Contractible,
     DisjointUnion,
-    Point,
     Suspension,
     Wedge,
     chi_disjoint_union_decomposition,
@@ -290,8 +289,13 @@ class TestChiOfDescriptor:
         assert Bary(0, Base(5)).chi() == 0
 
     def test_point_and_union(self):
-        assert Bary(1, DisjointUnion((Point(), Point()))).chi() == \
+        point = Base(1, "pt")
+        assert Bary(1, DisjointUnion((point, point))).chi() == \
             1 - ext_binomial(1 - 2, 1)
+
+    def test_suspension(self):
+        assert Suspension(Base(0)).chi() == 2
+        assert Suspension(Base(2, "S0")).chi() == 0
 
     def test_rendering(self):
         assert Contractible().render() == "contractible"

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import sys
@@ -145,6 +146,35 @@ class TestInstanceRefusesInstanceFlags:
         code, out, _ = run(capsys, "compute", "--instance", str(doc), "--method", "direct")
         assert (code, out.splitlines()[0]) == (0, "instance: chi_c=3 weights=1/2 rho=2 "
                                                   "space=compact")
+
+
+class TestEmptyFlagsAreGiven:
+    """An empty flag is given, not absent: it is refused (exit 1, one error
+    line, no output) and never dropped in favour of the other flags."""
+
+    FLAGS = ["--chi-c", "1", "--weights", "1/2", "--rho", "1"]
+
+    @pytest.mark.parametrize("command", ["compute", "series", "classify"])
+    def test_empty_instance(self, capsys, command):
+        code, out, err = run(capsys, command, "--instance", "")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: InputFormatError: cannot read --instance file: ")
+        assert err.count("\n") == 1
+        code, out, err = run(capsys, command, "--instance", "", *self.FLAGS)
+        assert (code, out) == (1, "")
+        assert err == "error: --instance cannot be combined with --chi-c, --weights, --rho\n"
+
+    @pytest.mark.parametrize("command", ["compute", "series", "classify"])
+    def test_empty_components(self, capsys, command):
+        code, out, err = run(capsys, command, "--components", "", *self.FLAGS)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: InputFormatError: --components is not valid JSON: ")
+        assert err.count("\n") == 1
+
+    def test_empty_bound(self, capsys):
+        code, out, err = run(capsys, "series", "--bound", "", *self.FLAGS)
+        assert (code, out) == (1, "")
+        assert err == "error: InputFormatError: cannot parse '' as an exact fraction\n"
 
 
 class TestUnreadableInstanceFile:
@@ -638,3 +668,44 @@ class TestSelftest:
     def test_no_cases_refused(self, capsys, cases):
         assert run(capsys, "selftest", "--cases", cases, "--seed", "1") == (
             1, "", f"error: --cases must be at least 1, got {cases}\n")
+
+
+class TestNoCyclicGarbage:
+    """A request leaves no reference cycles of its own: with the collector
+    off, main(argv) leaves exactly as much cyclic garbage as building the
+    parser and parsing argv alone.  So every collector pass in a request
+    collects argparse's cycles and nothing else."""
+
+    ARGVS = [
+        ["compute", "--chi-c", "2", "--weights", "3/10,2/5,3/5", "--rho", "9/2"],
+        ["compute", "--chi-c", "2", "--weights", "3/10,2/5,3/5", "--rho", "9/2",
+         "--breakdown", "--json"],
+        ["series", "--chi-c", "2", "--weights", "1/2,2/3", "--rho", "3", "--bound", "5",
+         "--json"],
+        ["oracle", "--vertices", "5", "--weights", "1/2,2/3", "--rho", "3", "--json"],
+        ["classify", "--chi-c", "3", "--weights", "3/10,2/5", "--rho", "5/2"],
+        ["compute", "--chi-c", "2", "--weights", "0", "--rho", "1"],  # an input error
+    ]
+
+    @staticmethod
+    def garbage(action):
+        """The objects gc.collect() finds after ``action`` runs with the
+        collector off."""
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                action()
+            return gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=["compute", "compute-breakdown-json",
+                                                 "series-bound-json", "oracle-json",
+                                                 "classify", "input-error"])
+    def test_a_request_adds_none_to_parsing(self, argv):
+        parsed = self.garbage(lambda: cli._build_parser().parse_args(argv))
+        assert self.garbage(lambda: main(argv)) == parsed

@@ -5,11 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from barychi.combinatorics import (
-    ext_binomial,
-    gould_convolution,
-    hockey_stick_sum,
-)
+from barychi.combinatorics import ext_binomial
+from barychi.selftest import gould_convolution, hockey_stick_sum
 
 
 def falling_factorial_oracle(n: int, k: int) -> int:

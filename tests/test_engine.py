@@ -12,8 +12,6 @@ from barychi.engine import (
     _signed_level_counts,
     chi_c_direct,
     chi_c_strata,
-    chi_join,
-    chi_suspension,
     normalize_drop_heavy,
     normalize_drop_unit_weights,
     topological_chi_applicable,
@@ -331,26 +329,6 @@ class TestSmallCalculators:
         for chi, heavy in ((2, 2), (7, 0), (-1, 3)):
             inst = make(chi, ["1/2"] + ["3"] * heavy, 2)
             assert normalize_drop_heavy(inst).chi_c == chi - heavy
-
-    def test_join_of_open_disks(self):
-        # D^n * D^m is D^{n+m+1}; chi_c of an open n-disk is (-1)^n.
-        for n in range(0, 5):
-            for m in range(0, 5):
-                got = chi_join(((-1) ** n, False), ((-1) ** m, False))
-                assert got == (-1) ** (n + m + 1)
-
-    def test_cone_is_contractible(self):
-        for chi in (-3, 0, 2):
-            assert chi_join((chi, True), (1, True)) == 1
-
-    def test_join_with_s0_is_suspension(self):
-        # S^0 is two compact points (chi = 2); joining is one suspension.
-        for chi in range(-4, 5):
-            for compact in (True, False):
-                assert chi_join((chi, compact), (2, True)) == chi_suspension(chi)
-
-    def test_suspension(self):
-        assert chi_suspension(0) == 2
 
 
 class TestClosedFormFamilies:

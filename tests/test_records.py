@@ -14,7 +14,6 @@ from barychi.classifier import (
     ConicPiece,
     Contractible,
     DisjointUnion,
-    Point,
     Suspension,
     Wedge,
 )
@@ -47,9 +46,8 @@ RECORDS = [
     (FiniteWeightedSpace, ((F(1, 2), F(1)),), dict(vertex_weights=(F(1, 2), F(1)))),
     (Base, (-1, "A1"), dict(chi_value=-1, label="A1")),
     (Circle, (), {}),
-    (Point, (), {}),
     (Wedge, ((Base(1), Circle()),), dict(parts=(Base(1), Circle()))),
-    (DisjointUnion, ((Base(1), Point()),), dict(parts=(Base(1), Point()))),
+    (DisjointUnion, ((Base(1), Circle()),), dict(parts=(Base(1), Circle()))),
     (Contractible, (), {}),
     (Bary, (2, Base(0)), dict(n=2, space=Base(0))),
     (Suspension, (Bary(1, Base(0)),), dict(inner=Bary(1, Base(0)))),
@@ -102,9 +100,9 @@ def test_wrong_arity_is_a_type_error():
 
 
 def test_equality_needs_the_same_class_and_equal_fields():
-    assert Circle() != Point()
+    assert Circle() != Contractible()
     assert Circle() == Circle()
-    assert Contractible() != Point()
+    assert Contractible() != Base(1)
     assert Base(1) != Base(1, "A1")
     assert ConicPiece(2, frozenset({1})) != ConicPiece(2, frozenset({2}))
     assert ConicPiece(2, frozenset({1})) != (2, frozenset({1}))
@@ -112,7 +110,7 @@ def test_equality_needs_the_same_class_and_equal_fields():
     same = dict(chi_c=1, weights=(), rho=F(2), space_kind=SpaceKind.COMPACT, components=None)
     assert ProblemInstance(**same) != ValidatedInstance(**same)
     assert Wedge((Base(1),)) != DisjointUnion((Base(1),))
-    assert len({Circle(), Circle(), Point(), ConicPiece(1, frozenset()),
+    assert len({Circle(), Circle(), Contractible(), ConicPiece(1, frozenset()),
                 ConicPiece(1, frozenset())}) == 3
 
 
