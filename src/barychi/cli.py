@@ -164,10 +164,10 @@ def _load_instance(args: argparse.Namespace) -> ValidatedInstance:
     weights = parse_weights(args.weights or "")
     rho = parse_fraction(args.rho)
     components = _components_for(args, len(weights))
-    if components is not None:
-        kind = SpaceKind.UNION_OF_BASIC
-    else:
-        kind = SpaceKind(args.space) if args.space else SpaceKind.COMPACT
+    # Components imply union only when --space is absent; validate refuses
+    # them beside any other kind, as it does for an instance document.
+    implied = SpaceKind.COMPACT if components is None else SpaceKind.UNION_OF_BASIC
+    kind = implied if args.space is None else SpaceKind(args.space)
     return validate(ProblemInstance(args.chi_c, weights, rho, kind, components))
 
 

@@ -316,6 +316,6 @@ def topological_chi_applicable(instance: ValidatedInstance) -> bool:
     kind = instance.space_kind
     if kind in (SpaceKind.COMPACT, SpaceKind.INTERIOR_EVEN_DIM_MANIFOLD):
         return True
-    if kind is SpaceKind.UNION_OF_BASIC and instance.components is not None:
+    if kind is SpaceKind.UNION_OF_BASIC:
         return all(c.is_compact for c in instance.components)
     return False

@@ -167,8 +167,10 @@ def validate(instance: ProblemInstance | ValidatedInstance) -> ValidatedInstance
     or a ``Fraction`` (a float, bool, str or complex), for a ``space_kind``
     that is not a ``SpaceKind``, and for a component's ``is_compact`` that
     is not a bool or singular index that is not an int; then
-    ``NonPositiveWeight``, ``NonPositiveRho``, ``InconsistentComponents``,
-    or ``TooManySingularPoints``.  (An int here is never a bool.)
+    ``NonPositiveWeight``, ``NonPositiveRho``, ``TooManySingularPoints``,
+    or ``InconsistentComponents``, which also refuses components given
+    for any kind but ``UNION_OF_BASIC`` and that kind without them.  (An
+    int here is never a bool.)
     """
     if not _is_int(instance.chi_c):
         raise InputFormatError(f"chi_c must be an int, got {instance.chi_c!r}")
@@ -197,6 +199,11 @@ def validate(instance: ProblemInstance | ValidatedInstance) -> ValidatedInstance
     canonical = tuple(weights[i] for i in order)
 
     components = instance.components
+    if (components is None) is (instance.space_kind is SpaceKind.UNION_OF_BASIC):
+        given = "without" if components is None else "with"
+        raise InconsistentComponents("components are given exactly when the space kind is "
+                                     f"'union'; got kind {instance.space_kind.value!r} "
+                                     f"{given} components")
     if components is not None:
         components = _check_components(instance.chi_c, r, components, order)
 

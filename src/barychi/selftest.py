@@ -10,7 +10,7 @@ import random
 from collections.abc import Callable
 from fractions import Fraction
 
-from .classifier import chi_disjoint_union_decomposition, classify
+from .classifier import classify
 from .combinatorics import ext_binomial
 from .engine import (
     chi_c_direct,
@@ -210,6 +210,36 @@ def gould_convolution(chi1: int, chi2: int, k: int) -> int:
     for l in range(k + 1):
         total += ext_binomial(k - l - chi1, k - l) * ext_binomial(l - 1 - chi2, l)
     return total
+
+
+def chi_disjoint_union_decomposition(chi_a: int, chi_b: int, k: int) -> int:
+    """chi of B_k(A u B) evaluated term by term over its wedge decomposition
+    (A, B compact): barycenter spaces of each part, suspensions (chi 2 - x),
+    joins of complementary parts (of compact x and y: x + y - x*y), and the
+    wedge-point correction -2k.
+
+    Equals 1 - C(k - chi_a - chi_b, k) for every k >= 2.
+    """
+    if k < 2:
+        raise ValueError("decomposition applies for k >= 2")
+
+    # Its own B_j term, not ``classifier.bary``: this is the reference.
+    def bary(j: int, chi: int) -> int:
+        return 0 if j == 0 else 1 - ext_binomial(j - chi, j)
+
+    parts = [
+        bary(k, chi_a),
+        2 - bary(k - 1, chi_a),
+        bary(k, chi_b),
+        2 - bary(k - 1, chi_b),
+    ]
+    for l in range(1, k):
+        x, y = bary(k - l, chi_a), bary(l, chi_b)
+        parts.append(x + y - x * y)
+    for l in range(2, k):
+        x, y = bary(k - l, chi_a), bary(l - 1, chi_b)
+        parts.append(2 - (x + y - x * y))
+    return sum(parts) - 2 * k
 
 
 def identity_failures() -> list[str]:

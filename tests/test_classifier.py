@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,24 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barychi.classifier import (
-    Bary,
-    Base,
-    Circle,
+    CIRCLE,
+    CONTRACTIBLE,
     ConicPiece,
-    Contractible,
-    DisjointUnion,
-    Suspension,
-    Wedge,
-    chi_disjoint_union_decomposition,
+    Descriptor,
+    bary,
     classify,
     colimit_pieces,
     maximal_pieces,
     piece_includes,
+    susp,
+    union,
+    wedge,
 )
 from barychi.combinatorics import ext_binomial
 from barychi.engine import chi_c_direct
-from barychi.errors import OutOfScope, WeightOutOfRange
+from barychi.errors import OutOfScope, TooManySingularPoints, WeightOutOfRange
 from barychi.model import ComponentSpec, ProblemInstance, SpaceKind, validate
+from barychi.selftest import chi_disjoint_union_decomposition
 
 F = Fraction
 
@@ -155,23 +156,67 @@ class TestMaximalPieces:
                 assert not piece_includes(q, p)
 
 
+class TestConicCap:
+    @pytest.mark.parametrize("r", [21, 22])
+    @pytest.mark.parametrize("decompose", [colimit_pieces, maximal_pieces])
+    def test_refused_before_any_level_is_built(self, decompose, r):
+        inst = make(0, [F(k, 2 * k + 1) for k in range(1, r + 1)], r)
+        start = time.perf_counter()
+        with pytest.raises(TooManySingularPoints, match=f"r = {r} exceeds its cap 20"):
+            decompose(inst)
+        assert time.perf_counter() - start < 1
+
+
+@st.composite
+def case_table_instances(draw, min_r=0):
+    """(chi_c, weights, rho) with min_r <= r <= 2, weights in (0, 1] with
+    denominators <= 20, and mostly rho = w_J + n for a subset J and an
+    integer n: the fractional part of rho lands on the table's edges w1, w2,
+    w1 + w2 and w1 + w2 - 1."""
+    weight = st.fractions(F(1, 20), 1, max_denominator=20)
+    weights = draw(st.lists(weight, min_size=min_r, max_size=2))
+    tie = sum((w for w in weights if draw(st.booleans())), F(0))
+    rho = draw(st.one_of(st.just(tie), weight)) + draw(st.integers(-1, 4))
+    if rho <= 0:
+        rho += 2
+    return draw(st.integers(-5, 5)), weights, rho
+
+
+class TestClassifyAgreesOnEveryEdge:
+    """Each descriptor chi rule, on every branch of both case tables, against
+    the direct route, with ties between eps and the weights."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case_table_instances())
+    def test_connected(self, case):
+        inst = make(*case)
+        assert classify(inst).chi() == chi_c_direct(inst).chi_c_value
+
+    @settings(max_examples=300, deadline=None)
+    @given(case_table_instances(min_r=2), st.integers(-5, 5), st.sampled_from(PLACEMENTS))
+    def test_two_components(self, case, chi_1, placement):
+        chi, weights, rho = case
+        inst = two_component(chi_1, chi - chi_1, weights, rho, placement)
+        assert classify(inst).chi() == chi_c_direct(inst).chi_c_value
+
+
 class TestClassifyR0:
     def test_no_singular_points(self):
-        assert classify(make(0, [], 3)) == Bary(3, Base(0))
-        assert classify(make(2, [], "7/2")) == Bary(3, Base(2))
+        assert classify(make(0, [], 3)) == bary(3, Descriptor("X", 0))
+        assert classify(make(2, [], "7/2")) == bary(3, Descriptor("X", 2))
 
 
 class TestClassifyR1:
     def test_heavy_point_keeps_the_space(self):
         desc = classify(make(3, ["7/10"], "5/2"))
-        assert desc == Bary(2, Base(3))
+        assert desc == bary(2, Descriptor("X", 3))
 
     def test_light_point_cones_off(self):
-        assert classify(make(2, ["3/10"], "5/2")) == Contractible()
+        assert classify(make(2, ["3/10"], "5/2")) == CONTRACTIBLE
 
     def test_unit_weight(self):
         # weight exactly 1 is a generic point: B_1(X) is X itself
-        assert classify(make(4, [1], 1)) == Bary(1, Base(4))
+        assert classify(make(4, [1], 1)) == bary(1, Descriptor("X", 4))
 
     def test_out_of_scope(self):
         with pytest.raises(OutOfScope):
@@ -190,22 +235,22 @@ class TestClassifyR1:
 class TestClassifyR2Connected:
     def test_both_light_suspension(self):
         desc = classify(make(3, ["3/10", "2/5"], "5/2"))
-        assert desc == Suspension(Bary(2, Wedge((Base(3), Circle()))))
+        assert desc == susp(bary(2, wedge(Descriptor("X", 3), CIRCLE)))
         assert desc.render() == "susp(B_2(X v S1))"
 
     def test_both_heavy_wedge(self):
         desc = classify(make(3, ["3/5", "7/10"], "5/2"))
-        assert desc == Bary(2, Wedge((Base(3), Circle())))
+        assert desc == bary(2, wedge(Descriptor("X", 3), CIRCLE))
 
     def test_very_heavy_pair(self):
         desc = classify(make(3, ["4/5", "9/10"], "5/2"))
-        assert desc == Bary(2, Base(3))
+        assert desc == bary(2, Descriptor("X", 3))
 
     def test_tiny_pair_contractible(self):
-        assert classify(make(0, ["1/10", "1/10"], "5/2")) == Contractible()
+        assert classify(make(0, ["1/10", "1/10"], "5/2")) == CONTRACTIBLE
 
     def test_split_pair_contractible(self):
-        assert classify(make(0, ["2/5", "4/5"], "5/2")) == Contractible()
+        assert classify(make(0, ["2/5", "4/5"], "5/2")) == CONTRACTIBLE
 
     def test_out_of_scope(self):
         with pytest.raises(OutOfScope):
@@ -225,33 +270,33 @@ class TestClassifyR2Connected:
 class TestClassifyR2TwoComponents:
     def test_one_each_suspension(self):
         desc = classify(two_component(2, 1, ["3/10", "2/5"], "5/2", ONE_EACH))
-        assert desc == Suspension(Bary(2, Wedge((Base(2, "A1"), Base(1, "A2")))))
+        assert desc == susp(bary(2, wedge(Descriptor("A1", 2), Descriptor("A2", 1))))
         assert desc.render() == "susp(B_2(A1 v A2))"
 
     def test_both_first_suspension(self):
         desc = classify(two_component(2, 1, ["3/10", "2/5"], "5/2", BOTH_IN_FIRST))
-        assert desc == Suspension(
-            Bary(2, DisjointUnion((Wedge((Base(2, "A1"), Circle())), Base(1, "A2"))))
+        assert desc == susp(
+            bary(2, union(wedge(Descriptor("A1", 2), CIRCLE), Descriptor("A2", 1)))
         )
         assert desc.render() == "susp(B_2(A1 v S1 | A2))"
 
     def test_both_second_suspension(self):
         desc = classify(two_component(2, 1, ["3/10", "2/5"], "5/2", BOTH_IN_SECOND))
-        assert desc == Suspension(
-            Bary(2, DisjointUnion((Base(2, "A1"), Wedge((Base(1, "A2"), Circle())))))
+        assert desc == susp(
+            bary(2, union(Descriptor("A1", 2), wedge(Descriptor("A2", 1), CIRCLE)))
         )
         assert desc.render() == "susp(B_2(A1 | A2 v S1))"
 
     def test_very_heavy_pair_ignores_placement(self):
         for placement in PLACEMENTS:
             desc = classify(two_component(2, 1, ["4/5", "9/10"], "5/2", placement))
-            assert desc == Bary(2, DisjointUnion((Base(2, "A1"), Base(1, "A2"))))
+            assert desc == bary(2, union(Descriptor("A1", 2), Descriptor("A2", 1)))
 
     def test_contractible_cases(self):
         inst = two_component(1, 1, ["1/10", "1/10"], "5/2", ONE_EACH)
-        assert classify(inst) == Contractible()
+        assert classify(inst) == CONTRACTIBLE
         inst = two_component(1, 1, ["2/5", "4/5"], "5/2", BOTH_IN_FIRST)
-        assert classify(inst) == Contractible()
+        assert classify(inst) == CONTRACTIBLE
 
     def test_requires_components(self):
         one = (ComponentSpec(2, True, frozenset({1, 2})),)
@@ -275,32 +320,32 @@ class TestClassifyR2TwoComponents:
 
 class TestChiOfDescriptor:
     def test_contractible(self):
-        assert Contractible().chi() == 1
+        assert CONTRACTIBLE.chi() == 1
 
     def test_bary_of_wedge(self):
-        desc = Bary(2, Wedge((Base(3), Circle())))
+        desc = bary(2, wedge(Descriptor("X", 3), CIRCLE))
         assert desc.chi() == 1 - ext_binomial(0, 2) == 1
 
     def test_suspension_composition(self):
-        desc = Suspension(Bary(2, Wedge((Base(3), Circle()))))
+        desc = susp(bary(2, wedge(Descriptor("X", 3), CIRCLE)))
         assert desc.chi() == 1
 
     def test_empty_barycenter_space(self):
-        assert Bary(0, Base(5)).chi() == 0
+        assert bary(0, Descriptor("X", 5)).chi() == 0
 
     def test_point_and_union(self):
-        point = Base(1, "pt")
-        assert Bary(1, DisjointUnion((point, point))).chi() == \
+        point = Descriptor("pt", 1)
+        assert bary(1, union(point, point)).chi() == \
             1 - ext_binomial(1 - 2, 1)
 
     def test_suspension(self):
-        assert Suspension(Base(0)).chi() == 2
-        assert Suspension(Base(2, "S0")).chi() == 0
+        assert susp(Descriptor("X", 0)).chi() == 2
+        assert susp(Descriptor("S0", 2)).chi() == 0
 
     def test_rendering(self):
-        assert Contractible().render() == "contractible"
-        assert Bary(3, Base(0)).render() == "B_3(X)"
-        assert Suspension(Bary(1, Wedge((Base(1, "A1"), Circle())))).render() == \
+        assert CONTRACTIBLE.render() == "contractible"
+        assert bary(3, Descriptor("X", 0)).render() == "B_3(X)"
+        assert susp(bary(1, wedge(Descriptor("A1", 1), CIRCLE))).render() == \
             "susp(B_1(A1 v S1))"
 
 

@@ -437,6 +437,55 @@ class TestStrictComponents:
         assert message in err
 
 
+class TestKindAndComponents:
+    """Components come exactly with the union kind, and the flags and an
+    instance document give one answer: a non-union --space beside
+    --components (or a document's non-union kind beside its components) is
+    refused with the same error line, and --components alone means union."""
+
+    COMPONENTS = [{"chi_c": 1, "is_compact": True, "singular_indices": [1]}]
+    FLAGS = ["--chi-c", "1", "--weights", "1/2", "--rho", "2"]
+
+    def document(self, tmp_path, space):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"chi_c": 1, "weights": ["1/2"], "rho": "2",
+                                    "space": space}))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["compute", "series", "classify"])
+    @pytest.mark.parametrize("kind", ["compact", "lc", "even-interior"])
+    def test_non_union_kind_with_components(self, capsys, tmp_path, command, kind):
+        want = ("error: InconsistentComponents: components are given exactly when the "
+                f"space kind is 'union'; got kind '{kind}' with components\n")
+        code, out, err = run(capsys, command, *self.FLAGS, "--space", kind,
+                             "--components", json.dumps(self.COMPONENTS))
+        assert (code, out, err) == (1, "", want)
+        doc = self.document(tmp_path, {"kind": kind, "components": self.COMPONENTS})
+        code, out, err = run(capsys, command, "--instance", doc)
+        assert (code, out, err) == (1, "", want)
+
+    def test_split_flags_with_a_non_union_kind(self, capsys):
+        code, out, err = run(capsys, "classify", "--chi-c", "3", "--weights", "3/10,2/5",
+                             "--rho", "5/2", "--space", "lc", "--chi-a", "2", "--chi-b", "1")
+        assert (code, out) == (1, "")
+        assert err.endswith("got kind 'lc' with components\n")
+
+    def test_union_document_without_components(self, capsys, tmp_path):
+        code, out, err = run(capsys, "compute", "--instance",
+                             self.document(tmp_path, {"kind": "union"}))
+        assert (code, out) == (1, "")
+        assert err == ("error: InconsistentComponents: components are given exactly when "
+                       "the space kind is 'union'; got kind 'union' without components\n")
+
+    def test_components_alone_mean_union(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "compute", *self.FLAGS, "--method", "direct",
+                           "--components", json.dumps(self.COMPONENTS))
+        assert code == 0
+        assert out.splitlines()[0] == "instance: chi_c=1 weights=1/2 rho=2 space=union"
+        doc = self.document(tmp_path, {"kind": "union", "components": self.COMPONENTS})
+        assert run(capsys, "compute", "--instance", doc, "--method", "direct")[1] == out
+
+
 class TestStrictWeights:
     """An instance document's weights must be a JSON list or a comma-separated
     string; anything else is an InputFormatError (exit 1), not a traceback."""

@@ -75,6 +75,15 @@ class TestValidate:
                 ProblemInstance(3, (F(1, 2), F(1, 2)), F(1), SpaceKind.UNION_OF_BASIC, components)
             )
 
+    @pytest.mark.parametrize("kind", [SpaceKind.COMPACT, SpaceKind.LOCALLY_CLOSED_BASIC,
+                                      SpaceKind.INTERIOR_EVEN_DIM_MANIFOLD])
+    def test_components_only_with_the_union_kind(self, kind):
+        components = (ComponentSpec(1, True, frozenset({1})), ComponentSpec(0, True, frozenset()))
+        with pytest.raises(InconsistentComponents, match=f"got kind '{kind.value}' with"):
+            validate(ProblemInstance(1, (F(1, 2),), F(1), kind, components))
+        with pytest.raises(InconsistentComponents, match="got kind 'union' without"):
+            validate(ProblemInstance(1, (F(1, 2),), F(1), SpaceKind.UNION_OF_BASIC))
+
     def test_component_indices_follow_the_sort(self):
         components = (
             ComponentSpec(1, True, frozenset({1})),   # the 3/5 point

@@ -7,16 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from barychi.classifier import (
-    Bary,
-    Base,
-    Circle,
-    ConicPiece,
-    Contractible,
-    DisjointUnion,
-    Suspension,
-    Wedge,
-)
+from barychi.classifier import CIRCLE, CONTRACTIBLE, ConicPiece, Descriptor, union, wedge
 from barychi.engine import ChiResult
 from barychi.errors import NonPositiveWeight
 from barychi.model import (
@@ -44,13 +35,7 @@ RECORDS = [
     (ChiResult, (3, "strata", ((frozenset(), 1),)),
      dict(chi_c_value=3, method="strata", term_breakdown=((frozenset(), 1),))),
     (FiniteWeightedSpace, ((F(1, 2), F(1)),), dict(vertex_weights=(F(1, 2), F(1)))),
-    (Base, (-1, "A1"), dict(chi_value=-1, label="A1")),
-    (Circle, (), {}),
-    (Wedge, ((Base(1), Circle()),), dict(parts=(Base(1), Circle()))),
-    (DisjointUnion, ((Base(1), Circle()),), dict(parts=(Base(1), Circle()))),
-    (Contractible, (), {}),
-    (Bary, (2, Base(0)), dict(n=2, space=Base(0))),
-    (Suspension, (Bary(1, Base(0)),), dict(inner=Bary(1, Base(0)))),
+    (Descriptor, ("A1", -1), dict(text="A1", chi_value=-1)),
     (ConicPiece, (2, frozenset({1})), dict(n=2, index_set=frozenset({1}))),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
@@ -87,12 +72,11 @@ def test_copy_and_pickle_give_an_equal_record(cls, args, kwargs):
 def test_defaults():
     assert ProblemInstance(1, (), F(2)) == ProblemInstance(1, (), F(2), SpaceKind.COMPACT, None)
     assert ChiResult(1, "direct").term_breakdown == ()
-    assert Base(4).label == "X"
 
 
 def test_wrong_arity_is_a_type_error():
     with pytest.raises(TypeError):
-        Circle(1)
+        Descriptor("X")
     with pytest.raises(TypeError):
         ConicPiece(1)
     with pytest.raises(TypeError):
@@ -100,24 +84,26 @@ def test_wrong_arity_is_a_type_error():
 
 
 def test_equality_needs_the_same_class_and_equal_fields():
-    assert Circle() != Contractible()
-    assert Circle() == Circle()
-    assert Contractible() != Base(1)
-    assert Base(1) != Base(1, "A1")
+    x = Descriptor("X", 1)
+    assert CIRCLE != CONTRACTIBLE
+    assert CIRCLE == Descriptor("S1", 0)
+    assert CONTRACTIBLE != x
+    assert x != Descriptor("A1", 1)
     assert ConicPiece(2, frozenset({1})) != ConicPiece(2, frozenset({2}))
     assert ConicPiece(2, frozenset({1})) != (2, frozenset({1}))
     # Same field values, different record types.
     same = dict(chi_c=1, weights=(), rho=F(2), space_kind=SpaceKind.COMPACT, components=None)
     assert ProblemInstance(**same) != ValidatedInstance(**same)
-    assert Wedge((Base(1),)) != DisjointUnion((Base(1),))
-    assert len({Circle(), Circle(), Contractible(), ConicPiece(1, frozenset()),
+    # A wedge and a union of the same parts differ in text and in chi.
+    assert wedge(x, CIRCLE) != union(x, CIRCLE)
+    assert len({CIRCLE, Descriptor("S1", 0), CONTRACTIBLE, ConicPiece(1, frozenset()),
                 ConicPiece(1, frozenset())}) == 3
 
 
 def test_repr_is_dataclass_style():
     assert repr(ChiResult(2, "direct")) == "ChiResult(chi_c_value=2, method='direct', term_breakdown=())"
-    assert repr(Circle()) == "Circle()"
-    assert repr(Wedge((Base(1), Circle()))) == "Wedge(parts=(Base(chi_value=1, label='X'), Circle()))"
+    assert repr(CIRCLE) == "Descriptor(text='S1', chi_value=0)"
+    assert repr(wedge(Descriptor("X", 1), CIRCLE)) == "Descriptor(text='X v S1', chi_value=0)"
     assert repr(ProblemInstance(1, (F(1, 2),), F(2))) == (
         "ProblemInstance(chi_c=1, weights=(Fraction(1, 2),), rho=Fraction(2, 1), "
         "space_kind=<SpaceKind.COMPACT: 'compact'>, components=None)"
