@@ -11,12 +11,14 @@ would mean a genuine bug; the algorithms are proven equal).
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import sys
+from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from operator import itemgetter
 
 from .classifier import classify
@@ -46,7 +48,7 @@ from .model import (
     validate,
 )
 from .oracle import FiniteWeightedSpace, _check_vertex_count, oracle_chi
-from .series import chen_lin_series, chi_c_series, truncation_bound, window_keys
+from .series import chen_lin_series, chi_c_series, reduced_columns, truncation_bound
 
 _METHOD_RUNNERS = {"direct": chi_c_direct, "strata": chi_c_strata, "series": chi_c_series}
 
@@ -67,8 +69,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    # A request makes no reference cycles but argparse's (tests/test_cli.py,
+    # TestNoCyclicGarbage), so each collector pass inside one would scan a
+    # heap of live tuples for nothing.  The collector is off for the request,
+    # and the caller's setting comes back on every exit.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        parser = _build_parser()
         args = parser.parse_args(argv)
         return args.run(args)
     except _InputError as exc:
@@ -77,6 +85,9 @@ def main(argv: list[str] | None = None) -> int:
     except BarychiError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _build_parser() -> _Parser:
@@ -217,12 +228,10 @@ def _write(render: Callable[[], Iterable[str]]) -> None:
     sys.stdout.write(text.getvalue())
 
 
-def _exponent_texts(terms: Iterable[tuple[int, ...]]) -> list[str]:
-    """Each exponent as ``str`` prints the same ``Fraction``: "n/d", or "n"
-    when d is 1.  An exponent is the leading (n, d) of each item, so a
-    ``SparseSeries.reduced_terms`` triple and a series breakdown key both
-    serve; indexing reads them faster than unpacking both shapes."""
-    return [f"{t[0]}/{t[1]}" if t[1] != 1 else str(t[0]) for t in terms]
+def _exponent_texts(exponents: Iterable[tuple[int, int]]) -> list[str]:
+    """Each exponent ``(n, d)`` in lowest terms as ``str`` prints the same
+    ``Fraction``: "n/d", or "n" when d is 1."""
+    return [f"{n}/{d}" if d != 1 else str(n) for n, d in exponents]
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +312,16 @@ def _cmd_series(args: argparse.Namespace) -> int:
     bound = truncation_bound(instance.rho,
                              parse_fraction(args.bound) if args.bound is not None else None)
     g = chen_lin_series(instance, bound)
-    terms = g.reduced_terms()[1:]  # the constant term 1 (checked by chen_lin_series) is no output
-    # The window is the leading run of the positive-exponent terms.
-    inside = len(window_keys(g, instance.rho))
-    coefficients = [c for _, _, c in terms]
-    sums = list(accumulate(coefficients[:inside]))
-    chi_c = -sums[-1] if sums else 0
+    # Key 0 is the constant term 1 (checked by chen_lin_series), which is no
+    # output; the window (0, rho] is the run of keys after it up to rho.
+    top = instance.rho.numerator * (g.scale // instance.rho.denominator)
+    keys, numerators, denominators, coefficients = reduced_columns(g, 1)
+    del g  # its dict is as large as the output, which is built without it
+    inside = bisect_right(keys, top) - 1
+    chi_c = -sum(islice(coefficients, inside))
 
     def render() -> Iterable[str]:
-        exponents = _exponent_texts(terms)
+        exponents = _exponent_texts(zip(numerators, denominators))
         if args.json:
             return [_dump({
                 "instance": instance_to_json_dict(instance),
@@ -322,10 +332,11 @@ def _cmd_series(args: argparse.Namespace) -> int:
                 "d_rho": 1 - chi_c,
             }), "\n"]
         return chain([f"chi_c={chi_c} d_rho={1 - chi_c}\n"],
-                     (f"{e} {c}\t# sum={total}\n"
-                      for e, c, total in zip(exponents, coefficients, sums)),
+                     (f"{e} {c}\t# sum={total}\n" for e, c, total in
+                      zip(exponents, coefficients, accumulate(islice(coefficients, inside)))),
                      [f"# window end: rho={instance.rho}\n"],
-                     (f"{e} {c}\n" for e, c in zip(exponents[inside:], coefficients[inside:])))
+                     (f"{e} {c}\n" for e, c in
+                      zip(islice(exponents, inside, None), islice(coefficients, inside, None))))
 
     _write(render)
     return 0

@@ -36,7 +36,7 @@ from collections.abc import Callable, Iterable
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
-from operator import floordiv
+from operator import floordiv, mul
 
 from .combinatorics import ext_binomial
 from .model import (
@@ -104,8 +104,10 @@ def chi_c_direct(instance: ValidatedInstance, *, breakdown: bool = False) -> Chi
         levels = subset_levels(instance)
         # A subset heavier than rho has a negative level and contributes 0.
         value = {level: ext_binomial(level - chi + r, level) for level in set(levels) if level >= 0}
-        rows = tuple((members, -value.get(level, 0) if len(members) % 2 else value.get(level, 0))
-                     for members, level in zip(subset_members(r), levels))
+        signs = [1]  # (-1)^|I| by mask: index j appends the masks with bit j set
+        for _ in range(r):
+            signs += [-s for s in signs]
+        rows = tuple(zip(subset_members(r), map(mul, signs, map(value.get, levels, repeat(0)))))
     return ChiResult(1 - acc, METHOD_DIRECT, rows)
 
 

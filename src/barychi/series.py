@@ -16,8 +16,9 @@ the window end are integer comparisons.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from math import floor, gcd, lcm
 from operator import floordiv
 
@@ -47,12 +48,8 @@ class SparseSeries:
     def reduced_terms(self) -> list[tuple[int, int, int]]:
         """(numerator, denominator, coefficient) triples in increasing
         exponent order, each exponent in lowest terms: the values of
-        ``terms()`` as integers, with one gcd per term and no ``Fraction``."""
-        scale, terms = self.scale, self._terms
-        keys = sorted(terms)
-        gcds = list(map(gcd, keys, repeat(scale)))
-        return list(zip(map(floordiv, keys, gcds), map(floordiv, repeat(scale), gcds),
-                        map(terms.__getitem__, keys)))
+        ``terms()`` as integers (see ``reduced_columns``)."""
+        return list(zip(*reduced_columns(self, 0)[1:]))
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -137,16 +134,26 @@ def chen_lin_series(instance: ValidatedInstance, bound: Fraction | None = None) 
     return g
 
 
-def window_keys(g: SparseSeries, rho: Fraction) -> list[int]:
-    """The int keys of g's coefficient window: exponents in (0, rho], ties
-    at rho included, in no particular order."""
-    top = floor(rho * g.scale)
-    return [k for k in g._terms if 0 < k <= top]
+def reduced_columns(
+    g: SparseSeries, start: int
+) -> tuple[list[int], Iterator[int], Iterator[int], list[int]]:
+    """g's int keys in ascending order, and the numerators, denominators and
+    coefficients of the terms from the ``start``-th key on, each exponent in
+    lowest terms: one gcd per term, no ``Fraction`` and no per-term tuple.
+    The numerators and denominators are iterators, read once; none of the
+    four refers to g, so g can be freed while they are read."""
+    scale, terms = g.scale, g._terms
+    keys = sorted(terms)
+    gcds = list(map(gcd, islice(keys, start, None), repeat(scale)))
+    return (keys, map(floordiv, islice(keys, start, None), gcds),
+            map(floordiv, repeat(scale), gcds),
+            list(map(terms.__getitem__, islice(keys, start, None))))
 
 
 def chi_c_series(instance: ValidatedInstance, *, breakdown: bool = False) -> ChiResult:
-    """chi_c via the coefficient window (0, rho] of g (see ``window_keys``):
-    minus the sum of the window's coefficients.
+    """chi_c via the coefficient window (0, rho] of g, the exponents in
+    (0, rho] with ties at rho included: minus the sum of the window's
+    coefficients.
 
     The window ends at rho and the cut is never below it, so g is expanded
     at rho, its factors by ascending denominator and heaviest first within
@@ -154,10 +161,13 @@ def chi_c_series(instance: ValidatedInstance, *, breakdown: bool = False) -> Chi
     cut).  Cut at rho, every term of g but the constant 1 lies in the
     window, so chi_c is 1 minus the sum of all of g's coefficients, read in
     one sum with no window test, and the breakdown rows are the terms past
-    the constant, each exponent keyed as ``reduced_terms`` gives it, an int
-    pair ``(numerator, denominator)`` in lowest terms.  Agrees exactly with
-    the direct method.
+    the constant, each exponent keyed as ``reduced_columns`` gives it, an
+    int pair ``(numerator, denominator)`` in lowest terms.  Agrees exactly
+    with the direct method.
     """
     g = chen_lin_series(instance)
-    rows = tuple(((n, d), c) for n, d, c in g.reduced_terms()[1:]) if breakdown else ()
+    rows = ()
+    if breakdown:
+        _, numerators, denominators, coefficients = reduced_columns(g, 1)
+        rows = tuple(zip(zip(numerators, denominators), coefficients))
     return ChiResult(1 - sum(g._terms.values()), METHOD_SERIES, rows)

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 from barychi import cli
 from barychi.cli import MAX_BREAKDOWN_POINTS, main
-from barychi.engine import chi_c_direct, chi_c_strata, topological_chi_applicable
+from barychi.engine import (
+    METHOD_SERIES,
+    ChiResult,
+    chi_c_direct,
+    chi_c_strata,
+    topological_chi_applicable,
+)
 from barychi.model import MAX_SINGULAR_POINTS, ProblemInstance, instance_to_json_dict, validate
 from barychi.series import chen_lin_series, chi_c_series, truncation_bound
 from test_engine import tie_heavy_instances
@@ -734,6 +740,12 @@ class TestNoCyclicGarbage:
         ["oracle", "--vertices", "5", "--weights", "1/2,2/3", "--rho", "3", "--json"],
         ["classify", "--chi-c", "3", "--weights", "3/10,2/5", "--rho", "5/2"],
         ["compute", "--chi-c", "2", "--weights", "0", "--rho", "1"],  # an input error
+        # selftest runs every case inside one request, so a cycle per case
+        # would pile up while the collector is off.
+        ["selftest", "--cases", "20", "--seed", "1"],
+        ["compute", "--chi-c", "2", "--weights", "3/10,2/5,3/5", "--rho", "9/2",
+         "--breakdown"],
+        ["series", "--chi-c", "2", "--weights", "1/2,2/3", "--rho", "3", "--bound", "5"],
     ]
 
     @staticmethod
@@ -754,7 +766,81 @@ class TestNoCyclicGarbage:
 
     @pytest.mark.parametrize("argv", ARGVS, ids=["compute", "compute-breakdown-json",
                                                  "series-bound-json", "oracle-json",
-                                                 "classify", "input-error"])
+                                                 "classify", "input-error", "selftest",
+                                                 "compute-breakdown", "series-bound"])
     def test_a_request_adds_none_to_parsing(self, argv):
         parsed = self.garbage(lambda: cli._build_parser().parse_args(argv))
         assert self.garbage(lambda: main(argv)) == parsed
+
+
+class TestCollectorSetting:
+    """main runs each request with the cyclic collector off, and every exit
+    gives the caller back its own setting, on or off."""
+
+    COMPUTE = ["compute", "--chi-c", "2", "--weights", "1/2", "--rho", "1"]
+
+    @staticmethod
+    def setting_after(caller_enabled, request):
+        """gc.isenabled() after ``request`` runs under the caller's setting,
+        and what ``request`` returned."""
+        was = gc.isenabled()
+        (gc.enable if caller_enabled else gc.disable)()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                returned = request()
+            return gc.isenabled(), returned
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    @staticmethod
+    def route(monkeypatch, body):
+        """Make ``--method series`` call ``body``; the list returned records
+        whether the collector was on each time it ran."""
+        seen = []
+
+        def series(instance, *, breakdown=False):
+            seen.append(gc.isenabled())
+            return body(instance)
+
+        monkeypatch.setitem(cli._METHOD_RUNNERS, "series", series)
+        return seen
+
+    @pytest.mark.parametrize("caller_enabled", [True, False], ids=["caller-on", "caller-off"])
+    @pytest.mark.parametrize("argv,code", [
+        (COMPUTE, 0),
+        (["compute", "--chi-c", "2", "--weights", "0", "--rho", "1"], 1),  # BarychiError
+        (["compute", "--rho", "1"], 1),  # _InputError
+    ], ids=["exit-0", "barychi-error", "input-error"])
+    def test_plain_exits(self, caller_enabled, argv, code):
+        assert self.setting_after(caller_enabled, lambda: main(argv)) == (caller_enabled, code)
+
+    @pytest.mark.parametrize("caller_enabled", [True, False], ids=["caller-on", "caller-off"])
+    def test_mismatch(self, caller_enabled, monkeypatch):
+        seen = self.route(monkeypatch, lambda inst: ChiResult(chi_c_direct(inst).chi_c_value + 1,
+                                                              METHOD_SERIES))
+        assert self.setting_after(caller_enabled, lambda: main(self.COMPUTE)) == (caller_enabled, 2)
+        assert seen == [False]
+
+    @pytest.mark.parametrize("caller_enabled", [True, False], ids=["caller-on", "caller-off"])
+    def test_help(self, caller_enabled):
+        def request():
+            with pytest.raises(SystemExit) as exc:
+                main(["compute", "--help"])
+            return exc.value.code
+
+        assert self.setting_after(caller_enabled, request) == (caller_enabled, 0)
+
+    @pytest.mark.parametrize("caller_enabled", [True, False], ids=["caller-on", "caller-off"])
+    def test_unexpected_exception(self, caller_enabled, monkeypatch):
+        def broken(inst):
+            raise RuntimeError("route failed")
+
+        seen = self.route(monkeypatch, broken)
+
+        def request():
+            with pytest.raises(RuntimeError, match="route failed"):
+                main(self.COMPUTE)
+
+        assert self.setting_after(caller_enabled, request) == (caller_enabled, None)
+        assert seen == [False]

@@ -1,22 +1,25 @@
+import contextlib
+import io
+import json
 from fractions import Fraction
+from itertools import accumulate
 from math import floor, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barychi.cli import _exponent_texts
+from barychi.cli import _exponent_texts, main
 from barychi.combinatorics import ext_binomial
 from barychi.engine import METHOD_SERIES, ChiResult, chi_c_direct
 from barychi.errors import NonPositiveRho, NonPositiveWeight
-from barychi.model import ProblemInstance, validate
+from barychi.model import ProblemInstance, instance_to_json_dict, validate
 from barychi.series import (
     SparseSeries,
     chen_lin_series,
     chi_c_series,
     expand_geometric_power,
     truncation_bound,
-    window_keys,
 )
 
 from test_engine import kernel_instances, tie_heavy_instances
@@ -43,6 +46,13 @@ def window_reference(g: SparseSeries, rho: Fraction) -> tuple[int, tuple]:
     (numerator, denominator), and minus their sum."""
     rows = tuple(((e.numerator, e.denominator), c) for e, c in g.terms() if 0 < e <= rho)
     return -sum(c for _, c in rows), rows
+
+
+def window_keys(g: SparseSeries, rho: Fraction) -> list[int]:
+    """The int keys of g's coefficient window: exponents in (0, rho], ties
+    at rho included, in no particular order."""
+    top = floor(rho * g.scale)
+    return [k for k in g._terms if 0 < k <= top]
 
 
 def brute_poly_product(a: dict, b: dict, bound: Fraction) -> dict:
@@ -102,14 +112,15 @@ class TestSparseSeries:
         g = SparseSeries(scale, {k: c for c, k in enumerate(keys, -3) if c})
         reduced = g.reduced_terms()
         assert reduced == [(e.numerator, e.denominator, c) for e, c in g.terms()]
-        assert _exponent_texts(reduced) == [str(F(k, scale)) for k in sorted(g._terms)]
+        assert _exponent_texts((n, d) for n, d, _ in reduced) == \
+            [str(F(k, scale)) for k in sorted(g._terms)]
 
     def test_reduced_terms_of_a_series(self):
         # The constant term (key 0) and the key 3 at scale 6, which reduces to 1/2.
         g = chen_lin_series(validate(ProblemInstance(1, (F(1, 2),), F(4, 3))))
         assert g.scale == 6
         assert g.reduced_terms() == [(0, 1, 1), (1, 2, -1)]
-        assert _exponent_texts(g.reduced_terms()) == ["0", "1/2"]
+        assert _exponent_texts((n, d) for n, d, _ in g.reduced_terms()) == ["0", "1/2"]
 
     def test_len_counts_terms(self):
         # perfbench's tracer reads series.support_terms as len() of the
@@ -275,12 +286,9 @@ class TestChiCSeries:
     @given(tie_heavy_instances())
     def test_row_keys_are_reduced_int_pairs(self, inst):
         rows = chi_c_series(inst, breakdown=True).term_breakdown
-        terms = chen_lin_series(inst).terms()[1:]
-        assert len(rows) == len(terms)
-        for ((n, d), c), (e, coefficient) in zip(rows, terms):
-            assert type(n) is int and type(d) is int
-            assert d >= 1 and gcd(n, d) == 1
-            assert (Fraction(n, d), c) == (e, coefficient)
+        assert rows == tuple(((e.numerator, e.denominator), c)
+                             for e, c in chen_lin_series(inst).terms()[1:])
+        assert all(type(n) is int and type(d) is int for (n, d), _ in rows)
 
     @settings(max_examples=150, deadline=None)
     @given(kernel_instances(), st.booleans())
@@ -294,6 +302,47 @@ class TestChiCSeries:
             chi, rows = window_reference(g, inst.rho)
             assert res == ChiResult(chi, METHOD_SERIES, rows if breakdown else ())
             assert len(window_keys(g, inst.rho)) == len(rows)
+
+
+def series_command_reference(inst, bound: Fraction | None, as_json: bool) -> str:
+    """What ``barychi series`` prints, rendered from ``g.terms()`` with
+    ``str(Fraction)`` exponents and the window read by exponent value."""
+    terms = chen_lin_series(inst, bound).terms()[1:]
+    window = [c for e, c in terms if e <= inst.rho]
+    chi = -sum(window)
+    if as_json:
+        return json.dumps({
+            "instance": instance_to_json_dict(inst),
+            "bound": str(truncation_bound(inst.rho, bound)),
+            "terms": [[str(e), c] for e, c in terms],
+            "window_sum": -chi,
+            "chi_c": chi,
+            "d_rho": 1 - chi,
+        }, separators=(",", ":")) + "\n"
+    lines = [f"chi_c={chi} d_rho={1 - chi}\n"]
+    lines += [f"{e} {c}\t# sum={total}\n" for (e, c), total in zip(terms, accumulate(window))]
+    lines.append(f"# window end: rho={inst.rho}\n")
+    lines += [f"{e} {c}\n" for e, c in terms[len(window):]]
+    return "".join(lines)
+
+
+class TestSeriesOutputPath:
+    """The series command reads g's int keys straight into text; it must
+    print what ``g.terms()`` says."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(tie_heavy_instances(), st.sampled_from(["absent", "rho", "above"]),
+           st.fractions(F(1, 20), F(3), max_denominator=20), st.booleans())
+    def test_series_command_prints_the_terms(self, inst, where, beyond, as_json):
+        bound = {"absent": None, "rho": inst.rho, "above": inst.rho + beyond}[where]
+        argv = ["series", "--chi-c", str(inst.chi_c), "--weights", ",".join(map(str, inst.weights)),
+                "--rho", str(inst.rho)]
+        argv += [] if bound is None else ["--bound", str(bound)]
+        argv += ["--json"] if as_json else []
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert out.getvalue() == series_command_reference(inst, bound, as_json)
 
 
 def chen_lin_series_ascending(instance, bound=None):
