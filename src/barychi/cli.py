@@ -210,21 +210,26 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"), check_circular=False)
 
 
-def _write(render: Callable[[], Iterable[str]]) -> None:
-    """Build the whole text that ``render`` makes, then write it, or write
-    none of it.  ``str`` raises ValueError for an int past Python's
-    int-to-str limit; that is refused as ``TooManyDigits``, so ``render``
-    and the lines it returns must only make text, never run a route.  The
-    lines go into one buffer as they are made, so a lazy ``render`` never
-    holds them all as separate strings."""
-    text = io.StringIO()
+def _digits_checked(make: Callable[[], object]) -> object:
+    """Return ``make()``.  ``str`` raises ValueError for an int past Python's
+    int-to-str limit; that is refused as ``TooManyDigits``, so ``make`` must
+    only make text, never run a route."""
     try:
-        text.writelines(render())
+        return make()
     except ValueError as exc:
         raise TooManyDigits(
             f"a result has more than {sys.get_int_max_str_digits()} digits, "
             "the int-to-str limit (sys.get_int_max_str_digits())"
         ) from exc
+
+
+def _write(render: Callable[[], Iterable[str]]) -> None:
+    """Build the whole text that ``render`` makes (``_digits_checked``),
+    then write it, or write none of it.  The lines go into one buffer as
+    they are made, so a lazy ``render`` never holds them all as separate
+    strings."""
+    text = io.StringIO()
+    _digits_checked(lambda: text.writelines(render()))
     sys.stdout.write(text.getvalue())
 
 
@@ -247,13 +252,10 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         )
     names = list(_METHOD_RUNNERS) if args.method == "all" else [args.method]
     results = [_METHOD_RUNNERS[name](instance, breakdown=args.breakdown) for name in names]
-
-    def render() -> Iterable[str]:
-        report = build_report(instance, results, breakdown=args.breakdown)
-        return [_dump(report), "\n"] if args.json else _report_text(report)
-
-    _write(render)
-    return 0 if len({res.chi_c_value for res in results}) == 1 else 2
+    # The report prints series exponents as text.
+    report = _digits_checked(lambda: build_report(instance, results, breakdown=args.breakdown))
+    _write(lambda: [_dump(report), "\n"] if args.json else _report_text(report))
+    return 2 if report["verdict"] == "MISMATCH" else 0
 
 
 def build_report(
@@ -355,18 +357,19 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     instance, expected, values = compare_with_oracle(space, parse_fraction(args.rho))
     match = all(v == expected for v in values.values())
     verdict = "MATCH" if match else "MISMATCH"
-    if args.json:
-        print(_dump({
-            "instance": instance_to_json_dict(instance),
-            "oracle": expected,
-            "methods": values,
-            "verdict": verdict,
-        }))
-    else:
-        print(f"oracle: {expected}")
-        for name, value in values.items():
-            print(f"{name}: {value}")
-        print(f"verdict: {verdict}")
+
+    def render() -> Iterable[str]:
+        if args.json:
+            return [_dump({
+                "instance": instance_to_json_dict(instance),
+                "oracle": expected,
+                "methods": values,
+                "verdict": verdict,
+            }), "\n"]
+        return [f"oracle: {expected}\n", *(f"{name}: {value}\n" for name, value in values.items()),
+                f"verdict: {verdict}\n"]
+
+    _write(render)
     return 0 if match else 2
 
 

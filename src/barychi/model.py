@@ -44,17 +44,19 @@ class _Record:
     """Base of the package's immutable value types.
 
     A subclass names its fields in ``__slots__``, in constructor order, and
-    sets each one once in ``__init__`` with ``object.__setattr__``.  Records
-    compare equal when they are of the same class with equal fields; they
-    hash, print, copy and pickle like frozen dataclasses, and refuse
-    assignment and deletion.
+    sets each one once in ``__init__`` with ``object.__setattr__``; a
+    subclass of a record adds its own ``__slots__`` after its base's, and
+    ``_fields`` lists them all.  Records compare equal when they are of the
+    same class with equal fields; they hash, print, copy and pickle like
+    frozen dataclasses, and refuse assignment and deletion.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        names = cls.__slots__
+        cls._fields = names = tuple(name for klass in reversed(cls.__mro__)
+                                    for name in vars(klass).get("__slots__", ()))
         # attrgetter returns a tuple only when it is given two names or more.
         cls._values = (attrgetter(*names) if len(names) > 1
                        else staticmethod(lambda record: tuple(getattr(record, n) for n in names)))
@@ -70,7 +72,7 @@ class _Record:
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}"
-                           for name, value in zip(self.__slots__, self._values(self)))
+                           for name, value in zip(self._fields, self._values(self)))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
@@ -115,27 +117,13 @@ class ProblemInstance(_Record):
         object.__setattr__(self, "components", components)
 
 
-class ValidatedInstance(_Record):
+class ValidatedInstance(ProblemInstance):
     """A checked instance with weights in canonical (ascending) order.
 
     Component singular indices are remapped to canonical positions.
     """
 
-    __slots__ = ("chi_c", "weights", "rho", "space_kind", "components")
-
-    def __init__(
-        self,
-        chi_c: int,
-        weights: tuple[Fraction, ...],
-        rho: Fraction,
-        space_kind: SpaceKind,
-        components: tuple[ComponentSpec, ...] | None,
-    ) -> None:
-        object.__setattr__(self, "chi_c", chi_c)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "space_kind", space_kind)
-        object.__setattr__(self, "components", components)
+    __slots__ = ()
 
     @property
     def r(self) -> int:
@@ -157,10 +145,12 @@ class SubsetWeight(_Record):
         return -1 if len(self.index_set) % 2 else 1
 
 
-def validate(instance: ProblemInstance | ValidatedInstance) -> ValidatedInstance:
+def validate(instance: ProblemInstance) -> ValidatedInstance:
     """Check all invariants and return the canonical form of the instance.
 
     Idempotent: validating a ``ValidatedInstance`` returns an equal one.
+    This is the only check of the types of ``chi_c`` and of a component's
+    ``chi_c`` and ``is_compact``; ``instance_from_json`` leaves them to it.
 
     Raises ``InputFormatError`` for a ``chi_c`` (of the instance or of a
     component) that is not an int, for a weight or rho that is not an int
@@ -340,15 +330,13 @@ def parse_weights(csv: str) -> tuple[Fraction, ...]:
     return tuple(parse_fraction(part) for part in csv.split(","))
 
 
-_KIND_BY_NAME = {kind.value: kind for kind in SpaceKind}
-
-
 def instance_from_json(doc: str | dict) -> ProblemInstance:
     """Build an instance from the JSON document format.
 
     Fields: ``chi_c`` (int), ``weights`` (list of fraction strings, or one
     comma-separated string), ``rho`` (fraction string), optional ``space``
-    (``{"kind": ..., "components": [...]}``).
+    (``{"kind": ..., "components": [...]}``).  Only the document's shape
+    is checked here; ``validate`` checks the values.
     """
     if isinstance(doc, str):
         try:
@@ -363,8 +351,6 @@ def instance_from_json(doc: str | dict) -> ProblemInstance:
         raw_rho = doc["rho"]
     except KeyError as exc:
         raise InputFormatError(f"instance document missing field {exc}") from exc
-    if not _is_int(chi_c):
-        raise InputFormatError("chi_c must be a JSON integer")
     if isinstance(raw_weights, str):
         weights = parse_weights(raw_weights)
     elif isinstance(raw_weights, list):
@@ -380,11 +366,11 @@ def instance_from_json(doc: str | dict) -> ProblemInstance:
         if not isinstance(space, dict):
             raise InputFormatError("space must be a JSON object")
         name = space.get("kind", SpaceKind.COMPACT.value)
-        if name not in _KIND_BY_NAME:
-            raise InputFormatError(
-                f"unknown space kind {name!r}; expected one of {sorted(_KIND_BY_NAME)}"
-            )
-        kind = _KIND_BY_NAME[name]
+        try:
+            kind = SpaceKind(name)
+        except ValueError:
+            raise InputFormatError(f"unknown space kind {name!r}; expected one of "
+                                   f"{sorted(member.value for member in SpaceKind)}") from None
         if space.get("components") is not None:
             components = parse_components(space["components"])
     return ProblemInstance(chi_c, weights, rho, kind, components)
@@ -418,10 +404,7 @@ def _component_from_json(entry: object) -> ComponentSpec:
         indices = entry.get("singular_indices", [])
     except KeyError as exc:
         raise InputFormatError(f"component missing field {exc}") from exc
-    if not _is_int(chi_c):
-        raise InputFormatError("component chi_c must be a JSON integer")
-    if not isinstance(is_compact, bool):
-        raise InputFormatError("component is_compact must be a JSON boolean")
+    # A frozenset of unhashable entries would raise TypeError.
     if not isinstance(indices, list) or not all(map(_is_int, indices)):
         raise InputFormatError("component singular_indices must be a list of JSON integers")
     return ComponentSpec(chi_c, is_compact, frozenset(indices))

@@ -7,7 +7,6 @@ explicit ``random.Random`` so failures reproduce from a printed seed.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
 from fractions import Fraction
 
 from .classifier import classify
@@ -30,11 +29,11 @@ from .oracle import FiniteWeightedSpace
 from .series import chi_c_series
 
 
-def random_instance(rng: random.Random, max_r: int = 8) -> ValidatedInstance:
-    """chi_c in [-10, 10], r in [0, max_r], weights in (0, 2] with
+def random_instance(rng: random.Random) -> ValidatedInstance:
+    """chi_c in [-10, 10], r in [0, 8], weights in (0, 2] with
     denominators <= 20, rho in (0, 12]."""
     chi_c = rng.randint(-10, 10)
-    r = rng.randint(0, max_r)
+    r = rng.randint(0, 8)
     weights = []
     for _ in range(r):
         d = rng.randint(1, 20)
@@ -54,10 +53,10 @@ def random_instance(rng: random.Random, max_r: int = 8) -> ValidatedInstance:
     return validate(ProblemInstance(chi_c, tuple(weights), rho, kind, components))
 
 
-def random_finite_space(rng: random.Random, max_m: int = 10) -> tuple[FiniteWeightedSpace, Fraction]:
-    """A finite space with m <= max_m vertices, weights in (0, 2] with
+def random_finite_space(rng: random.Random) -> tuple[FiniteWeightedSpace, Fraction]:
+    """A finite space with m <= 10 vertices, weights in (0, 2] with
     denominators <= 12, and rho in (0, m + 1]."""
-    m = rng.randint(1, max_m)
+    m = rng.randint(1, 10)
     weights = []
     for _ in range(m):
         if rng.random() < 0.3:
@@ -268,25 +267,24 @@ def identity_failures() -> list[str]:
     return failures
 
 
-def run_selftest(
-    cases: int = 1000,
-    seed: int | None = None,
-    emit: Callable[[str], None] = print,
-) -> bool:
-    """Run every corpus; print one line per corpus and return overall truth."""
+def run_selftest(cases: int = 1000, seed: int | None = None) -> bool:
+    """Run every corpus; print one line per corpus and return overall truth.
+
+    Each random instance is checked as soon as it is drawn, so the run
+    holds one instance at a time, however many ``cases`` it draws.
+    """
     if seed is None:
         seed = random.randrange(2**32)
-    emit(f"seed: {seed}")
-    ok = True
+    print(f"seed: {seed}")
 
     rng = random.Random(seed)
-    instances = [random_instance(rng) for _ in range(cases)]
-    for name, check in (
-        ("triple-agreement", check_triple_agreement),
-        ("normalization-invariance", check_normalization),
-    ):
-        failures = [msg for inst in instances for msg in check(inst)]
-        ok &= _report(emit, name, cases, failures)
+    triple, normalization = [], []
+    for _ in range(cases):
+        instance = random_instance(rng)
+        triple += check_triple_agreement(instance)
+        normalization += check_normalization(instance)
+    ok = _report("triple-agreement", cases, triple)
+    ok &= _report("normalization-invariance", cases, normalization)
 
     oracle_cases = max(cases // 2, 1)
     rng = random.Random(seed + 1)
@@ -294,22 +292,22 @@ def run_selftest(
     for _ in range(oracle_cases):
         space, rho = random_finite_space(rng)
         failures.extend(check_oracle(space, rho))
-    ok &= _report(emit, "oracle-equivalence", oracle_cases, failures)
+    ok &= _report("oracle-equivalence", oracle_cases, failures)
 
     failures = classifier_sweep_failures()
-    ok &= _report(emit, "classifier-consistency", None, failures)
+    ok &= _report("classifier-consistency", None, failures)
     failures = identity_failures()
-    ok &= _report(emit, "identity-suite", None, failures)
+    ok &= _report("identity-suite", None, failures)
 
-    emit(f"result: {'PASS' if ok else 'FAIL'}")
+    print(f"result: {'PASS' if ok else 'FAIL'}")
     return ok
 
 
-def _report(emit: Callable[[str], None], name: str, cases: int | None, failures: list[str]) -> bool:
+def _report(name: str, cases: int | None, failures: list[str]) -> bool:
     counted = f"{cases} cases, " if cases is not None else ""
-    emit(f"{name}: {counted}{len(failures)} failures")
+    print(f"{name}: {counted}{len(failures)} failures")
     for msg in failures[:10]:
-        emit(f"  {msg}")
+        print(f"  {msg}")
     return not failures
 
 

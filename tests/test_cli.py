@@ -470,6 +470,39 @@ class TestKindAndComponents:
         code, out, err = run(capsys, command, "--instance", doc)
         assert (code, out, err) == (1, "", want)
 
+    @pytest.mark.parametrize("command", ["compute", "series", "classify"])
+    @pytest.mark.parametrize("kind", [["compact"], {"a": 1}, "mystery"],
+                             ids=["array", "object", "unknown-name"])
+    def test_unknown_kind_in_a_document(self, capsys, tmp_path, command, kind):
+        # An array or an object is refused like an unknown name, not with a
+        # TypeError from looking up an unhashable value.
+        doc = self.document(tmp_path, {"kind": kind})
+        code, out, err = run(capsys, command, "--instance", doc)
+        assert (code, out) == (1, "")
+        assert err == (f"error: InputFormatError: unknown space kind {kind!r}; "
+                       "expected one of ['compact', 'even-interior', 'lc', 'union']\n")
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("chi_c", 1.0, "component chi_c must be an int, got 1.0"),
+        ("chi_c", True, "component chi_c must be an int, got True"),
+        ("is_compact", 1, "component is_compact must be a bool, got 1"),
+        ("is_compact", "yes", "component is_compact must be a bool, got 'yes'"),
+    ])
+    def test_mistyped_component_field_in_a_document(self, capsys, tmp_path, field, value,
+                                                    message):
+        components = [{**self.COMPONENTS[0], field: value}]
+        doc = self.document(tmp_path, {"kind": "union", "components": components})
+        code, out, err = run(capsys, "compute", "--instance", doc)
+        assert (code, out, err) == (1, "", f"error: InputFormatError: {message}\n")
+
+    @pytest.mark.parametrize("chi_c", ["1", 1.0, None, [1]], ids=["str", "float", "null", "array"])
+    def test_mistyped_chi_c_in_a_document(self, capsys, tmp_path, chi_c):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"chi_c": chi_c, "weights": ["1/2"], "rho": "2"}))
+        code, out, err = run(capsys, "compute", "--instance", str(path))
+        assert (code, out, err) == (1, "", f"error: InputFormatError: chi_c must be an int, "
+                                           f"got {chi_c!r}\n")
+
     def test_split_flags_with_a_non_union_kind(self, capsys):
         code, out, err = run(capsys, "classify", "--chi-c", "3", "--weights", "3/10,2/5",
                              "--rho", "5/2", "--space", "lc", "--chi-a", "2", "--chi-b", "1")

@@ -24,7 +24,7 @@ ROUTES = {
 }
 # The records every route takes or returns.
 SHARED = {("model", "_Record"), ("model", "ComponentSpec"), ("model", "SpaceKind"),
-          ("model", "ValidatedInstance"), ("engine", "ChiResult")}
+          ("model", "ProblemInstance"), ("model", "ValidatedInstance"), ("engine", "ChiResult")}
 # The --breakdown tables: rows only, never the value a route returns.
 SHARED_BY_PAIR = {("direct", "strata"): {("model", "subset_levels"), ("model", "subset_members")}}
 

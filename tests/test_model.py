@@ -19,6 +19,7 @@ from barychi.model import (
     ComponentSpec,
     ProblemInstance,
     SpaceKind,
+    ValidatedInstance,
     enumerate_subset_weights,
     instance_from_json,
     instance_to_json_dict,
@@ -95,6 +96,12 @@ class TestValidate:
         assert inst.weights == (F(1, 2), F(3, 5))
         assert inst.components[0].singular_indices == frozenset({2})
         assert inst.components[1].singular_indices == frozenset({1})
+
+    def test_validated_instance_is_a_problem_instance(self):
+        inst = validate(ProblemInstance(1, (F(3, 5), F(1, 2)), F(2)))
+        assert type(inst) is ValidatedInstance
+        assert isinstance(inst, ProblemInstance)
+        assert inst != ProblemInstance(1, (F(1, 2), F(3, 5)), F(2))
 
     def test_idempotent(self):
         inst = validate(ProblemInstance(1, (F(3, 5), F(1, 2)), F(2)))
@@ -317,7 +324,17 @@ class TestJsonDocument:
 
     def test_chi_c_must_be_integer(self):
         with pytest.raises(InputFormatError):
-            instance_from_json({"chi_c": "2", "rho": "1"})
+            validate(instance_from_json({"chi_c": "2", "rho": "1"}))
+
+    @pytest.mark.parametrize("doc", [
+        {"chi_c": 1.5, "rho": "1"},
+        {"chi_c": 1, "rho": "1", "space": {"kind": "union", "components": [
+            {"chi_c": 1, "is_compact": "no", "singular_indices": []}]}},
+    ], ids=["chi_c", "is_compact"])
+    def test_field_types_are_left_to_validate(self, doc):
+        inst = instance_from_json(doc)
+        with pytest.raises(InputFormatError, match="must be"):
+            validate(inst)
 
     def test_weights_accept_decimal_strings(self):
         inst = instance_from_json({"chi_c": 0, "weights": ["0.3", "2/5"], "rho": "4.5"})

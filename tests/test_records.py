@@ -2,11 +2,14 @@
 or keyword with their documented defaults, equal only to a record of the
 same class with equal fields, hashable, and printed like a dataclass."""
 import copy
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction as F
 
 import pytest
 
+import barychi
 from barychi.classifier import CIRCLE, CONTRACTIBLE, ConicPiece, Descriptor, union, wedge
 from barychi.engine import ChiResult
 from barychi.errors import NonPositiveWeight
@@ -16,6 +19,7 @@ from barychi.model import (
     SpaceKind,
     SubsetWeight,
     ValidatedInstance,
+    _Record,
 )
 from barychi.oracle import FiniteWeightedSpace
 
@@ -74,13 +78,30 @@ def test_defaults():
     assert ChiResult(1, "direct").term_breakdown == ()
 
 
+def test_records_lists_every_record_type():
+    for module in pkgutil.iter_modules(barychi.__path__):
+        importlib.import_module(f"barychi.{module.name}")
+    found, stack = set(), [_Record]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            found.add(cls)
+            stack.append(cls)
+    assert found == {cls for cls, _, _ in RECORDS}
+
+
 def test_wrong_arity_is_a_type_error():
     with pytest.raises(TypeError):
         Descriptor("X")
     with pytest.raises(TypeError):
         ConicPiece(1)
-    with pytest.raises(TypeError):
-        ChiResult(1, "direct", (), None)
+    for cls, args, kwargs in RECORDS:
+        with pytest.raises(TypeError):
+            cls(*args, None)
+        with pytest.raises(TypeError):
+            cls(**kwargs, extra=None)
+        first = next(iter(kwargs))
+        with pytest.raises(TypeError):
+            cls(*args, **{first: args[0]})
 
 
 def test_equality_needs_the_same_class_and_equal_fields():
