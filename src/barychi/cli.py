@@ -36,13 +36,9 @@ from .errors import (
     TooManySingularPoints,
 )
 from .model import (
-    ComponentSpec,
-    ProblemInstance,
-    SpaceKind,
     ValidatedInstance,
     instance_from_json,
     instance_to_json_dict,
-    parse_components,
     parse_fraction,
     parse_weights,
     validate,
@@ -156,6 +152,8 @@ def _instance_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _load_instance(args: argparse.Namespace) -> ValidatedInstance:
+    """The instance of ``--instance FILE``, or of the flags read as the
+    document they spell; ``instance_from_json`` reads either."""
     # None is each flag's default, so an empty flag ("") counts as given.
     if args.instance is not None:
         given = [flag for flag, value in (("--chi-c", args.chi_c), ("--weights", args.weights),
@@ -166,43 +164,40 @@ def _load_instance(args: argparse.Namespace) -> ValidatedInstance:
             raise _InputError(f"--instance cannot be combined with {', '.join(given)}")
         try:
             with open(args.instance, "r", encoding="utf-8") as fh:
-                text = fh.read()
+                doc = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise InputFormatError(f"cannot read --instance file: {exc}") from exc
-        return validate(instance_from_json(text))
-    if args.chi_c is None or args.rho is None:
+    elif args.chi_c is None or args.rho is None:
         raise _InputError("--chi-c and --rho are required (or pass --instance FILE)")
-    weights = parse_weights(args.weights or "")
-    rho = parse_fraction(args.rho)
-    components = _components_for(args, len(weights))
-    # Components imply union only when --space is absent; validate refuses
-    # them beside any other kind, as it does for an instance document.
-    implied = SpaceKind.COMPACT if components is None else SpaceKind.UNION_OF_BASIC
-    kind = implied if args.space is None else SpaceKind(args.space)
-    return validate(ProblemInstance(args.chi_c, weights, rho, kind, components))
+    else:
+        kind = {} if args.space is None else {"kind": args.space}
+        doc = {"chi_c": args.chi_c, "weights": args.weights or "", "rho": args.rho,
+               "space": {**kind, **_components_for(args)}}
+    return validate(instance_from_json(doc))
 
 
-def _components_for(args: argparse.Namespace, r: int) -> tuple[ComponentSpec, ...] | None:
-    if getattr(args, "components", None) is not None:
+def _components_for(args: argparse.Namespace) -> dict:
+    """``{"components": entries}`` for the JSON of ``--components``, or for
+    the two entries that classify's ``--chi-a/--chi-b [--placement]``
+    spell; ``{}`` when neither is given."""
+    if args.components is not None:
         try:
-            entries = json.loads(args.components)
+            return {"components": json.loads(args.components)}
         except ValueError as exc:  # malformed, or an int past the digit limit
             raise InputFormatError(f"--components is not valid JSON: {exc}") from exc
-        return parse_components(entries)
     chi_a = getattr(args, "chi_a", None)
     chi_b = getattr(args, "chi_b", None)
     if chi_a is None and chi_b is None:
-        return None
+        return {}
     if chi_a is None or chi_b is None:
         raise _InputError("--chi-a and --chi-b must be given together")
-    if getattr(args, "placement", None) == "both-first":
-        split = (frozenset(range(1, r + 1)), frozenset())
-    else:
-        split = (frozenset(range(1, min(r, 1) + 1)), frozenset(range(2, r + 1)))
-    return (
-        ComponentSpec(chi_a, True, split[0]),
-        ComponentSpec(chi_b, True, split[1]),
-    )
+    # The first component holds points 1..cut: all of them, or the first.
+    r = len(parse_weights(args.weights or ""))
+    cut = r if args.placement == "both-first" else min(r, 1)
+    return {"components": [
+        {"chi_c": chi_a, "is_compact": True, "singular_indices": list(range(1, cut + 1))},
+        {"chi_c": chi_b, "is_compact": True, "singular_indices": list(range(cut + 1, r + 1))},
+    ]}
 
 
 def _dump(obj: dict) -> str:

@@ -197,13 +197,7 @@ def validate(instance: ProblemInstance) -> ValidatedInstance:
     if components is not None:
         components = _check_components(instance.chi_c, r, components, order)
 
-    return ValidatedInstance(
-        chi_c=instance.chi_c,
-        weights=canonical,
-        rho=rho,
-        space_kind=instance.space_kind,
-        components=components,
-    )
+    return ValidatedInstance(instance.chi_c, canonical, rho, instance.space_kind, components)
 
 
 def _check_components(
@@ -241,14 +235,9 @@ def _check_components(
         )
     # order[j] = incoming slot that lands at canonical position j.
     canon_of_label = {order[j] + 1: j + 1 for j in range(r)}
-    return tuple(
-        ComponentSpec(
-            chi_c=c.chi_c,
-            is_compact=c.is_compact,
-            singular_indices=frozenset(canon_of_label[i] for i in c.singular_indices),
-        )
-        for c in components
-    )
+    return tuple(ComponentSpec(c.chi_c, c.is_compact,
+                               frozenset(canon_of_label[i] for i in c.singular_indices))
+                 for c in components)
 
 
 def enumerate_subset_weights(instance: ValidatedInstance) -> Iterator[SubsetWeight]:
@@ -335,8 +324,11 @@ def instance_from_json(doc: str | dict) -> ProblemInstance:
 
     Fields: ``chi_c`` (int), ``weights`` (list of fraction strings, or one
     comma-separated string), ``rho`` (fraction string), optional ``space``
-    (``{"kind": ..., "components": [...]}``).  Only the document's shape
-    is checked here; ``validate`` checks the values.
+    (``{"kind": ..., "components": [...]}``).  An absent kind is
+    ``"union"`` when components are given and ``"compact"`` otherwise; a
+    null kind or components is refused.  Only the document's shape is
+    checked here; ``validate`` checks the values.  The command line reads
+    its flags as the document they spell.
     """
     if isinstance(doc, str):
         try:
@@ -359,29 +351,23 @@ def instance_from_json(doc: str | dict) -> ProblemInstance:
         raise InputFormatError("weights must be a JSON list or a comma-separated string")
     rho = parse_fraction(raw_rho)
 
-    kind = SpaceKind.COMPACT
+    space = {} if doc.get("space") is None else doc["space"]
+    if not isinstance(space, dict):
+        raise InputFormatError("space must be a JSON object")
+    given = "components" in space
+    name = space.get("kind", (SpaceKind.UNION_OF_BASIC if given else SpaceKind.COMPACT).value)
+    try:
+        kind = SpaceKind(name)
+    except ValueError:
+        raise InputFormatError(f"unknown space kind {name!r}; expected one of "
+                               f"{sorted(member.value for member in SpaceKind)}") from None
     components = None
-    space = doc.get("space")
-    if space is not None:
-        if not isinstance(space, dict):
-            raise InputFormatError("space must be a JSON object")
-        name = space.get("kind", SpaceKind.COMPACT.value)
-        try:
-            kind = SpaceKind(name)
-        except ValueError:
-            raise InputFormatError(f"unknown space kind {name!r}; expected one of "
-                                   f"{sorted(member.value for member in SpaceKind)}") from None
-        if space.get("components") is not None:
-            components = parse_components(space["components"])
+    if given:
+        entries = space["components"]
+        if not isinstance(entries, list):
+            raise InputFormatError("components must be a JSON list")
+        components = tuple(_component_from_json(entry) for entry in entries)
     return ProblemInstance(chi_c, weights, rho, kind, components)
-
-
-def parse_components(entries: object) -> tuple[ComponentSpec, ...]:
-    """Parse a JSON list of component objects (``space.components`` of an
-    instance document, or ``--components`` on the command line)."""
-    if not isinstance(entries, list):
-        raise InputFormatError("components must be a JSON list")
-    return tuple(_component_from_json(entry) for entry in entries)
 
 
 def _is_int(value: object) -> bool:

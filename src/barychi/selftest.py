@@ -7,6 +7,7 @@ explicit ``random.Random`` so failures reproduce from a printed seed.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .classifier import classify
@@ -270,45 +271,53 @@ def identity_failures() -> list[str]:
 def run_selftest(cases: int = 1000, seed: int | None = None) -> bool:
     """Run every corpus; print one line per corpus and return overall truth.
 
-    Each random instance is checked as soon as it is drawn, so the run
-    holds one instance at a time, however many ``cases`` it draws.
+    Each random instance is checked as soon as it is drawn, and a corpus
+    keeps only its failure count and first ten messages, so a run holds one
+    instance and ten messages a corpus, however many ``cases`` it draws.
     """
     if seed is None:
         seed = random.randrange(2**32)
     print(f"seed: {seed}")
 
     rng = random.Random(seed)
-    triple, normalization = [], []
+    triple, normalization = _Failures(), _Failures()
     for _ in range(cases):
         instance = random_instance(rng)
-        triple += check_triple_agreement(instance)
-        normalization += check_normalization(instance)
-    ok = _report("triple-agreement", cases, triple)
-    ok &= _report("normalization-invariance", cases, normalization)
+        triple.add(check_triple_agreement(instance))
+        normalization.add(check_normalization(instance))
+    ok = triple.report("triple-agreement", cases)
+    ok &= normalization.report("normalization-invariance", cases)
 
     oracle_cases = max(cases // 2, 1)
     rng = random.Random(seed + 1)
-    failures = []
+    oracle = _Failures()
     for _ in range(oracle_cases):
-        space, rho = random_finite_space(rng)
-        failures.extend(check_oracle(space, rho))
-    ok &= _report("oracle-equivalence", oracle_cases, failures)
+        oracle.add(check_oracle(*random_finite_space(rng)))
+    ok &= oracle.report("oracle-equivalence", oracle_cases)
 
-    failures = classifier_sweep_failures()
-    ok &= _report("classifier-consistency", None, failures)
-    failures = identity_failures()
-    ok &= _report("identity-suite", None, failures)
+    ok &= _Failures(classifier_sweep_failures()).report("classifier-consistency")
+    ok &= _Failures(identity_failures()).report("identity-suite")
 
     print(f"result: {'PASS' if ok else 'FAIL'}")
     return ok
 
 
-def _report(name: str, cases: int | None, failures: list[str]) -> bool:
-    counted = f"{cases} cases, " if cases is not None else ""
-    print(f"{name}: {counted}{len(failures)} failures")
-    for msg in failures[:10]:
-        print(f"  {msg}")
-    return not failures
+class _Failures:
+    """A corpus's failure count and the first ten messages its report prints."""
+
+    def __init__(self, messages: Sequence[str] = ()) -> None:
+        self.count, self.first = len(messages), list(messages[:10])
+
+    def add(self, messages: Sequence[str]) -> None:
+        self.count += len(messages)
+        self.first += messages[:10 - len(self.first)]
+
+    def report(self, name: str, cases: int | None = None) -> bool:
+        counted = f"{cases} cases, " if cases is not None else ""
+        print(f"{name}: {counted}{self.count} failures")
+        for msg in self.first:
+            print(f"  {msg}")
+        return not self.count
 
 
 def _describe(instance: ValidatedInstance) -> str:

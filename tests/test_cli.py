@@ -5,6 +5,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -523,6 +524,134 @@ class TestKindAndComponents:
         assert out.splitlines()[0] == "instance: chi_c=1 weights=1/2 rho=2 space=union"
         doc = self.document(tmp_path, {"kind": "union", "components": self.COMPONENTS})
         assert run(capsys, "compute", "--instance", doc, "--method", "direct")[1] == out
+
+    @pytest.mark.parametrize("command", ["compute", "series", "classify"])
+    def test_components_without_kind_in_a_document(self, capsys, tmp_path, command):
+        # An absent kind means union when components are given, in a
+        # document as with --components alone.
+        flags = run(capsys, command, *self.FLAGS, "--components", json.dumps(self.COMPONENTS))
+        assert flags[0] == 0
+        if command == "compute":
+            assert flags[1].splitlines()[0].endswith("space=union")
+        doc = self.document(tmp_path, {"components": self.COMPONENTS})
+        assert run(capsys, command, "--instance", doc) == flags
+
+    @pytest.mark.parametrize("space", [{"kind": None}, {"kind": None, "components": COMPONENTS}],
+                             ids=["alone", "with-components"])
+    def test_null_kind_in_a_document(self, capsys, tmp_path, space):
+        code, out, err = run(capsys, "compute", "--instance", self.document(tmp_path, space))
+        assert (code, out, err) == (1, "", "error: InputFormatError: unknown space kind None; "
+                                           "expected one of ['compact', 'even-interior', 'lc', "
+                                           "'union']\n")
+
+    @pytest.mark.parametrize("space", [{"components": None},
+                                       {"kind": "compact", "components": None}],
+                             ids=["no-kind", "compact"])
+    def test_null_components(self, capsys, tmp_path, space):
+        # --components null spells "components": null, and both are refused.
+        want = (1, "", "error: InputFormatError: components must be a JSON list\n")
+        assert run(capsys, "compute", *self.FLAGS, "--components", "null") == want
+        assert run(capsys, "compute", "--instance", self.document(tmp_path, space)) == want
+
+
+class TestFlagFaultsComeFirst:
+    """The flags are spelled into an instance document before the document
+    is read, so a fault found while spelling it (--components that is not
+    JSON, --chi-a without --chi-b) is reported before a malformed --weights
+    or --rho, which reading the document finds."""
+
+    MALFORMED = [("--weights", "1/0"), ("--rho", "x")]
+
+    @pytest.mark.parametrize("flag,value", MALFORMED)
+    def test_components_that_are_not_json(self, capsys, flag, value):
+        given = {"--chi-c": "1", "--weights": "1/2", "--rho": "2", flag: value}
+        code, out, err = run(capsys, "compute", *chain.from_iterable(given.items()),
+                             "--components", "[{")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: InputFormatError: --components is not valid JSON: ")
+
+    @pytest.mark.parametrize("flag,value", MALFORMED)
+    @pytest.mark.parametrize("split", ["--chi-a", "--chi-b"])
+    def test_unpaired_split_flags(self, capsys, flag, value, split):
+        given = {"--chi-c": "1", "--weights": "1/2,1/3", "--rho": "2", flag: value}
+        assert run(capsys, "classify", *chain.from_iterable(given.items()), split, "1") == (
+            1, "", "error: --chi-a and --chi-b must be given together\n")
+
+
+def run_captured(*argv):
+    """main(argv) with its exit code, stdout and stderr, outside pytest's
+    capture fixtures (hypothesis runs one test body many times)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def spelled_requests(draw):
+    """A compute, series or classify command line with instance flags, and
+    the instance document those flags spell.  Components are drawn both
+    consistent (two components split at a cut) and free-form, so that
+    validate accepts some and refuses others."""
+    command = draw(st.sampled_from(["compute", "series", "classify"]))
+    chi_c = draw(st.integers(-3, 3))
+    weights = draw(st.lists(st.sampled_from(["1/2", "3/10", "2/5", "3/2"]),
+                            max_size=2 if command == "classify" else 3))
+    rho = draw(st.sampled_from(["2", "5/2", "1/3"]))
+    r = len(weights)
+    flags = [command, "--chi-c", str(chi_c), "--rho", rho]
+    if weights or draw(st.booleans()):
+        flags += ["--weights", ",".join(weights)]
+    space = {}
+    kind = draw(st.none() | st.sampled_from(["compact", "lc", "even-interior"]))
+    if kind is not None:
+        flags += ["--space", kind]
+        space["kind"] = kind
+    source = draw(st.sampled_from(["none", "components", "split"] if command == "classify"
+                                  else ["none", "components"]))
+    if source == "components":
+        cut, chi_1 = draw(st.integers(0, r)), draw(st.integers(-3, 3))
+        consistent = [{"chi_c": chi_1, "is_compact": draw(st.booleans()),
+                       "singular_indices": list(range(1, cut + 1))},
+                      {"chi_c": chi_c - chi_1, "is_compact": draw(st.booleans()),
+                       "singular_indices": list(range(cut + 1, r + 1))}]
+        free = st.lists(st.fixed_dictionaries({
+            "chi_c": st.integers(-3, 3),
+            "is_compact": st.sampled_from([True, False, 1]),
+            "singular_indices": st.lists(st.integers(0, 3), max_size=3)}), max_size=3)
+        space["components"] = draw(st.just(consistent) | free)
+        flags += ["--components", json.dumps(space["components"])]
+    elif source == "split":
+        chi_a = draw(st.integers(-3, 3))
+        chi_b = draw(st.just(chi_c - chi_a) | st.integers(-3, 3))
+        flags += ["--chi-a", str(chi_a), "--chi-b", str(chi_b)]
+        # --placement needs two points; the document has no such field.
+        placement = draw(st.sampled_from([None, "one-each", "both-first"])) if r == 2 else None
+        if placement is not None:
+            flags += ["--placement", placement]
+        cut = r if placement == "both-first" else min(r, 1)
+        space["components"] = [
+            {"chi_c": chi_a, "is_compact": True, "singular_indices": list(range(1, cut + 1))},
+            {"chi_c": chi_b, "is_compact": True, "singular_indices": list(range(cut + 1, r + 1))},
+        ]
+    rest = ["--method", "direct"] if command == "compute" else []
+    if draw(st.booleans()):
+        rest.append("--json")
+    doc = {"chi_c": chi_c, "weights": weights, "rho": rho, "space": space}
+    return flags + rest, [command, *rest], doc
+
+
+class TestFlagsSpellTheDocument:
+    """The instance flags are read as the document they spell: both give
+    the same exit code, stdout and stderr."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(request=spelled_requests())
+    def test_same_bytes(self, tmp_path_factory, request):
+        flags, command, doc = request
+        path = tmp_path_factory.mktemp("spelled") / "instance.json"
+        path.write_text(json.dumps(doc))
+        assert run_captured(*command, "--instance", str(path)) == run_captured(*flags)
 
 
 class TestStrictWeights:

@@ -1,6 +1,11 @@
-"""selftest checks each random instance before it draws the next, so a run
-holds one instance at a time however many cases it is asked for."""
+"""selftest checks each random instance before it draws the next, and keeps
+a corpus's failure count and first ten messages, so a run holds one instance
+and ten messages at a time however many cases it is asked for."""
+import contextlib
+import io
 import random
+import tracemalloc
+from itertools import count
 
 from barychi import selftest
 
@@ -63,3 +68,46 @@ def test_failures_keep_their_corpus_and_order(monkeypatch, capsys):
         "oracle-equivalence: 6 cases, 0 failures",
     ]
     assert lines[-1] == "result: FAIL"
+
+
+def test_failing_cases_are_counted_not_kept(monkeypatch):
+    # Every case fails.  The draws return one fixed instance and space, so
+    # the only memory that could grow with the cases is the failures kept.
+    instance = selftest.random_instance(random.Random(0))
+    space = selftest.random_finite_space(random.Random(0))
+    monkeypatch.setattr(selftest, "random_instance", lambda rng: instance)
+    monkeypatch.setattr(selftest, "random_finite_space", lambda rng: space)
+    monkeypatch.setattr(selftest, "check_normalization", lambda instance: [])
+    monkeypatch.setattr(selftest, "check_oracle", lambda space, rho: [])
+    monkeypatch.setattr(selftest, "classifier_sweep_failures", list)
+    monkeypatch.setattr(selftest, "identity_failures", list)
+    described = selftest._describe(instance)
+
+    def run(cases):
+        numbers = count()
+        monkeypatch.setattr(selftest, "check_triple_agreement", lambda instance: [
+            f"method disagreement {next(numbers)} on {selftest._describe(instance)}"])
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                assert not selftest.run_selftest(cases=cases, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, out.getvalue().splitlines()
+
+    small, _ = run(500)
+    large, lines = run(5000)
+    assert lines == [
+        "seed: 1",
+        "triple-agreement: 5000 cases, 5000 failures",
+        *(f"  method disagreement {n} on {described}" for n in range(10)),
+        "normalization-invariance: 5000 cases, 0 failures",
+        "oracle-equivalence: 2500 cases, 0 failures",
+        "classifier-consistency: 0 failures",
+        "identity-suite: 0 failures",
+        "result: FAIL",
+    ]
+    # Keeping every message would add about 4500 strings of some 80 bytes.
+    assert large - small < 20_000
