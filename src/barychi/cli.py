@@ -200,32 +200,27 @@ def _components_for(args: argparse.Namespace) -> dict:
     ]}
 
 
-def _dump(obj: dict) -> str:
-    # A report is built fresh for each output and holds no cycles.
-    return json.dumps(obj, separators=(",", ":"), check_circular=False)
-
-
-def _digits_checked(make: Callable[[], object]) -> object:
-    """Return ``make()``.  ``str`` raises ValueError for an int past Python's
-    int-to-str limit; that is refused as ``TooManyDigits``, so ``make`` must
-    only make text, never run a route."""
+def _write(args: argparse.Namespace, document: Callable[[], dict],
+           lines: Callable[[], Iterable[str]]) -> None:
+    """Write the JSON of ``document()`` under ``--json``, else the text of
+    ``lines()``: all of it, or none of it.  ``str`` raises ValueError for an
+    int past Python's int-to-str limit, which is refused as ``TooManyDigits``,
+    so a maker must only make text, never run a route.  What a maker builds
+    is held here alone, and it is freed, like the buffer, before the text is
+    written; the lines go into the buffer as they are made."""
+    buffer = io.StringIO()
     try:
-        return make()
+        # A document is built fresh for each output and holds no cycles.
+        buffer.writelines([json.dumps(document(), separators=(",", ":"), check_circular=False),
+                           "\n"] if args.json else lines())
     except ValueError as exc:
         raise TooManyDigits(
             f"a result has more than {sys.get_int_max_str_digits()} digits, "
             "the int-to-str limit (sys.get_int_max_str_digits())"
         ) from exc
-
-
-def _write(render: Callable[[], Iterable[str]]) -> None:
-    """Build the whole text that ``render`` makes (``_digits_checked``),
-    then write it, or write none of it.  The lines go into one buffer as
-    they are made, so a lazy ``render`` never holds them all as separate
-    strings."""
-    text = io.StringIO()
-    _digits_checked(lambda: text.writelines(render()))
-    sys.stdout.write(text.getvalue())
+    text = buffer.getvalue()
+    del buffer
+    sys.stdout.write(text)
 
 
 def _exponent_texts(exponents: Iterable[tuple[int, int]]) -> list[str]:
@@ -246,11 +241,16 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             f"{MAX_BREAKDOWN_POINTS}"
         )
     names = list(_METHOD_RUNNERS) if args.method == "all" else [args.method]
-    results = [_METHOD_RUNNERS[name](instance, breakdown=args.breakdown) for name in names]
-    # The report prints series exponents as text.
-    report = _digits_checked(lambda: build_report(instance, results, breakdown=args.breakdown))
-    _write(lambda: [_dump(report), "\n"] if args.json else _report_text(report))
-    return 2 if report["verdict"] == "MISMATCH" else 0
+    # The report maker pops the results, so once the report is built it alone
+    # holds their rows, and _write frees it before it writes.
+    results = [[_METHOD_RUNNERS[name](instance, breakdown=args.breakdown) for name in names]]
+    agreed = len({res.chi_c_value for res in results[0]}) == 1
+
+    def report() -> dict:
+        return build_report(instance, results.pop(), breakdown=args.breakdown)
+
+    _write(args, report, lambda: _report_text(report()))
+    return 0 if agreed else 2
 
 
 def build_report(
@@ -313,21 +313,22 @@ def _cmd_series(args: argparse.Namespace) -> int:
     # output; the window (0, rho] is the run of keys after it up to rho.
     top = instance.rho.numerator * (g.scale // instance.rho.denominator)
     keys, numerators, denominators, coefficients = reduced_columns(g, 1)
-    del g  # its dict is as large as the output, which is built without it
     inside = bisect_right(keys, top) - 1
+    del g, keys  # each is as large as the output, which is built without them
     chi_c = -sum(islice(coefficients, inside))
 
-    def render() -> Iterable[str]:
+    def document() -> dict:
+        return {
+            "instance": instance_to_json_dict(instance),
+            "bound": str(bound),
+            "terms": list(zip(_exponent_texts(zip(numerators, denominators)), coefficients)),
+            "window_sum": -chi_c,
+            "chi_c": chi_c,
+            "d_rho": 1 - chi_c,
+        }
+
+    def lines() -> Iterator[str]:
         exponents = _exponent_texts(zip(numerators, denominators))
-        if args.json:
-            return [_dump({
-                "instance": instance_to_json_dict(instance),
-                "bound": str(bound),
-                "terms": list(zip(exponents, coefficients)),
-                "window_sum": -chi_c,
-                "chi_c": chi_c,
-                "d_rho": 1 - chi_c,
-            }), "\n"]
         return chain([f"chi_c={chi_c} d_rho={1 - chi_c}\n"],
                      (f"{e} {c}\t# sum={total}\n" for e, c, total in
                       zip(exponents, coefficients, accumulate(islice(coefficients, inside)))),
@@ -335,7 +336,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
                      (f"{e} {c}\n" for e, c in
                       zip(islice(exponents, inside, None), islice(coefficients, inside, None))))
 
-    _write(render)
+    _write(args, document, lines)
     return 0
 
 
@@ -353,18 +354,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     match = all(v == expected for v in values.values())
     verdict = "MATCH" if match else "MISMATCH"
 
-    def render() -> Iterable[str]:
-        if args.json:
-            return [_dump({
-                "instance": instance_to_json_dict(instance),
-                "oracle": expected,
-                "methods": values,
-                "verdict": verdict,
-            }), "\n"]
-        return [f"oracle: {expected}\n", *(f"{name}: {value}\n" for name, value in values.items()),
-                f"verdict: {verdict}\n"]
-
-    _write(render)
+    _write(args, lambda: {
+        "instance": instance_to_json_dict(instance),
+        "oracle": expected,
+        "methods": values,
+        "verdict": verdict,
+    }, lambda: [f"oracle: {expected}\n", *(f"{name}: {value}\n" for name, value in values.items()),
+                f"verdict: {verdict}\n"])
     return 0 if match else 2
 
 
@@ -398,19 +394,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     engine = chi_c_direct(instance).chi_c_value
     verdict = "MATCH" if chi == engine else "MISMATCH"
 
-    def render() -> list[str]:
-        if args.json:
-            return [_dump({
-                "instance": instance_to_json_dict(instance),
-                "descriptor": descriptor.render(),
-                "descriptor_chi": chi,
-                "engine_chi_c": engine,
-                "verdict": verdict,
-            }), "\n"]
-        return [f"descriptor: {descriptor.render()}\n", f"descriptor chi: {chi}\n",
-                f"engine chi_c: {engine}\n", f"verdict: {verdict}\n"]
-
-    _write(render)
+    _write(args, lambda: {
+        "instance": instance_to_json_dict(instance),
+        "descriptor": descriptor.render(),
+        "descriptor_chi": chi,
+        "engine_chi_c": engine,
+        "verdict": verdict,
+    }, lambda: [f"descriptor: {descriptor.render()}\n", f"descriptor chi: {chi}\n",
+                f"engine chi_c: {engine}\n", f"verdict: {verdict}\n"])
     return 0 if verdict == "MATCH" else 2
 
 

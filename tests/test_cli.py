@@ -21,7 +21,7 @@ from barychi.engine import (
     topological_chi_applicable,
 )
 from barychi.model import MAX_SINGULAR_POINTS, ProblemInstance, instance_to_json_dict, validate
-from barychi.series import chen_lin_series, chi_c_series, truncation_bound
+from barychi.series import SparseSeries, chen_lin_series, chi_c_series, truncation_bound
 from test_engine import tie_heavy_instances
 from test_series import SCALE_CASES
 
@@ -933,6 +933,47 @@ class TestNoCyclicGarbage:
     def test_a_request_adds_none_to_parsing(self, argv):
         parsed = self.garbage(lambda: cli._build_parser().parse_args(argv))
         assert self.garbage(lambda: main(argv)) == parsed
+
+
+class TestNothingAliveAtTheWrite:
+    """When a command writes its output, nothing the output was made from
+    is alive: no route result, no report and no series, only the text."""
+
+    W = "3/10,2/5,3/5"
+    ARGVS = [
+        ["compute", "--chi-c", "2", "--weights", W, "--rho", "9/2", "--method", "all",
+         "--breakdown"],
+        ["compute", "--chi-c", "2", "--weights", W, "--rho", "9/2", "--method", "all",
+         "--breakdown", "--json"],
+        ["series", "--chi-c", "2", "--weights", "1/2,2/3", "--rho", "3", "--bound", "5"],
+        ["series", "--chi-c", "2", "--weights", "1/2,2/3", "--rho", "3", "--bound", "5",
+         "--json"],
+    ]
+
+    @staticmethod
+    def live() -> tuple[int, int, int]:
+        """How many route results, reports and series are alive."""
+        objects = gc.get_objects()
+        return (sum(isinstance(o, ChiResult) for o in objects),
+                sum(isinstance(o, dict) and "methods" in o and "verdict" in o for o in objects),
+                sum(isinstance(o, SparseSeries) for o in objects))
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=["compute-breakdown", "compute-breakdown-json",
+                                                 "series-bound", "series-bound-json"])
+    def test_only_the_text_is_alive(self, argv):
+        live, seen = self.live, []
+
+        class Counting(io.StringIO):
+            def write(self, text):
+                seen.append(live())
+                return super().write(text)
+
+        before = live()
+        out = Counting()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert out.getvalue()
+        assert seen and all(counts == before for counts in seen), (before, seen)
 
 
 class TestCollectorSetting:

@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
-from math import floor
+from itertools import combinations
+from math import comb, floor
 
 import pytest
 from hypothesis import given, settings
@@ -365,3 +366,47 @@ class TestClosedFormFamilies:
                 for eps in (F(0), F(1, 7), F(1, 2), F(9, 10))
             }
             assert len(values) == 1
+
+
+class TestFormulaStructure:
+    """How chi_c moves when chi_c(X) or rho moves, checked on each route.
+    Every level contributes a binomial in chi = chi_c(X), so these catch
+    errors all routes could share, such as a level off by one or a tie at
+    w_I = rho read the wrong way."""
+
+    ROUTES = [chi_c_direct, chi_c_strata, chi_c_series]
+
+    @pytest.mark.parametrize("route", ROUTES, ids=["direct", "strata", "series"])
+    @settings(max_examples=100, deadline=None)
+    @given(tie_heavy_instances())
+    def test_pascal_across_rho_and_chi(self, route, inst):
+        # d_{rho+1}(chi) = d_rho(chi) + d_{rho+1}(chi + 1), from Pascal's rule
+        # on each level's binomial; a subset that first fits at rho + 1 adds
+        # 1 on both sides.
+        def d(chi, rho):
+            return 1 - route(make(chi, inst.weights, rho)).chi_c_value
+
+        chi, rho = inst.chi_c, inst.rho
+        assert d(chi, rho + 1) == d(chi, rho) + d(chi + 1, rho + 1)
+
+    @pytest.mark.parametrize("route", ROUTES, ids=["direct", "strata", "series"])
+    @settings(max_examples=100, deadline=None)
+    @given(tie_heavy_instances())
+    def test_polynomial_in_chi(self, route, inst):
+        # chi_c is a polynomial in chi of degree at most L = floor(rho), the
+        # top level.  Only the subsets I with w_I <= rho - L reach level L,
+        # each with (-1)^|I| C(L - chi + r, L), whose leading term is
+        # (-1)^L chi^L / L!; so the L-th difference is (-1)^(L+1) N(L).
+        top = floor(inst.rho)
+        values = [route(make(inst.chi_c + j, inst.weights, inst.rho)).chi_c_value
+                  for j in range(top + 2)]
+
+        def difference(order):
+            return sum((-1) ** (order - j) * comb(order, j) * values[j] for j in range(order + 1))
+
+        assert difference(top + 1) == 0
+        if top >= 1:
+            n_top = sum((-1) ** k for k in range(inst.r + 1)
+                        for subset in combinations(inst.weights, k)
+                        if sum(subset, F(0)) <= inst.rho - top)
+            assert difference(top) == (-1) ** (top + 1) * n_top
