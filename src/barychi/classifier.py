@@ -26,17 +26,13 @@ MAX_CONIC_POINTS = 20
 
 
 class Descriptor(_Record):
-    """A homotopy type as ``classify`` prints it, with its Euler
-    characteristic.  ``CIRCLE``, ``CONTRACTIBLE`` and a labelled space such
+    """A homotopy type as ``classify`` prints it (a str), with its Euler
+    characteristic (an int).  ``CIRCLE``, ``CONTRACTIBLE`` and a labelled space such
     as ``Descriptor("A1", chi)`` are the leaves; ``wedge``, ``union``,
     ``bary`` and ``susp`` build the rest, each applying its operation's
     rule to both fields."""
 
     __slots__ = ("text", "chi_value")
-
-    def __init__(self, text: str, chi_value: int) -> None:
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "chi_value", chi_value)
 
     def chi(self) -> int:
         return self.chi_value
@@ -73,14 +69,10 @@ def susp(x: Descriptor) -> Descriptor:
 
 
 class ConicPiece(_Record):
-    """B_n(X, p_i for i in I): at most n points outside the marked set I
-    (canonical 1-based weight indices), any mass at the marked points."""
+    """B_n(X, p_i for i in I), n an int: at most n points outside the marked set
+    I (a frozenset of canonical 1-based weight indices), any mass at the marked points."""
 
     __slots__ = ("n", "index_set")
-
-    def __init__(self, n: int, index_set: frozenset[int]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "index_set", index_set)
 
     def render(self) -> str:
         if not self.index_set:

@@ -36,7 +36,7 @@ from collections.abc import Callable, Iterable
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
-from operator import floordiv, mul
+from operator import floordiv
 
 from .combinatorics import ext_binomial
 from .model import (
@@ -56,7 +56,8 @@ METHOD_SERIES = "series"
 
 
 class ChiResult(_Record):
-    """chi_c of the weighted barycenter space, with provenance.
+    """chi_c of the weighted barycenter space (an int), with provenance (the
+    ``METHOD_*`` name of the route).
 
     ``term_breakdown`` entries are ``(key, value)`` pairs, keyed as the
     report prints them: a subset's indices as an ascending tuple of ints
@@ -68,16 +69,7 @@ class ChiResult(_Record):
     """
 
     __slots__ = ("chi_c_value", "method", "term_breakdown")
-
-    def __init__(
-        self,
-        chi_c_value: int,
-        method: str,
-        term_breakdown: tuple[tuple[tuple[int, ...], int], ...] = (),
-    ) -> None:
-        object.__setattr__(self, "chi_c_value", chi_c_value)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "term_breakdown", term_breakdown)
+    _defaults = ((),)
 
     @property
     def degree_d_rho(self) -> int:
@@ -104,10 +96,8 @@ def chi_c_direct(instance: ValidatedInstance, *, breakdown: bool = False) -> Chi
         levels = subset_levels(instance)
         # A subset heavier than rho has a negative level and contributes 0.
         value = {level: ext_binomial(level - chi + r, level) for level in set(levels) if level >= 0}
-        signs = [1]  # (-1)^|I| by mask: index j appends the masks with bit j set
-        for _ in range(r):
-            signs += [-s for s in signs]
-        rows = tuple(zip(subset_members(r), map(mul, signs, map(value.get, levels, repeat(0)))))
+        rows = tuple((members, -term if len(members) % 2 else term)
+                     for members, term in zip(subset_members(r), map(value.get, levels, repeat(0))))
     return ChiResult(1 - acc, METHOD_DIRECT, rows)
 
 
@@ -298,7 +288,7 @@ def _drop(
     return validate(
         ProblemInstance(
             chi_c=instance.chi_c - lost,
-            weights=tuple(instance.weights[i - 1] for i in keep),
+            weights=tuple([instance.weights[i - 1] for i in keep]),
             rho=instance.rho,
             space_kind=instance.space_kind,
             components=components,

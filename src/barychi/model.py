@@ -44,14 +44,19 @@ class _Record:
     """Base of the package's immutable value types.
 
     A subclass names its fields in ``__slots__``, in constructor order, and
-    sets each one once in ``__init__`` with ``object.__setattr__``; a
-    subclass of a record adds its own ``__slots__`` after its base's, and
-    ``_fields`` lists them all.  Records compare equal when they are of the
-    same class with equal fields; they hash, print, copy and pickle like
-    frozen dataclasses, and refuse assignment and deletion.
+    the values of its trailing fields that a caller may leave out in a
+    class-level ``_defaults`` tuple; a subclass of a record adds its own
+    ``__slots__`` after its base's, and ``_fields`` lists them all.  This
+    ``__init__`` is the only constructor: it binds positional, then keyword
+    arguments to ``_fields``, fills the rest from ``_defaults``, refuses too
+    many, unknown, repeated or missing fields with ``TypeError``, and sets
+    each field once.  Records compare equal when they are of the same class
+    with equal fields; they hash, print, copy and pickle like frozen
+    dataclasses, and refuse assignment and deletion.
     """
 
     __slots__ = ()
+    _defaults = ()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
@@ -60,6 +65,23 @@ class _Record:
         # attrgetter returns a tuple only when it is given two names or more.
         cls._values = (attrgetter(*names) if len(names) > 1
                        else staticmethod(lambda record: tuple(getattr(record, n) for n in names)))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            named = dict(zip(fields, args), **kwargs)
+            # zip drops surplus positionals, and a keyword that repeats one overwrites it.
+            if named.keys() - fields or len(named) < len(args) + len(kwargs):
+                raise TypeError(f"{self.__class__.__qualname__} takes the fields "
+                                f"({', '.join(fields)}); got {len(args)} by position and "
+                                f"({', '.join(kwargs)}) by keyword")
+            named = {**dict(zip(reversed(fields), reversed(self._defaults))), **named}
+            if len(named) < len(fields):
+                raise TypeError(f"{self.__class__.__qualname__} is missing the fields "
+                                f"({', '.join(name for name in fields if name not in named)})")
+            args = map(named.get, fields)
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -86,35 +108,18 @@ class _Record:
 
 
 class ComponentSpec(_Record):
-    """One connected component: its chi_c, compactness, and which singular
-    points (1-based weight indices) live on it."""
+    """One connected component: its chi_c (an int), compactness (a bool), and
+    which singular points (a frozenset of 1-based weight indices) live on it."""
 
     __slots__ = ("chi_c", "is_compact", "singular_indices")
 
-    def __init__(self, chi_c: int, is_compact: bool, singular_indices: frozenset[int]) -> None:
-        object.__setattr__(self, "chi_c", chi_c)
-        object.__setattr__(self, "is_compact", is_compact)
-        object.__setattr__(self, "singular_indices", singular_indices)
-
 
 class ProblemInstance(_Record):
-    """Raw input: chi_c(X), the singular weights w_1..w_r, and rho."""
+    """Raw input: chi_c(X), an int; the singular weights w_1..w_r (a tuple) and
+    rho, as ``Fraction``s; the ``SpaceKind``; and a ``ComponentSpec`` tuple or None."""
 
     __slots__ = ("chi_c", "weights", "rho", "space_kind", "components")
-
-    def __init__(
-        self,
-        chi_c: int,
-        weights: tuple[Fraction, ...],
-        rho: Fraction,
-        space_kind: SpaceKind = SpaceKind.COMPACT,
-        components: tuple[ComponentSpec, ...] | None = None,
-    ) -> None:
-        object.__setattr__(self, "chi_c", chi_c)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "space_kind", space_kind)
-        object.__setattr__(self, "components", components)
+    _defaults = (SpaceKind.COMPACT, None)
 
 
 class ValidatedInstance(ProblemInstance):
@@ -131,13 +136,10 @@ class ValidatedInstance(ProblemInstance):
 
 
 class SubsetWeight(_Record):
-    """A subset I of {1..r} with its exact weight sum w_I (w_empty = 0)."""
+    """A subset I of {1..r} (a frozenset of ints) with its exact weight sum
+    w_I (a ``Fraction``; w_empty = 0)."""
 
     __slots__ = ("index_set", "total")
-
-    def __init__(self, index_set: frozenset[int], total: Fraction) -> None:
-        object.__setattr__(self, "index_set", index_set)
-        object.__setattr__(self, "total", total)
 
     @property
     def parity(self) -> int:
@@ -172,7 +174,7 @@ def validate(instance: ProblemInstance) -> ValidatedInstance:
                 f"weights and rho must be exact (an int or a Fraction), got {value!r}"
             )
 
-    weights = tuple(Fraction(w) for w in instance.weights)
+    weights = tuple([Fraction(w) for w in instance.weights])
     for w in weights:
         if w <= 0:
             raise NonPositiveWeight(f"weight {w} is not strictly positive")
@@ -186,7 +188,7 @@ def validate(instance: ProblemInstance) -> ValidatedInstance:
         )
 
     order = sorted(range(r), key=lambda i: weights[i])  # stable ascending
-    canonical = tuple(weights[i] for i in order)
+    canonical = tuple([weights[i] for i in order])
 
     components = instance.components
     if (components is None) is (instance.space_kind is SpaceKind.UNION_OF_BASIC):

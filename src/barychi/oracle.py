@@ -41,7 +41,7 @@ class FiniteWeightedSpace(_Record):
                 )
             if w <= 0:
                 raise NonPositiveWeight(f"vertex weight {w} is not strictly positive")
-        object.__setattr__(self, "vertex_weights", vertex_weights)
+        super().__init__(vertex_weights)
 
     @property
     def m(self) -> int:

@@ -1,11 +1,12 @@
 from fractions import Fraction
-from itertools import permutations
-from math import comb
+from itertools import combinations, permutations
+from math import comb, floor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from barychi.classifier import classify
 from barychi.combinatorics import ext_binomial
 from barychi.engine import chi_c_direct, chi_c_strata
 from barychi.errors import (
@@ -167,6 +168,84 @@ class TestOracleChi:
             assert chi_c_direct(inst).chi_c_value == expected
             assert chi_c_strata(inst).chi_c_value == expected
             assert chi_c_series(inst).chi_c_value == expected
+
+
+@st.composite
+def tie_heavy_spaces(draw, max_vertices, span):
+    """Up to four non-unit vertex weights in (0, 2] over the denominators 2,
+    3, 4 and 6, rho, and a vertex count m with m + span(rho) <= max_vertices,
+    where ``span`` says how many vertices a test adds; the vertices past the
+    non-unit ones weigh 1.  About half the time rho = w_J + n for a nonempty
+    set J of the non-unit weights and n in 0..2, so faces tie it; otherwise
+    it is a fraction in (0, 5] over the same denominators."""
+    def fractions(top):
+        return st.sampled_from([2, 3, 4, 6]).flatmap(
+            lambda d: st.integers(1, top * d).map(lambda n: F(n, d)))
+
+    weights = [w for w in draw(st.lists(fractions(2), max_size=4)) if w != 1]
+    if weights and draw(st.booleans()):
+        chosen = draw(st.lists(st.booleans(), min_size=len(weights), max_size=len(weights))
+                      .filter(any))
+        rho = sum((w for w, c in zip(weights, chosen) if c), F(draw(st.integers(0, 2))))
+    else:
+        rho = draw(fractions(5))
+    top = max_vertices - span(rho)
+    assume(max(1, len(weights)) <= top)
+    return tuple(weights), draw(st.integers(max(1, len(weights)), top)), rho
+
+
+class TestFormulaStructureOnTheOracle:
+    """The relations of ``test_engine.TestFormulaStructure`` with chi_c(X)
+    a vertex count: the oracle counts faces and shares no code with the
+    formula, so it must obey them on its own.  Adding a unit-weight vertex
+    raises chi_c(X) by one and leaves the singular weights alone."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(tie_heavy_spaces(18, lambda rho: 1))
+    def test_pascal_across_rho_and_chi(self, drawn):
+        # d_{rho+1}(m) = d_rho(m) + d_{rho+1}(m + 1).
+        weights, m, rho = drawn
+
+        def d(vertices, bound):
+            return 1 - oracle_chi(FiniteWeightedSpace.of(vertices, weights), bound)
+
+        assert d(m, rho + 1) == d(m, rho) + d(m + 1, rho + 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tie_heavy_spaces(18, lambda rho: floor(rho) + 1))
+    def test_polynomial_in_chi(self, drawn):
+        # chi_c is a polynomial in m of degree at most L = floor(rho); its
+        # L-th difference is (-1)^(L+1) N(L), N(L) the signed count of the
+        # non-unit weight sets I with w_I <= rho - L.
+        weights, m, rho = drawn
+        top = floor(rho)
+        values = [oracle_chi(FiniteWeightedSpace.of(m + j, weights), rho) for j in range(top + 2)]
+
+        def difference(order):
+            return sum((-1) ** (order - j) * comb(order, j) * values[j] for j in range(order + 1))
+
+        assert difference(top + 1) == 0
+        if top >= 1:
+            n_top = sum((-1) ** k for k in range(len(weights) + 1)
+                        for subset in combinations(weights, k)
+                        if sum(subset, F(0)) <= rho - top)
+            assert difference(top) == (-1) ** (top + 1) * n_top
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_spaces(12, lambda rho: 0))
+def test_every_route_agrees_on_one_instance(drawn):
+    # The face count, the three routes on the matching instance and, where it
+    # answers (r <= 2, every singular weight <= 1), the classifier's chi.
+    weights, m, rho = drawn
+    space = FiniteWeightedSpace.of(m, weights)
+    expected = oracle_chi(space, rho)
+    inst = validate(space.matching_instance(rho))
+    assert chi_c_direct(inst).chi_c_value == expected
+    assert chi_c_strata(inst).chi_c_value == expected
+    assert chi_c_series(inst).chi_c_value == expected
+    if inst.r <= 2 and all(w <= 1 for w in inst.weights):
+        assert classify(inst).chi_value == expected
 
 
 class TestSkeletonChi:

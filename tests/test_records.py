@@ -76,6 +76,7 @@ def test_copy_and_pickle_give_an_equal_record(cls, args, kwargs):
 def test_defaults():
     assert ProblemInstance(1, (), F(2)) == ProblemInstance(1, (), F(2), SpaceKind.COMPACT, None)
     assert ChiResult(1, "direct").term_breakdown == ()
+    assert ValidatedInstance(1, (), F(2)) == ValidatedInstance(1, (), F(2), SpaceKind.COMPACT, None)
 
 
 def test_records_lists_every_record_type():
@@ -87,6 +88,13 @@ def test_records_lists_every_record_type():
             found.add(cls)
             stack.append(cls)
     assert found == {cls for cls, _, _ in RECORDS}
+
+
+def test_records_share_one_constructor():
+    # Fields are declared once, in __slots__ and _defaults; only the finite
+    # space checks its weights before it hands them to _Record.__init__.
+    own = {cls for cls, _, _ in RECORDS if "__init__" in vars(cls)}
+    assert own == {FiniteWeightedSpace}
 
 
 def test_wrong_arity_is_a_type_error():
