@@ -20,11 +20,11 @@ from barychi import (
 
 
 def show(instance, descriptor):
-    chi = descriptor.chi()
+    chi = descriptor.chi_value
     engine = chi_c_direct(instance).chi_c_value
     tick = "ok" if chi == engine else "MISMATCH"
     weights = ",".join(str(w) for w in instance.weights)
-    print(f"  w = [{weights:<9}]  ->  {descriptor.render():<24} "
+    print(f"  w = [{weights:<9}]  ->  {descriptor.text:<24} "
           f"chi = {chi:>2}  engine = {engine:>2}  {tick}")
 
 

@@ -9,6 +9,7 @@ engine whenever the topological chi applies.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from math import floor
 
 from .combinatorics import ext_binomial
@@ -25,20 +26,14 @@ MAX_CONIC_POINTS = 20
 # Homotopy descriptors.
 
 
-class Descriptor(_Record):
+class Descriptor(_Record, namedtuple("Descriptor", "text chi_value")):
     """A homotopy type as ``classify`` prints it (a str), with its Euler
     characteristic (an int).  ``CIRCLE``, ``CONTRACTIBLE`` and a labelled space such
     as ``Descriptor("A1", chi)`` are the leaves; ``wedge``, ``union``,
     ``bary`` and ``susp`` build the rest, each applying its operation's
     rule to both fields."""
 
-    __slots__ = ("text", "chi_value")
-
-    def chi(self) -> int:
-        return self.chi_value
-
-    def render(self) -> str:
-        return self.text
+    __slots__ = ()
 
 
 CIRCLE = Descriptor("S1", 0)
@@ -68,11 +63,11 @@ def susp(x: Descriptor) -> Descriptor:
 # Conic decomposition.
 
 
-class ConicPiece(_Record):
+class ConicPiece(_Record, namedtuple("ConicPiece", "n index_set")):
     """B_n(X, p_i for i in I), n an int: at most n points outside the marked set
     I (a frozenset of canonical 1-based weight indices), any mass at the marked points."""
 
-    __slots__ = ("n", "index_set")
+    __slots__ = ()
 
     def render(self) -> str:
         if not self.index_set:

@@ -390,17 +390,17 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             and any(f is not None for f in split_flags)):
         raise _InputError("--chi-a, --chi-b and --placement cannot be combined with "
                           "--components or --instance")
-    chi = descriptor.chi()
+    chi = descriptor.chi_value
     engine = chi_c_direct(instance).chi_c_value
     verdict = "MATCH" if chi == engine else "MISMATCH"
 
     _write(args, lambda: {
         "instance": instance_to_json_dict(instance),
-        "descriptor": descriptor.render(),
+        "descriptor": descriptor.text,
         "descriptor_chi": chi,
         "engine_chi_c": engine,
         "verdict": verdict,
-    }, lambda: [f"descriptor: {descriptor.render()}\n", f"descriptor chi: {chi}\n",
+    }, lambda: [f"descriptor: {descriptor.text}\n", f"descriptor chi: {chi}\n",
                 f"engine chi_c: {engine}\n", f"verdict: {verdict}\n"])
     return 0 if verdict == "MATCH" else 2
 

@@ -31,7 +31,7 @@ ascending index tuples of ``subset_members``.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, namedtuple
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 from itertools import repeat
@@ -55,7 +55,8 @@ METHOD_STRATA = "strata"
 METHOD_SERIES = "series"
 
 
-class ChiResult(_Record):
+class ChiResult(_Record, namedtuple("ChiResult", "chi_c_value method term_breakdown",
+                                    defaults=((),))):
     """chi_c of the weighted barycenter space (an int), with provenance (the
     ``METHOD_*`` name of the route).
 
@@ -68,8 +69,7 @@ class ChiResult(_Record):
     unless the route was called with ``breakdown=True``.
     """
 
-    __slots__ = ("chi_c_value", "method", "term_breakdown")
-    _defaults = ((),)
+    __slots__ = ()
 
     @property
     def degree_d_rho(self) -> int:
@@ -276,24 +276,13 @@ def _drop(
         components = []
         for c in instance.components:
             lost = sum(i not in new_index for i in c.singular_indices) if leaves_space else 0
-            components.append(ComponentSpec(
-                chi_c=c.chi_c - lost,
-                is_compact=c.is_compact and not lost,
-                singular_indices=frozenset(
-                    new_index[i] for i in c.singular_indices if i in new_index
-                ),
-            ))
+            components.append(ComponentSpec(c.chi_c - lost, c.is_compact and not lost, frozenset(
+                new_index[i] for i in c.singular_indices if i in new_index)))
         components = tuple(components)
     lost = instance.r - len(keep) if leaves_space else 0
-    return validate(
-        ProblemInstance(
-            chi_c=instance.chi_c - lost,
-            weights=tuple([instance.weights[i - 1] for i in keep]),
-            rho=instance.rho,
-            space_kind=instance.space_kind,
-            components=components,
-        )
-    )
+    return validate(ProblemInstance(instance.chi_c - lost,
+                                    tuple([instance.weights[i - 1] for i in keep]),
+                                    instance.rho, instance.space_kind, components))
 
 
 def topological_chi_applicable(instance: ValidatedInstance) -> bool:

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from operator import attrgetter
 
 from .errors import (
     InconsistentComponents,
@@ -40,86 +40,46 @@ class SpaceKind(Enum):
     UNION_OF_BASIC = "union"
 
 
-class _Record:
+class _Record(tuple):
     """Base of the package's immutable value types.
 
-    A subclass names its fields in ``__slots__``, in constructor order, and
-    the values of its trailing fields that a caller may leave out in a
-    class-level ``_defaults`` tuple; a subclass of a record adds its own
-    ``__slots__`` after its base's, and ``_fields`` lists them all.  This
-    ``__init__`` is the only constructor: it binds positional, then keyword
-    arguments to ``_fields``, fills the rest from ``_defaults``, refuses too
-    many, unknown, repeated or missing fields with ``TypeError``, and sets
-    each field once.  Records compare equal when they are of the same class
-    with equal fields; they hash, print, copy and pickle like frozen
-    dataclasses, and refuse assignment and deletion.
+    Each record class derives from ``_Record`` and from one
+    ``namedtuple("Name", "fields", defaults=...)``, which declares its
+    fields in constructor order and the defaults of its trailing ones, and
+    builds, prints, copies and pickles it and refuses assignment.  This base
+    keeps only equality: records are equal when they are of the same class
+    with equal fields, so a record never equals a plain tuple or a record of
+    another class, and they hash as the tuple of their fields.  Like any
+    tuple they also unpack, index, have a ``len`` and order.
     """
 
     __slots__ = ()
-    _defaults = ()
 
-    def __init_subclass__(cls) -> None:
-        super().__init_subclass__()
-        cls._fields = names = tuple(name for klass in reversed(cls.__mro__)
-                                    for name in vars(klass).get("__slots__", ()))
-        # attrgetter returns a tuple only when it is given two names or more.
-        cls._values = (attrgetter(*names) if len(names) > 1
-                       else staticmethod(lambda record: tuple(getattr(record, n) for n in names)))
-
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
-            named = dict(zip(fields, args), **kwargs)
-            # zip drops surplus positionals, and a keyword that repeats one overwrites it.
-            if named.keys() - fields or len(named) < len(args) + len(kwargs):
-                raise TypeError(f"{self.__class__.__qualname__} takes the fields "
-                                f"({', '.join(fields)}); got {len(args)} by position and "
-                                f"({', '.join(kwargs)}) by keyword")
-            named = {**dict(zip(reversed(fields), reversed(self._defaults))), **named}
-            if len(named) < len(fields):
-                raise TypeError(f"{self.__class__.__qualname__} is missing the fields "
-                                f"({', '.join(name for name in fields if name not in named)})")
-            args = map(named.get, fields)
-        for name, value in zip(fields, args):
-            object.__setattr__(self, name, value)
-
+    # A plain bool, never NotImplemented: a tuple would answer the reflected
+    # comparison by fields alone.
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        values = self._values
-        return values(self) == values(other)
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(self._values(self))
+    def __ne__(self, other: object) -> bool:
+        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}"
-                           for name, value in zip(self._fields, self._values(self)))
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __reduce__(self) -> tuple:
-        return self.__class__, self._values(self)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of an immutable record")
+    __hash__ = tuple.__hash__
 
 
-class ComponentSpec(_Record):
+class ComponentSpec(_Record, namedtuple("ComponentSpec", "chi_c is_compact singular_indices")):
     """One connected component: its chi_c (an int), compactness (a bool), and
     which singular points (a frozenset of 1-based weight indices) live on it."""
 
-    __slots__ = ("chi_c", "is_compact", "singular_indices")
+    __slots__ = ()
 
 
-class ProblemInstance(_Record):
+class ProblemInstance(_Record, namedtuple("ProblemInstance",
+                                          "chi_c weights rho space_kind components",
+                                          defaults=(SpaceKind.COMPACT, None))):
     """Raw input: chi_c(X), an int; the singular weights w_1..w_r (a tuple) and
     rho, as ``Fraction``s; the ``SpaceKind``; and a ``ComponentSpec`` tuple or None."""
 
-    __slots__ = ("chi_c", "weights", "rho", "space_kind", "components")
-    _defaults = (SpaceKind.COMPACT, None)
+    __slots__ = ()
 
 
 class ValidatedInstance(ProblemInstance):
@@ -135,11 +95,11 @@ class ValidatedInstance(ProblemInstance):
         return len(self.weights)
 
 
-class SubsetWeight(_Record):
+class SubsetWeight(_Record, namedtuple("SubsetWeight", "index_set total")):
     """A subset I of {1..r} (a frozenset of ints) with its exact weight sum
     w_I (a ``Fraction``; w_empty = 0)."""
 
-    __slots__ = ("index_set", "total")
+    __slots__ = ()
 
     @property
     def parity(self) -> int:
@@ -157,8 +117,10 @@ def validate(instance: ProblemInstance) -> ValidatedInstance:
     Raises ``InputFormatError`` for a ``chi_c`` (of the instance or of a
     component) that is not an int, for a weight or rho that is not an int
     or a ``Fraction`` (a float, bool, str or complex), for a ``space_kind``
-    that is not a ``SpaceKind``, and for a component's ``is_compact`` that
-    is not a bool or singular index that is not an int; then
+    that is not a ``SpaceKind``, for weights or components (of
+    ``ComponentSpec`` records) not in a tuple or a list, and for a
+    component's ``is_compact`` that is not a bool or singular indices not
+    a set, tuple or list of ints; then
     ``NonPositiveWeight``, ``NonPositiveRho``, ``TooManySingularPoints``,
     or ``InconsistentComponents``, which also refuses components given
     for any kind but ``UNION_OF_BASIC`` and that kind without them.  (An
@@ -168,6 +130,8 @@ def validate(instance: ProblemInstance) -> ValidatedInstance:
         raise InputFormatError(f"chi_c must be an int, got {instance.chi_c!r}")
     if not isinstance(instance.space_kind, SpaceKind):
         raise InputFormatError(f"space_kind must be a SpaceKind, got {instance.space_kind!r}")
+    if not isinstance(instance.weights, (tuple, list)):
+        raise InputFormatError(f"weights must be a tuple or a list, got {instance.weights!r}")
     for value in (*instance.weights, instance.rho):
         if not _is_exact(value):
             raise InputFormatError(
@@ -210,14 +174,21 @@ def _check_components(
 ) -> tuple[ComponentSpec, ...]:
     """Reconcile component data with the totals and remap singular indices
     (1-based positions in the incoming weight tuple) to canonical order."""
+    # A lone ComponentSpec is a tuple too, but of its fields, not of records.
+    if (not isinstance(components, (tuple, list))
+            or not all(isinstance(c, ComponentSpec) for c in components)):
+        raise InputFormatError(
+            f"components must be a tuple or a list of ComponentSpec records, got {components!r}"
+        )
     for c in components:
         if not _is_int(c.chi_c):
             raise InputFormatError(f"component chi_c must be an int, got {c.chi_c!r}")
         if not isinstance(c.is_compact, bool):
             raise InputFormatError(f"component is_compact must be a bool, got {c.is_compact!r}")
-        for i in c.singular_indices:
-            if not _is_int(i):
-                raise InputFormatError(f"singular index must be an int, got {i!r}")
+        indices = c.singular_indices
+        if not isinstance(indices, (set, frozenset, tuple, list)) or not all(map(_is_int, indices)):
+            raise InputFormatError("component singular_indices must be a set, tuple or list of "
+                                   f"ints, got {indices!r}")
     total_chi = sum(c.chi_c for c in components)
     if total_chi != chi_c:
         raise InconsistentComponents(

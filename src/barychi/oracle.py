@@ -7,6 +7,8 @@ directly, with no shared code with the engine or series routes.
 """
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from math import comb, lcm
 
@@ -25,14 +27,15 @@ def _check_vertex_count(m: int) -> None:
         raise TooManyVertices(f"m = {m} vertices exceeds the face-enumeration cap {MAX_VERTICES}")
 
 
-class FiniteWeightedSpace(_Record):
+class FiniteWeightedSpace(_Record, namedtuple("FiniteWeightedSpace", "vertex_weights")):
     """A finite discrete space: one weight per vertex (1 = generic), with
     1 to ``MAX_VERTICES`` vertices.  Each weight is an int or a ``Fraction``
-    (``InputFormatError`` otherwise, as in ``validate``)."""
+    (``InputFormatError`` otherwise, as in ``validate``).  Every way to build
+    one checks them: the call, ``_make``, ``_replace``, copy and pickle."""
 
-    __slots__ = ("vertex_weights",)
+    __slots__ = ()
 
-    def __init__(self, vertex_weights: tuple[Fraction, ...]) -> None:
+    def __new__(cls, vertex_weights: tuple[Fraction, ...]) -> "FiniteWeightedSpace":
         _check_vertex_count(len(vertex_weights))
         for w in vertex_weights:
             if not _is_exact(w):
@@ -41,7 +44,12 @@ class FiniteWeightedSpace(_Record):
                 )
             if w <= 0:
                 raise NonPositiveWeight(f"vertex weight {w} is not strictly positive")
-        super().__init__(vertex_weights)
+        return super().__new__(cls, vertex_weights)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[tuple[Fraction, ...]]) -> "FiniteWeightedSpace":
+        # namedtuple's own _make, which _replace calls, is tuple.__new__.
+        return cls(*iterable)
 
     @property
     def m(self) -> int:
@@ -61,12 +69,7 @@ class FiniteWeightedSpace(_Record):
         """The engine-side view of this space: chi_c = m (m compact points),
         singular weights = the non-unit vertex weights."""
         singular = tuple(w for w in self.vertex_weights if w != 1)
-        return ProblemInstance(
-            chi_c=self.m,
-            weights=singular,
-            rho=Fraction(rho),
-            space_kind=SpaceKind.COMPACT,
-        )
+        return ProblemInstance(self.m, singular, Fraction(rho), SpaceKind.COMPACT)
 
 
 def oracle_chi(space: FiniteWeightedSpace, rho: Fraction | int) -> int:

@@ -129,7 +129,7 @@ def classifier_sweep_failures() -> list[str]:
         for w in tenths:
             for rho in rhos:
                 inst = validate(ProblemInstance(chi, (w,), rho))
-                got = classify(inst).chi()
+                got = classify(inst).chi_value
                 want = chi_c_direct(inst).chi_c_value
                 if got != want:
                     failures.append(f"r1 chi={chi} w={w} rho={rho}: {got} != {want}")
@@ -139,7 +139,7 @@ def classifier_sweep_failures() -> list[str]:
             for w2 in tenths[i:]:
                 for rho in rhos:
                     inst = validate(ProblemInstance(chi, (w1, w2), rho))
-                    got = classify(inst).chi()
+                    got = classify(inst).chi_value
                     want = chi_c_direct(inst).chi_c_value
                     if got != want:
                         failures.append(
@@ -170,7 +170,7 @@ def _two_component_case(
         inst = validate(
             ProblemInstance(chi_1 + chi_2, (w1, w2), rho, SpaceKind.UNION_OF_BASIC, components)
         )
-        got = classify(inst).chi()
+        got = classify(inst).chi_value
         want = chi_c_direct(inst).chi_c_value
         values.append(got)
         if got != want:

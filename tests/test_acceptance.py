@@ -156,7 +156,7 @@ def test_criterion_10_degree_relation(engine_corpus):
     for chi in range(-5, 6):
         inst = make(chi, ["7/10"], "5/2")
         res = chi_c_direct(inst)
-        assert res.degree_d_rho == 1 - classify(inst).chi()
+        assert res.degree_d_rho == 1 - classify(inst).chi_value
     report("criterion 10: d_rho = 1 - chi_c on every computed instance")
 
 

@@ -120,9 +120,10 @@ class TestValidate:
         (1, (1j,), 1),               # would raise a bare TypeError
         (1, (F(1, 2),), "abc"),      # would raise a bare ValueError
         (1, (Decimal("0.5"),), 1),
+        (1, 5, 1),                   # would raise a bare TypeError
     ], ids=["float-weight", "bool-weight", "float-rho", "bool-rho", "bool-chi",
             "float-chi", "str-chi", "str-rho", "str-weight", "complex-weight",
-            "unparsable-str-rho", "decimal-weight"])
+            "unparsable-str-rho", "decimal-weight", "int-weights"])
     def test_inexact_or_mistyped_number_refused(self, chi, weights, rho):
         with pytest.raises(InputFormatError):
             validate(ProblemInstance(chi, weights, rho))
@@ -145,6 +146,16 @@ class TestValidate:
         # Accepted, it would be reported as "is_compact": 1, which
         # instance_from_json refuses.
         components = (ComponentSpec(1, 1, frozenset({1})),)
+        with pytest.raises(InputFormatError):
+            validate(ProblemInstance(1, (F(1, 2),), F(1), SpaceKind.UNION_OF_BASIC, components))
+
+    @pytest.mark.parametrize("components", [
+        ({"chi_c": 1, "is_compact": True, "singular_indices": [1]},),  # a bare AttributeError
+        ComponentSpec(1, True, frozenset({1})),  # alone, it is a tuple of its fields
+        5,                                       # would raise a bare TypeError
+        (ComponentSpec(1, True, 1),),            # the same, from its indices
+    ], ids=["dicts", "lone-component", "int", "int-indices"])
+    def test_malformed_components_refused(self, components):
         with pytest.raises(InputFormatError):
             validate(ProblemInstance(1, (F(1, 2),), F(1), SpaceKind.UNION_OF_BASIC, components))
 

@@ -1,6 +1,7 @@
-"""The package's value types are immutable records: constructed by position
-or keyword with their documented defaults, equal only to a record of the
-same class with equal fields, hashable, and printed like a dataclass."""
+"""The package's value types are immutable records: named tuples constructed
+by position or keyword with their documented defaults, equal only to a
+record of the same class with equal fields (never to a plain tuple),
+hashable, and printed like a dataclass."""
 import copy
 import importlib
 import pickle
@@ -12,7 +13,7 @@ import pytest
 import barychi
 from barychi.classifier import CIRCLE, CONTRACTIBLE, ConicPiece, Descriptor, union, wedge
 from barychi.engine import ChiResult
-from barychi.errors import NonPositiveWeight
+from barychi.errors import BarychiError, NonPositiveWeight
 from barychi.model import (
     ComponentSpec,
     ProblemInstance,
@@ -49,7 +50,7 @@ IDS = [cls.__name__ for cls, _, _ in RECORDS]
 def test_positional_and_keyword_construction_agree(cls, args, kwargs):
     by_position, by_keyword = cls(*args), cls(**kwargs)
     assert by_position == by_keyword
-    assert hash(by_position) == hash(by_keyword)
+    assert hash(by_position) == hash(by_keyword) == hash(args)
     assert [getattr(by_keyword, name) for name in kwargs] == list(args)
 
 
@@ -91,10 +92,14 @@ def test_records_lists_every_record_type():
 
 
 def test_records_share_one_constructor():
-    # Fields are declared once, in __slots__ and _defaults; only the finite
-    # space checks its weights before it hands them to _Record.__init__.
-    own = {cls for cls, _, _ in RECORDS if "__init__" in vars(cls)}
+    # Fields and defaults are declared once, in one named-tuple base; only the
+    # finite space checks its weights before it builds the tuple.
+    own = {cls for cls, _, _ in RECORDS if vars(cls).keys() & {"__new__", "__init__"}}
     assert own == {FiniteWeightedSpace}
+    for cls, _, kwargs in RECORDS:
+        named = [base for base in cls.__mro__ if "_fields" in vars(base)]
+        assert len(named) == 1 and named[0].__bases__ == (tuple,)
+        assert cls._fields == tuple(kwargs)
 
 
 def test_wrong_arity_is_a_type_error():
@@ -120,9 +125,13 @@ def test_equality_needs_the_same_class_and_equal_fields():
     assert x != Descriptor("A1", 1)
     assert ConicPiece(2, frozenset({1})) != ConicPiece(2, frozenset({2}))
     assert ConicPiece(2, frozenset({1})) != (2, frozenset({1}))
+    # A plain bool either way round: a tuple never equals a record by fields alone.
+    assert (ConicPiece(2, frozenset({1})) == (2, frozenset({1}))) is False
+    assert ((2, frozenset({1})) == ConicPiece(2, frozenset({1}))) is False
     # Same field values, different record types.
     same = dict(chi_c=1, weights=(), rho=F(2), space_kind=SpaceKind.COMPACT, components=None)
     assert ProblemInstance(**same) != ValidatedInstance(**same)
+    assert (ProblemInstance(**same) == ValidatedInstance(**same)) is False
     # A wedge and a union of the same parts differ in text and in chi.
     assert wedge(x, CIRCLE) != union(x, CIRCLE)
     assert len({CIRCLE, Descriptor("S1", 0), CONTRACTIBLE, ConicPiece(1, frozenset()),
@@ -151,3 +160,23 @@ def test_finite_space_checks_at_construction():
         FiniteWeightedSpace(())
     with pytest.raises(NonPositiveWeight):
         FiniteWeightedSpace((F(1), F(0)))
+
+
+@pytest.mark.parametrize("weights", [(), (F(-1),), (0.5,), (F(1),) * 23],
+                         ids=["no-vertex", "negative", "float", "over-cap"])
+def test_every_way_to_build_a_finite_space_checks_it(weights):
+    space = FiniteWeightedSpace((F(1),))
+    # Only tuple.__new__ builds a record around the checks; copy and pickle
+    # rebuild it through the class, so they must refuse it.
+    forged = tuple.__new__(FiniteWeightedSpace, (weights,))
+    builds = [lambda: FiniteWeightedSpace(weights),
+              lambda: FiniteWeightedSpace._make([weights]),
+              lambda: space._replace(vertex_weights=weights),
+              lambda: copy.copy(forged),
+              lambda: copy.deepcopy(forged),
+              lambda: pickle.loads(pickle.dumps(forged))]
+    if hasattr(copy, "replace"):  # Python 3.13
+        builds.append(lambda: copy.replace(space, vertex_weights=weights))
+    for build in builds:
+        with pytest.raises(BarychiError):
+            build()

@@ -43,6 +43,7 @@ SERIES = ["tests/test_series.py"]
 ORACLE = ["tests/test_oracle.py"]
 CLASSIFIER = ["tests/test_classifier.py"]
 RECORDS = ["tests/test_records.py"]
+MODEL = ["tests/test_model.py"]
 
 # (module, function, expression, replacement, test files)
 MUTANTS = [
@@ -73,11 +74,13 @@ MUTANTS = [
      CLASSIFIER),
     ("classifier", "_r2_table", "w1 + w2 <= eps", "w1 + w2 < eps", CLASSIFIER),
     ("classifier", "_r2_table", "w1 + w2 <= 1 + eps", "w1 + w2 < 1 + eps", CLASSIFIER),
-    # The record constructor.
-    ("model", "_Record.__init__", "dict(zip(reversed(fields), reversed(self._defaults)))", "{}",
-     RECORDS),
-    ("model", "_Record.__init__", "len(args) + len(kwargs)", "len(args)", RECORDS),
-    ("model", "_Record.__init__", "named.keys() - fields", "set()", RECORDS),
+    # Subset levels: floor, not ceiling, and bit j of the mask is weight j.
+    ("model", "subset_levels", "room // base", "-(-room // base)", MODEL),
+    ("model", "subset_levels", "[room - step for room in rooms]",
+     "[room - step for room in reversed(rooms)]", MODEL),
+    # Record equality needs the same class, either way round.
+    ("model", "_Record.__eq__", "other.__class__ is self.__class__", "True", RECORDS),
+    ("model", "_Record.__ne__", "other.__class__ is not self.__class__", "False", RECORDS),
 ]
 
 
