@@ -15,7 +15,6 @@ import gc
 import io
 import json
 import sys
-from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from itertools import accumulate, chain, islice
@@ -44,7 +43,7 @@ from .model import (
     validate,
 )
 from .oracle import FiniteWeightedSpace, _check_vertex_count, oracle_chi
-from .series import chen_lin_series, chi_c_series, reduced_columns, truncation_bound
+from .series import chen_lin_series, chi_c_series, truncation_bound, window_columns
 
 _METHOD_RUNNERS = {"direct": chi_c_direct, "strata": chi_c_strata, "series": chi_c_series}
 
@@ -308,13 +307,9 @@ def _cmd_series(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     bound = truncation_bound(instance.rho,
                              parse_fraction(args.bound) if args.bound is not None else None)
-    g = chen_lin_series(instance, bound)
-    # Key 0 is the constant term 1 (checked by chen_lin_series), which is no
-    # output; the window (0, rho] is the run of keys after it up to rho.
-    top = instance.rho.numerator * (g.scale // instance.rho.denominator)
-    keys, numerators, denominators, coefficients = reduced_columns(g, 1)
-    inside = bisect_right(keys, top) - 1
-    del g, keys  # each is as large as the output, which is built without them
+    # g is as large as the output, and is freed before the output is built.
+    inside, numerators, denominators, coefficients = window_columns(
+        chen_lin_series(instance, bound), instance.rho)
     chi_c = -sum(islice(coefficients, inside))
 
     def document() -> dict:

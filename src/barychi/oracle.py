@@ -28,14 +28,18 @@ def _check_vertex_count(m: int) -> None:
 
 
 class FiniteWeightedSpace(_Record, namedtuple("FiniteWeightedSpace", "vertex_weights")):
-    """A finite discrete space: one weight per vertex (1 = generic), with
-    1 to ``MAX_VERTICES`` vertices.  Each weight is an int or a ``Fraction``
-    (``InputFormatError`` otherwise, as in ``validate``).  Every way to build
-    one checks them: the call, ``_make``, ``_replace``, copy and pickle."""
+    """A finite discrete space: a tuple or a list, stored as a tuple, of one
+    weight per vertex (1 = generic) for 1 to ``MAX_VERTICES`` vertices.  Each
+    weight is an int or a ``Fraction`` (``InputFormatError`` otherwise, as in
+    ``validate``).  The call, ``_make``, ``_replace``, copy and pickle all check."""
 
     __slots__ = ()
 
     def __new__(cls, vertex_weights: tuple[Fraction, ...]) -> "FiniteWeightedSpace":
+        if not isinstance(vertex_weights, (tuple, list)):
+            raise InputFormatError(
+                f"vertex weights must be a tuple or a list, got {vertex_weights!r}")
+        vertex_weights = tuple(vertex_weights)
         _check_vertex_count(len(vertex_weights))
         for w in vertex_weights:
             if not _is_exact(w):

@@ -16,9 +16,10 @@ the window end are integer comparisons.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import repeat
 from math import floor, gcd, lcm
 from operator import floordiv
 
@@ -45,12 +46,6 @@ class SparseSeries:
         """(exponent, coefficient) pairs in increasing exponent order."""
         return [(Fraction(k, self.scale), c) for k, c in sorted(self._terms.items())]
 
-    def reduced_terms(self) -> list[tuple[int, int, int]]:
-        """(numerator, denominator, coefficient) triples in increasing
-        exponent order, each exponent in lowest terms: the values of
-        ``terms()`` as integers (see ``reduced_columns``)."""
-        return list(zip(*reduced_columns(self, 0)[1:]))
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -62,28 +57,6 @@ class SparseSeries:
     def __repr__(self) -> str:
         body = " + ".join(f"{c}*x^{e}" for e, c in self.terms()) or "0"
         return f"SparseSeries({body})"
-
-
-def expand_geometric_power(m: int, bound: Fraction | int, scale: int = 1) -> SparseSeries:
-    """(1 + x + x^2 + ...)^m truncated to integer exponents <= bound, stored
-    at ``scale``.
-
-    Coefficient of x^n is C(m+n-1, n), valid for every integer m; for
-    negative m this is the polynomial (1-x)^(-m).  Each coefficient comes
-    from the previous one by the exact ratio
-    C(m+n-1, n) = C(m+n-2, n-1) * (m+n-1) / n.
-    """
-    bound = Fraction(bound)
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    terms = {0: 1}
-    coeff = 1
-    for n in range(1, floor(bound) + 1):
-        coeff = coeff * (m + n - 1) // n
-        if not coeff:
-            break  # m <= 0: the polynomial has ended, every later term is 0
-        terms[n * scale] = coeff
-    return SparseSeries(scale, terms)
 
 
 def truncation_bound(rho: Fraction, bound: Fraction | None) -> Fraction:
@@ -105,15 +78,24 @@ def chen_lin_series(instance: ValidatedInstance, bound: Fraction | None = None) 
     grid bounds the support while it can; a heavier factor reaches fewer
     terms under the cut.  (Heaviest first alone doubles the time when every
     subset fits: weights k/(k+1) then put the large, coprime denominators
-    first.)  The constant term of the product is exactly 1 (checked).
+    first.)  The geometric power (1 + x + ...)^m, m = r - chi_c, comes first:
+    its coefficient of x^n is C(m+n-1, n) for every integer m (for negative
+    m, the polynomial (1-x)^(-m)), each from the previous one by the exact
+    ratio (m+n-1) / n.  The constant term of the product is exactly 1 (checked).
     """
     bound = truncation_bound(instance.rho, bound)
     scale = lcm(
         bound.denominator, instance.rho.denominator, *(w.denominator for w in instance.weights)
     )
     top = bound.numerator * (scale // bound.denominator)
-    g = expand_geometric_power(instance.r - instance.chi_c, bound, scale)
-    terms = g._terms
+    m = instance.r - instance.chi_c
+    terms = {0: 1}
+    coeff = 1
+    for n in range(1, floor(bound) + 1):
+        coeff = coeff * (m + n - 1) // n
+        if not coeff:
+            break  # m <= 0: the polynomial has ended, every later term is 0
+        terms[n * scale] = coeff
     # Sorted as int pairs (denominator, -step): the order above.
     for _, step in sorted((w.denominator, -w.numerator * (scale // w.denominator))
                           for w in instance.weights):
@@ -131,23 +113,23 @@ def chen_lin_series(instance: ValidatedInstance, bound: Fraction | None = None) 
                     del terms[k]  # the subtracted c is nonzero, so k was there
     if terms.get(0) != 1:
         raise ArithmeticError(f"constant term of g is {terms.get(0, 0)}, not 1")
-    return g
+    return SparseSeries(scale, terms)
 
 
-def reduced_columns(
-    g: SparseSeries, start: int
-) -> tuple[list[int], Iterator[int], Iterator[int], list[int]]:
-    """g's int keys in ascending order, and the numerators, denominators and
-    coefficients of the terms from the ``start``-th key on, each exponent in
-    lowest terms: one gcd per term, no ``Fraction`` and no per-term tuple.
-    The numerators and denominators are iterators, read once; none of the
-    four refers to g, so g can be freed while they are read."""
+def window_columns(g: SparseSeries,
+                   rho: Fraction) -> tuple[int, Iterator[int], Iterator[int], list[int]]:
+    """g's terms above exponent 0, in increasing order: how many lie in the
+    window (0, rho], ties at rho included, and the columns of numerators and
+    denominators (iterators, read once; one gcd per term puts each exponent
+    in lowest terms) and of coefficients.  None of the four refers to g, so
+    g can be freed while they are read."""
     scale, terms = g.scale, g._terms
     keys = sorted(terms)
-    gcds = list(map(gcd, islice(keys, start, None), repeat(scale)))
-    return (keys, map(floordiv, islice(keys, start, None), gcds),
-            map(floordiv, repeat(scale), gcds),
-            list(map(terms.__getitem__, islice(keys, start, None))))
+    del keys[:bisect_right(keys, 0)]
+    gcds = list(map(gcd, keys, repeat(scale)))
+    inside = bisect_right(keys, rho.numerator * scale // rho.denominator)
+    return (inside, map(floordiv, keys, gcds), map(floordiv, repeat(scale), gcds),
+            list(map(terms.__getitem__, keys)))
 
 
 def chi_c_series(instance: ValidatedInstance, *, breakdown: bool = False) -> ChiResult:
@@ -161,13 +143,13 @@ def chi_c_series(instance: ValidatedInstance, *, breakdown: bool = False) -> Chi
     cut).  Cut at rho, every term of g but the constant 1 lies in the
     window, so chi_c is 1 minus the sum of all of g's coefficients, read in
     one sum with no window test, and the breakdown rows are the terms past
-    the constant, each exponent keyed as ``reduced_columns`` gives it, an
+    the constant, each exponent keyed as ``window_columns`` gives it, an
     int pair ``(numerator, denominator)`` in lowest terms.  Agrees exactly
     with the direct method.
     """
     g = chen_lin_series(instance)
     rows = ()
     if breakdown:
-        _, numerators, denominators, coefficients = reduced_columns(g, 1)
+        _, numerators, denominators, coefficients = window_columns(g, instance.rho)
         rows = tuple(zip(zip(numerators, denominators), coefficients))
     return ChiResult(1 - sum(g._terms.values()), METHOD_SERIES, rows)

@@ -155,6 +155,14 @@ def test_properties_survive():
     assert FiniteWeightedSpace((F(1), F(1, 2))).m == 2
 
 
+def test_finite_space_stores_a_list_as_a_tuple():
+    from_list = FiniteWeightedSpace([F(1), F(1, 2)])
+    from_tuple = FiniteWeightedSpace((F(1), F(1, 2)))
+    assert type(from_list.vertex_weights) is tuple
+    assert from_list == from_tuple
+    assert hash(from_list) == hash(from_tuple)
+
+
 def test_finite_space_checks_at_construction():
     with pytest.raises(ValueError):
         FiniteWeightedSpace(())
@@ -162,8 +170,8 @@ def test_finite_space_checks_at_construction():
         FiniteWeightedSpace((F(1), F(0)))
 
 
-@pytest.mark.parametrize("weights", [(), (F(-1),), (0.5,), (F(1),) * 23],
-                         ids=["no-vertex", "negative", "float", "over-cap"])
+@pytest.mark.parametrize("weights", [(), (F(-1),), (0.5,), (F(1),) * 23, 5, None, {F(1): 1}],
+                         ids=["no-vertex", "negative", "float", "over-cap", "int", "none", "dict"])
 def test_every_way_to_build_a_finite_space_checks_it(weights):
     space = FiniteWeightedSpace((F(1),))
     # Only tuple.__new__ builds a record around the checks; copy and pickle

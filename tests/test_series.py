@@ -18,8 +18,8 @@ from barychi.series import (
     SparseSeries,
     chen_lin_series,
     chi_c_series,
-    expand_geometric_power,
     truncation_bound,
+    window_columns,
 )
 
 from test_engine import kernel_instances, tie_heavy_instances
@@ -48,11 +48,10 @@ def window_reference(g: SparseSeries, rho: Fraction) -> tuple[int, tuple]:
     return -sum(c for _, c in rows), rows
 
 
-def window_keys(g: SparseSeries, rho: Fraction) -> list[int]:
-    """The int keys of g's coefficient window: exponents in (0, rho], ties
-    at rho included, in no particular order."""
-    top = floor(rho * g.scale)
-    return [k for k in g._terms if 0 < k <= top]
+def geometric_power(m: int, bound: Fraction | int) -> SparseSeries:
+    """(1 + x + x^2 + ...)^m cut at ``bound``: ``chen_lin_series`` with no
+    weights and chi_c = -m."""
+    return chen_lin_series(validate(ProblemInstance(-m, (), F(bound))))
 
 
 def brute_poly_product(a: dict, b: dict, bound: Fraction) -> dict:
@@ -97,6 +96,8 @@ class TestSparseSeries:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_reduced_terms_are_terms_as_integers(self, data):
+        # window_columns reads a hand-built series, with or without a
+        # constant term, at any scale and any rho.
         scale = data.draw(st.one_of(
             st.integers(1, 60),
             st.sampled_from([2**61 - 1, 10**40 + 3, 2**40 * 3**20, 10**1000 + 1]),
@@ -110,17 +111,28 @@ class TestSparseSeries:
         )
         keys = data.draw(st.lists(key, min_size=1, max_size=8, unique=True), label="keys")
         g = SparseSeries(scale, {k: c for c, k in enumerate(keys, -3) if c})
-        reduced = g.reduced_terms()
-        assert reduced == [(e.numerator, e.denominator, c) for e, c in g.terms()]
+        rho = data.draw(st.one_of(
+            st.sampled_from(keys).map(lambda k: F(k, scale)),  # a tie at rho
+            st.builds(F, st.integers(0, 10**90), st.integers(1, 10**6)),
+        ), label="rho")
+        inside, numerators, denominators, coefficients = window_columns(g, rho)
+        reduced = list(zip(numerators, denominators, coefficients))
+        terms = [(e, c) for e, c in g.terms() if e > 0]
+        assert reduced == [(e.numerator, e.denominator, c) for e, c in terms]
+        assert inside == sum(1 for e, _ in terms if e <= rho)
         assert _exponent_texts((n, d) for n, d, _ in reduced) == \
-            [str(F(k, scale)) for k in sorted(g._terms)]
+            [str(F(k, scale)) for k in sorted(g._terms) if k > 0]
 
     def test_reduced_terms_of_a_series(self):
-        # The constant term (key 0) and the key 3 at scale 6, which reduces to 1/2.
-        g = chen_lin_series(validate(ProblemInstance(1, (F(1, 2),), F(4, 3))))
+        # (1 + x + x^2)(1 - x^(1/2)) at scale 6: the key 3 reduces to 1/2 and
+        # the key 6 to 1; the constant term is no column.
+        g = chen_lin_series(validate(ProblemInstance(0, (F(1, 2),), F(4, 3))), F(2))
         assert g.scale == 6
-        assert g.reduced_terms() == [(0, 1, 1), (1, 2, -1)]
-        assert _exponent_texts((n, d) for n, d, _ in g.reduced_terms()) == ["0", "1/2"]
+        inside, numerators, denominators, coefficients = window_columns(g, F(4, 3))
+        reduced = list(zip(numerators, denominators, coefficients))
+        assert inside == 2
+        assert reduced == [(1, 2, -1), (1, 1, 1), (3, 2, -1), (2, 1, 1)]
+        assert _exponent_texts((n, d) for n, d, _ in reduced) == ["1/2", "1", "3/2", "2"]
 
     def test_len_counts_terms(self):
         # perfbench's tracer reads series.support_terms as len() of the
@@ -130,25 +142,28 @@ class TestSparseSeries:
 
 
 class TestExpandGeometricPower:
+    """The geometric power (1 + x + x^2 + ...)^m that ``chen_lin_series``
+    expands before any factor, read with no weights."""
+
     def test_inverse_of_geometric(self):
-        assert expand_geometric_power(-1, 5).terms() == [(F(0), 1), (F(1), -1)]
+        assert geometric_power(-1, 5).terms() == [(F(0), 1), (F(1), -1)]
 
     def test_power_zero(self):
-        assert expand_geometric_power(0, 5).terms() == [(F(0), 1)]
+        assert geometric_power(0, 5).terms() == [(F(0), 1)]
 
     def test_square(self):
         # (1 + x + x^2 + x^3)^2 truncated: coefficients count pairs.
         base = {F(n): 1 for n in range(4)}
         expected = brute_poly_product(base, base, F(3))
-        assert expand_geometric_power(2, 3).terms() == sorted(expected.items())
+        assert geometric_power(2, 3).terms() == sorted(expected.items())
 
     def test_coefficients_are_repetition_counts(self):
-        terms = dict(expand_geometric_power(3, 6).terms())
+        terms = dict(geometric_power(3, 6).terms())
         for n in range(7):
             assert terms[F(n)] == ext_binomial(3 + n - 1, n)
 
     def test_fractional_bound_truncates_to_floor(self):
-        g = expand_geometric_power(2, F(5, 2))
+        g = geometric_power(2, F(5, 2))
         assert max(e for e, _ in g.terms()) == 2
 
 
@@ -160,7 +175,7 @@ class TestMultiplyTruncated:
     def test_identity(self):
         # A factor whose exponent is past the cut changes nothing.
         g = chen_lin_series(validate(ProblemInstance(0, (F(5),), F(2))))
-        assert g == expand_geometric_power(1, 2)
+        assert g == geometric_power(1, 2)
 
     def test_exponent_merge(self):
         g = chen_lin_series(validate(ProblemInstance(2, (F(1, 2), F(1, 2)), F(2))))
@@ -193,7 +208,8 @@ class TestChenLinSeries:
     def test_no_weights_is_pure_geometric_power(self):
         for chi in (-3, 0, 2):
             inst = validate(ProblemInstance(chi, (), F(4)))
-            assert chen_lin_series(inst) == expand_geometric_power(-chi, 4)
+            expected = [(F(n), ext_binomial(-chi + n - 1, n)) for n in range(5)]
+            assert chen_lin_series(inst).terms() == [(e, c) for e, c in expected if c]
 
     def test_chi_equal_r_leaves_only_the_product(self):
         weights = (F(1, 3), F(2, 3))
@@ -301,7 +317,18 @@ class TestChiCSeries:
             g = chen_lin_series(inst, bound)
             chi, rows = window_reference(g, inst.rho)
             assert res == ChiResult(chi, METHOD_SERIES, rows if breakdown else ())
-            assert len(window_keys(g, inst.rho)) == len(rows)
+            assert window_columns(g, inst.rho)[0] == len(rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tie_heavy_instances(), st.fractions(F(1, 20), F(3), max_denominator=20),
+           st.fractions(F(1, 97), F(8), max_denominator=97))
+    def test_inside_counts_the_window(self, inst, beyond, rho):
+        # Ties at rho, cuts at and above it, and a window end rho' whose
+        # denominator need not divide g.scale.
+        for bound in (None, inst.rho, inst.rho + beyond):
+            g = chen_lin_series(inst, bound)
+            for end in (inst.rho, rho):
+                assert window_columns(g, end)[0] == len(window_reference(g, end)[1])
 
 
 def series_command_reference(inst, bound: Fraction | None, as_json: bool) -> str:
@@ -351,7 +378,9 @@ def chen_lin_series_ascending(instance, bound=None):
     scale = lcm(bound.denominator, instance.rho.denominator,
                 *(w.denominator for w in instance.weights))
     top = bound.numerator * (scale // bound.denominator)
-    terms = dict(expand_geometric_power(instance.r - instance.chi_c, bound, scale)._terms)
+    m = instance.r - instance.chi_c
+    terms = {n * scale: ext_binomial(m + n - 1, n) for n in range(floor(bound) + 1)}
+    terms = {k: c for k, c in terms.items() if c}
     for w in instance.weights:
         step = w.numerator * (scale // w.denominator)
         for k, c in list(terms.items()):

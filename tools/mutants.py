@@ -44,6 +44,7 @@ ORACLE = ["tests/test_oracle.py"]
 CLASSIFIER = ["tests/test_classifier.py"]
 RECORDS = ["tests/test_records.py"]
 MODEL = ["tests/test_model.py"]
+CLI = ["tests/test_cli.py"]
 
 # (module, function, expression, replacement, test files)
 MUTANTS = [
@@ -81,6 +82,16 @@ MUTANTS = [
     # Record equality needs the same class, either way round.
     ("model", "_Record.__eq__", "other.__class__ is self.__class__", "True", RECORDS),
     ("model", "_Record.__ne__", "other.__class__ is not self.__class__", "False", RECORDS),
+    # The series window: ties at rho are in it, the constant term is not,
+    # and a polynomial geometric power stores no zero past its end.
+    ("series", "window_columns", "bisect_right(keys, rho.numerator * scale // rho.denominator)",
+     "__import__('bisect').bisect_left(keys, rho.numerator * scale // rho.denominator)", SERIES),
+    ("series", "window_columns", "bisect_right(keys, 0)",
+     "__import__('bisect').bisect_left(keys, 0)", SERIES),
+    ("series", "chen_lin_series", "not coeff", "False", SERIES),
+    # main gives the caller back its collector setting on every exit.
+    ("cli", "main", "gc.enable()", "None", CLI),
+    ("cli", "main", "gc.disable()", "None", CLI),
 ]
 
 
