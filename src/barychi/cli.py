@@ -18,6 +18,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from itertools import accumulate, chain, islice
+from math import floor
 from operator import itemgetter
 
 from .classifier import classify
@@ -32,6 +33,7 @@ from .errors import (
     BarychiError,
     InputFormatError,
     TooManyDigits,
+    TooManyLevels,
     TooManySingularPoints,
 )
 from .model import (
@@ -50,6 +52,10 @@ _METHOD_RUNNERS = {"direct": chi_c_direct, "strata": chi_c_strata, "series": chi
 # --breakdown prints a row per subset, and each further point doubles its
 # time and memory; README (limits) gives the measured cost at the cap.
 MAX_BREAKDOWN_POINTS = 16
+
+# strata and series walk the levels up to floor(rho) (for series, of its
+# bound) one at a time; README (limits) gives the measured cost a level.
+MAX_LEVELS = {"strata": 10**7, "series": 10**6}
 
 
 class _InputError(Exception):
@@ -240,6 +246,9 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             f"{MAX_BREAKDOWN_POINTS}"
         )
     names = list(_METHOD_RUNNERS) if args.method == "all" else [args.method]
+    for name in names:
+        if name in MAX_LEVELS:
+            _check_levels(instance, name, instance.rho)
     # The report maker pops the results, so once the report is built it alone
     # holds their rows, and _write frees it before it writes.
     results = [[_METHOD_RUNNERS[name](instance, breakdown=args.breakdown) for name in names]]
@@ -250,6 +259,17 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
     _write(args, report, lambda: _report_text(report()))
     return 0 if agreed else 2
+
+
+def _check_levels(instance: ValidatedInstance, method: str, bound: Fraction) -> None:
+    """Refuse the ``method`` route when it would walk more than its cap of
+    levels: L = floor(bound) of them when m = r - chi_c > 0, and min(L, 1 - m)
+    when m <= 0, where the polynomial (1 - x)^(-m) ends and the walk stops."""
+    m = instance.r - instance.chi_c
+    walk = floor(bound) if m > 0 else min(floor(bound), 1 - m)
+    if walk > MAX_LEVELS[method]:
+        raise TooManyLevels(f"the {method} route walks {walk} levels, past its cap "
+                            f"{MAX_LEVELS[method]}")
 
 
 def build_report(
@@ -307,6 +327,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     bound = truncation_bound(instance.rho,
                              parse_fraction(args.bound) if args.bound is not None else None)
+    _check_levels(instance, "series", bound)
     # g is as large as the output, and is freed before the output is built.
     inside, numerators, denominators, coefficients = window_columns(
         chen_lin_series(instance, bound), instance.rho)

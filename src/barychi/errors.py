@@ -25,6 +25,10 @@ class TooManySingularPoints(BarychiError):
     """Singular-point count exceeds the subset-enumeration cap."""
 
 
+class TooManyLevels(BarychiError):
+    """A route would walk more levels of rho than its cap."""
+
+
 class TooManyDigits(BarychiError):
     """A result has more digits than Python converts to text
     (``sys.get_int_max_str_digits()``)."""

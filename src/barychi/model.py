@@ -68,7 +68,8 @@ class _Record(tuple):
 
 class ComponentSpec(_Record, namedtuple("ComponentSpec", "chi_c is_compact singular_indices")):
     """One connected component: its chi_c (an int), compactness (a bool), and
-    which singular points (a frozenset of 1-based weight indices) live on it."""
+    which singular points (1-based weight indices; a set, tuple or list of
+    ints, which ``validate`` turns into a frozenset) live on it."""
 
     __slots__ = ()
 
@@ -95,24 +96,13 @@ class ValidatedInstance(ProblemInstance):
         return len(self.weights)
 
 
-class SubsetWeight(_Record, namedtuple("SubsetWeight", "index_set total")):
-    """A subset I of {1..r} (a frozenset of ints) with its exact weight sum
-    w_I (a ``Fraction``; w_empty = 0)."""
-
-    __slots__ = ()
-
-    @property
-    def parity(self) -> int:
-        """(-1)^|I|."""
-        return -1 if len(self.index_set) % 2 else 1
-
-
 def validate(instance: ProblemInstance) -> ValidatedInstance:
     """Check all invariants and return the canonical form of the instance.
 
     Idempotent: validating a ``ValidatedInstance`` returns an equal one.
     This is the only check of the types of ``chi_c`` and of a component's
-    ``chi_c`` and ``is_compact``; ``instance_from_json`` leaves them to it.
+    ``chi_c``, ``is_compact`` and ``singular_indices``, and the only check
+    that no index repeats; ``instance_from_json`` leaves them to it.
 
     Raises ``InputFormatError`` for a ``chi_c`` (of the instance or of a
     component) that is not an int, for a weight or rho that is not an int
@@ -213,9 +203,10 @@ def _check_components(
                  for c in components)
 
 
-def enumerate_subset_weights(instance: ValidatedInstance) -> Iterator[SubsetWeight]:
-    """Yield all 2^r subsets of {1..r} exactly once, in binary-counter order
-    (bit i of the counter toggles canonical index i+1), with exact totals."""
+def enumerate_subset_weights(instance: ValidatedInstance) -> Iterator[tuple[frozenset, Fraction]]:
+    """Yield all 2^r subsets I of {1..r} exactly once, as ``(index_set, total)``
+    pairs (a frozenset of ints and the exact ``Fraction`` w_I, w_empty = 0), in
+    binary-counter order (bit i of the counter toggles canonical index i+1)."""
     weights = instance.weights
     r = len(weights)
     for mask in range(1 << r):
@@ -225,7 +216,7 @@ def enumerate_subset_weights(instance: ValidatedInstance) -> Iterator[SubsetWeig
             if mask >> i & 1:
                 total += weights[i]
                 members.append(i + 1)
-        yield SubsetWeight(frozenset(members), total)
+        yield frozenset(members), total
 
 
 def subset_levels(instance: ValidatedInstance) -> list[int]:
@@ -359,14 +350,9 @@ def _component_from_json(entry: object) -> ComponentSpec:
         raise InputFormatError("each component must be a JSON object")
     try:
         chi_c = entry["chi_c"]
-        is_compact = entry.get("is_compact", True)
-        indices = entry.get("singular_indices", [])
     except KeyError as exc:
         raise InputFormatError(f"component missing field {exc}") from exc
-    # A frozenset of unhashable entries would raise TypeError.
-    if not isinstance(indices, list) or not all(map(_is_int, indices)):
-        raise InputFormatError("component singular_indices must be a list of JSON integers")
-    return ComponentSpec(chi_c, is_compact, frozenset(indices))
+    return ComponentSpec(chi_c, entry.get("is_compact", True), entry.get("singular_indices", []))
 
 
 def instance_to_json_dict(instance: ValidatedInstance) -> dict:

@@ -55,10 +55,6 @@ class FiniteWeightedSpace(_Record, namedtuple("FiniteWeightedSpace", "vertex_wei
         # namedtuple's own _make, which _replace calls, is tuple.__new__.
         return cls(*iterable)
 
-    @property
-    def m(self) -> int:
-        return len(self.vertex_weights)
-
     @classmethod
     def of(cls, m: int, singular_weights: tuple[Fraction, ...] = ()) -> "FiniteWeightedSpace":
         """m vertices, the first len(singular_weights) carrying the given
@@ -73,7 +69,7 @@ class FiniteWeightedSpace(_Record, namedtuple("FiniteWeightedSpace", "vertex_wei
         """The engine-side view of this space: chi_c = m (m compact points),
         singular weights = the non-unit vertex weights."""
         singular = tuple(w for w in self.vertex_weights if w != 1)
-        return ProblemInstance(self.m, singular, Fraction(rho), SpaceKind.COMPACT)
+        return ProblemInstance(len(self.vertex_weights), singular, Fraction(rho), SpaceKind.COMPACT)
 
 
 def oracle_chi(space: FiniteWeightedSpace, rho: Fraction | int) -> int:

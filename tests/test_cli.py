@@ -20,7 +20,16 @@ from barychi.engine import (
     chi_c_strata,
     topological_chi_applicable,
 )
-from barychi.model import MAX_SINGULAR_POINTS, ProblemInstance, instance_to_json_dict, validate
+from barychi.errors import InconsistentComponents
+from barychi.model import (
+    MAX_SINGULAR_POINTS,
+    ComponentSpec,
+    ProblemInstance,
+    SpaceKind,
+    instance_to_json_dict,
+    validate,
+)
+from barychi.oracle import FiniteWeightedSpace
 from barychi.series import SparseSeries, chen_lin_series, chi_c_series, truncation_bound
 from test_engine import tie_heavy_instances
 from test_series import SCALE_CASES
@@ -444,6 +453,34 @@ class TestStrictComponents:
         assert message in err
 
 
+class TestRepeatedIndexInOneComponent:
+    """A singular index listed twice in one component is refused by
+    ``validate``, which alone checks the indices, the same way from
+    ``--components``, from an instance document and from Python."""
+
+    COMPONENTS = [{"chi_c": 3, "singular_indices": [1, 1]}]
+    ERROR = "error: InconsistentComponents: singular index 1 assigned twice\n"
+
+    def test_components_flag(self, capsys):
+        code, out, err = run(capsys, "compute", "--chi-c", "3", "--weights", "1/2", "--rho", "2",
+                             "--components", json.dumps(self.COMPONENTS))
+        assert (code, out, err) == (1, "", self.ERROR)
+
+    def test_instance_document(self, capsys, tmp_path):
+        doc = tmp_path / "instance.json"
+        doc.write_text(json.dumps({"chi_c": 3, "weights": ["1/2"], "rho": "2",
+                                   "space": {"components": self.COMPONENTS}}))
+        code, out, err = run(capsys, "compute", "--instance", str(doc))
+        assert (code, out, err) == (1, "", self.ERROR)
+
+    def test_python(self):
+        instance = ProblemInstance(3, (Fraction(1, 2),), Fraction(2), SpaceKind.UNION_OF_BASIC,
+                                   (ComponentSpec(3, True, (1, 1)),))
+        with pytest.raises(InconsistentComponents) as caught:
+            validate(instance)
+        assert f"error: {type(caught.value).__name__}: {caught.value}\n" == self.ERROR
+
+
 class TestKindAndComponents:
     """Components come exactly with the union kind, and the flags and an
     instance document give one answer: a non-union --space beside
@@ -753,6 +790,100 @@ class TestOracle:
         code, _, _ = run(capsys, "oracle", "--vertices", "1", "--weights", "1/2,1/2",
                          "--rho", "1")
         assert code == 1
+
+
+class TestLevelCaps:
+    """strata and series walk the levels of rho (for series, of its bound)
+    one at a time: floor(rho) of them when m = r - chi_c > 0, and at most
+    1 - m when m <= 0.  A walk past a route's cap is refused with
+    TooManyLevels (exit 1) before any route runs; direct walks no level."""
+
+    HUGE = [
+        ("compute", "--chi-c", "-3", "--rho", "1e40"),
+        ("compute", "--chi-c", "1000000000000", "--rho", "1e40", "--method", "strata"),
+        ("compute", "--chi-c", "3", "--weights", "1/2,1/3,1/4,1/5", "--rho", "1e40",
+         "--method", "series"),
+        ("series", "--chi-c", "-1", "--weights", "1/2", "--rho", "1", "--bound", "1e40"),
+    ]
+
+    @pytest.mark.parametrize("argv", HUGE, ids=["all", "strata", "series", "series-bound"])
+    def test_forty_digit_walk_refused_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("error: TooManyLevels: ")
+
+    def test_direct_walks_no_level(self, capsys):
+        code, out, _ = run(capsys, "compute", "--chi-c", "-3", "--rho", "1e40",
+                           "--method", "direct")
+        assert code == 0
+        assert "verdict: MATCH" in out
+
+    # (chi_c, rho) with r = 0 and a walk of exactly 5 levels, or of 6:
+    # m = -chi_c > 0 walks floor(rho); m <= 0 walks min(floor(rho), 1 - m).
+    AT_CAP = [pytest.param(-1, "5", id="m>0"), pytest.param(-1, "11/2", id="m>0-fraction"),
+              pytest.param(4, "100", id="m<=0-ends"), pytest.param(100, "5", id="m<=0-rho")]
+    PAST_CAP = [pytest.param(-1, "6", id="m>0"), pytest.param(5, "100", id="m<=0-ends"),
+                pytest.param(100, "6", id="m<=0-rho")]
+
+    @pytest.fixture
+    def caps_of_five(self, monkeypatch):
+        monkeypatch.setitem(cli.MAX_LEVELS, "strata", 5)
+        monkeypatch.setitem(cli.MAX_LEVELS, "series", 5)
+
+    @pytest.mark.parametrize("method", ["strata", "series", "all"])
+    @pytest.mark.parametrize("chi_c,rho", AT_CAP)
+    def test_walk_at_the_cap_runs(self, capsys, caps_of_five, method, chi_c, rho):
+        code, out, err = run(capsys, "compute", "--chi-c", str(chi_c), "--rho", rho,
+                             "--method", method)
+        assert (code, err) == (0, "")
+        assert "verdict: MATCH" in out
+
+    @pytest.mark.parametrize("method", ["strata", "series", "all"])
+    @pytest.mark.parametrize("chi_c,rho", PAST_CAP)
+    def test_walk_past_the_cap_refused(self, capsys, caps_of_five, method, chi_c, rho):
+        code, out, err = run(capsys, "compute", "--chi-c", str(chi_c), "--rho", rho,
+                             "--method", method)
+        route = "series" if method == "series" else "strata"
+        assert (code, out) == (1, "")
+        assert err == f"error: TooManyLevels: the {route} route walks 6 levels, past its cap 5\n"
+
+    @pytest.mark.parametrize("chi_c,bound", AT_CAP)
+    def test_series_bound_at_the_cap_runs(self, capsys, caps_of_five, chi_c, bound):
+        code, out, err = run(capsys, "series", "--chi-c", str(chi_c), "--rho", "1",
+                             "--bound", bound)
+        assert (code, err) == (0, "")
+        assert out.startswith("chi_c=")
+
+    @pytest.mark.parametrize("chi_c,bound", PAST_CAP)
+    def test_series_bound_past_the_cap_refused(self, capsys, caps_of_five, chi_c, bound):
+        code, out, err = run(capsys, "series", "--chi-c", str(chi_c), "--rho", "1",
+                             "--bound", bound)
+        assert (code, out) == (1, "")
+        assert err == "error: TooManyLevels: the series route walks 6 levels, past its cap 5\n"
+
+    @pytest.mark.parametrize("vertices", [1, 2, 12, 22])
+    @pytest.mark.parametrize("singular", [0, 1, 3])
+    def test_oracle_walks_at_most_23_levels(self, monkeypatch, vertices, singular):
+        # The oracle's instance has chi_c = m vertices and r <= m weights, so
+        # m - r >= 0 and the walk ends by 1 + m <= 23: no rho reaches a cap.
+        monkeypatch.setitem(cli.MAX_LEVELS, "strata", 23)
+        monkeypatch.setitem(cli.MAX_LEVELS, "series", 23)
+        weights = (Fraction(1, 2),) * min(singular, vertices)
+        space = FiniteWeightedSpace.of(vertices, weights)
+        instance = validate(space.matching_instance(10**40))
+        for method in ("strata", "series"):
+            cli._check_levels(instance, method, instance.rho)
+
+    def test_oracle_at_a_forty_digit_rho(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "oracle", "--vertices", "5", "--weights", "1/2,1/3",
+                             "--rho", "1e40")
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        # Every face fits: the full simplex, contractible.
+        assert out == "oracle: 1\ndirect: 1\nstrata: 1\nseries: 1\nverdict: MATCH\n"
 
 
 class TestClassify:

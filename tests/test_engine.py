@@ -86,7 +86,7 @@ class TestChiCStrata:
         inst = make(-1, ["1/3", "2/3", "5/4"], "10/3")
         chi, r = inst.chi_c, inst.r
         rows = chi_c_strata(inst, breakdown=True).term_breakdown
-        fitting = [sw for sw in enumerate_subset_weights(inst) if inst.rho - sw.total >= 0]
+        fitting = [s for s, total in enumerate_subset_weights(inst) if inst.rho - total >= 0]
         assert len(rows) == len(fitting)
         for index_set, value in rows:
             n = floor(inst.rho - sum((inst.weights[i - 1] for i in index_set), F(0)))
@@ -121,15 +121,16 @@ def reference_rows(inst):
     of each stratum family."""
     chi, r = inst.chi_c, inst.r
     direct, strata = [], []
-    for sw in enumerate_subset_weights(inst):
-        key = tuple(sorted(sw.index_set))
-        level = floor(inst.rho - sw.total)
+    for index_set, total in enumerate_subset_weights(inst):
+        key = tuple(sorted(index_set))
+        level = floor(inst.rho - total)
         if level < 0:
             direct.append((key, 0))
             continue
         binomial = ext_binomial(level - chi + r, level)
-        direct.append((key, sw.parity * binomial))
-        strata.append((key, -sw.parity * binomial if sw.index_set else 1 - binomial))
+        parity = -1 if len(index_set) % 2 else 1
+        direct.append((key, parity * binomial))
+        strata.append((key, -parity * binomial if index_set else 1 - binomial))
     return tuple(direct), tuple(strata)
 
 
@@ -204,6 +205,48 @@ def stratum_chi(chi, r, k, cap):
     for i in range(1, cap + 1):
         total += sign * ext_binomial(i - chi + r - 1, i)
     return total
+
+
+@st.composite
+def union_instances(draw):
+    """A ``kernel_instances`` instance, and the same instance, unvalidated,
+    as a union of two components: its weights in a drawn order, the points
+    at positions 1..cut on the first component and the rest on the second,
+    chi_c(X) split at a drawn value and compactness drawn."""
+    inst = draw(kernel_instances())
+    cut = draw(st.integers(0, inst.r))
+    chi_a = draw(st.integers(-6, 6))
+    components = (ComponentSpec(chi_a, draw(st.booleans()), tuple(range(1, cut + 1))),
+                  ComponentSpec(inst.chi_c - chi_a, draw(st.booleans()),
+                                list(range(cut + 1, inst.r + 1))))
+    return inst, ProblemInstance(inst.chi_c, tuple(draw(st.permutations(inst.weights))),
+                                 inst.rho, SpaceKind.UNION_OF_BASIC, components)
+
+
+class TestRoutesAgree:
+    """direct = strata = series on general instances: chi_c(X) down to
+    -10^6, unit weights and weights above rho, integer rho and ties, and
+    the same instances as two-component unions, which the routes must read
+    through their totals alone."""
+
+    ROUTES = (chi_c_direct, chi_c_strata, chi_c_series)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_instances())
+    def test_on_kernel_instances(self, inst):
+        assert len({route(inst).chi_c_value for route in self.ROUTES}) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(union_instances())
+    def test_on_two_component_unions(self, pair):
+        inst, given = pair
+        union = validate(given)
+        # validate remaps each component's indices to the canonical order.
+        for before, after in zip(given.components, union.components):
+            assert (sorted(given.weights[i - 1] for i in before.singular_indices)
+                    == sorted(union.weights[i - 1] for i in after.singular_indices))
+        expected = chi_c_direct(inst).chi_c_value
+        assert [route(union).chi_c_value for route in self.ROUTES] == [expected] * 3
 
 
 class TestLevelKernels:

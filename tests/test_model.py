@@ -175,34 +175,32 @@ class TestEnumerateSubsetWeights:
         inst = validate(ProblemInstance(2, (F(3, 10), F(2, 5), F(3, 5)), F(9, 2)))
         subsets = list(enumerate_subset_weights(inst))
         assert len(subsets) == 8
-        by_set = {sw.index_set: sw.total for sw in subsets}
+        by_set = dict(subsets)
         assert by_set[frozenset({1, 2, 3})] == F(13, 10)
         assert by_set[frozenset()] == 0
 
     def test_empty_weight_list(self):
         inst = validate(ProblemInstance(5, (), F(1)))
         subsets = list(enumerate_subset_weights(inst))
-        assert len(subsets) == 1
-        assert subsets[0].index_set == frozenset()
-        assert subsets[0].total == 0
-        assert subsets[0].parity == 1
+        assert subsets == [(frozenset(), 0)]
+        assert all(type(pair) is tuple for pair in subsets)
 
     def test_two_halves(self):
         inst = validate(ProblemInstance(2, (F(1, 2), F(1, 2)), F(1)))
-        totals = [sw.total for sw in enumerate_subset_weights(inst)]
+        totals = [total for _, total in enumerate_subset_weights(inst)]
         assert totals == [F(0), F(1, 2), F(1, 2), F(1)]
 
     def test_complementary_subsets_sum_to_total(self):
         inst = validate(ProblemInstance(0, (F(1, 3), F(2, 7), F(5, 4)), F(3)))
         full = sum(inst.weights, F(0))
-        by_set = {sw.index_set: sw.total for sw in enumerate_subset_weights(inst)}
+        by_set = dict(enumerate_subset_weights(inst))
         universe = frozenset(range(1, inst.r + 1))
         for index_set, total in by_set.items():
             assert total + by_set[universe - index_set] == full
 
     def test_binary_counter_order(self):
         inst = validate(ProblemInstance(0, (F(1, 4), F(1, 3), F(1, 2)), F(1)))
-        sets = [tuple(sorted(sw.index_set)) for sw in enumerate_subset_weights(inst)]
+        sets = [tuple(sorted(index_set)) for index_set, _ in enumerate_subset_weights(inst)]
         assert sets == [(), (1,), (2,), (1, 2), (3,), (1, 3), (2, 3), (1, 2, 3)]
 
 
@@ -222,7 +220,7 @@ class TestSubsetLevels:
     @settings(max_examples=150, deadline=None)
     @given(tied_instances())
     def test_levels_in_binary_counter_order(self, inst):
-        expected = [math.floor(inst.rho - sw.total) for sw in enumerate_subset_weights(inst)]
+        expected = [math.floor(inst.rho - total) for _, total in enumerate_subset_weights(inst)]
         assert subset_levels(inst) == expected
 
     def test_all_fit(self):
@@ -259,8 +257,8 @@ class TestSubsetMembers:
 
     def test_order_matches_enumerate_subset_weights(self):
         inst = validate(ProblemInstance(0, (F(1, 4), F(1, 3), F(1, 2), F(2, 3)), F(1)))
-        assert subset_members(inst.r) == [tuple(sorted(sw.index_set))
-                                          for sw in enumerate_subset_weights(inst)]
+        assert subset_members(inst.r) == [tuple(sorted(index_set))
+                                          for index_set, _ in enumerate_subset_weights(inst)]
 
 
 class TestFractionParsing:
@@ -341,11 +339,26 @@ class TestJsonDocument:
         {"chi_c": 1.5, "rho": "1"},
         {"chi_c": 1, "rho": "1", "space": {"kind": "union", "components": [
             {"chi_c": 1, "is_compact": "no", "singular_indices": []}]}},
-    ], ids=["chi_c", "is_compact"])
+        {"chi_c": 1, "rho": "1", "space": {"kind": "union", "components": [
+            {"chi_c": 1, "singular_indices": [[1]]}]}},
+    ], ids=["chi_c", "is_compact", "singular_indices"])
     def test_field_types_are_left_to_validate(self, doc):
         inst = instance_from_json(doc)
         with pytest.raises(InputFormatError, match="must be"):
             validate(inst)
+
+    @pytest.mark.parametrize("indices", [[2, 1], [1, 1], "12", None])
+    def test_component_indices_are_passed_on_as_given(self, indices):
+        # validate alone checks them, and builds the frozenset.
+        inst = instance_from_json({"chi_c": 1, "weights": "1/2,1/3", "rho": "1", "space": {
+            "components": [{"chi_c": 1, "singular_indices": indices}]}})
+        assert inst.components == (ComponentSpec(1, True, indices),)
+        assert inst.components[0].singular_indices is indices
+
+    def test_absent_component_indices_are_an_empty_list(self):
+        inst = instance_from_json({"chi_c": 1, "rho": "1", "space": {
+            "components": [{"chi_c": 1}]}})
+        assert inst.components == (ComponentSpec(1, True, []),)
 
     def test_weights_accept_decimal_strings(self):
         inst = instance_from_json({"chi_c": 0, "weights": ["0.3", "2/5"], "rho": "4.5"})

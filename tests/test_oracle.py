@@ -39,7 +39,8 @@ class TestFiniteWeightedSpace:
     def test_padding(self):
         space = FiniteWeightedSpace.of(4, (F(1, 2),))
         assert space.vertex_weights == (F(1, 2), F(1), F(1), F(1))
-        assert space.m == 4
+        # Four compact points: the matching instance's chi_c counts every vertex.
+        assert space.matching_instance(2).chi_c == 4
 
     def test_rejects_zero_weight(self):
         with pytest.raises(NonPositiveWeight):

@@ -18,7 +18,6 @@ from barychi.model import (
     ComponentSpec,
     ProblemInstance,
     SpaceKind,
-    SubsetWeight,
     ValidatedInstance,
     _Record,
 )
@@ -36,7 +35,6 @@ RECORDS = [
     (ValidatedInstance, (2, (F(1, 2),), F(3), SpaceKind.COMPACT, None),
      dict(chi_c=2, weights=(F(1, 2),), rho=F(3), space_kind=SpaceKind.COMPACT,
           components=None)),
-    (SubsetWeight, (frozenset({1, 2}), F(5, 6)), dict(index_set=frozenset({1, 2}), total=F(5, 6))),
     (ChiResult, (3, "strata", ((frozenset(), 1),)),
      dict(chi_c_value=3, method="strata", term_breakdown=((frozenset(), 1),))),
     (FiniteWeightedSpace, ((F(1, 2), F(1)),), dict(vertex_weights=(F(1, 2), F(1)))),
@@ -150,9 +148,7 @@ def test_repr_is_dataclass_style():
 
 def test_properties_survive():
     assert ValidatedInstance(0, (F(1), F(2)), F(3), SpaceKind.COMPACT, None).r == 2
-    assert SubsetWeight(frozenset({1, 2, 3}), F(1)).parity == -1
     assert ChiResult(3, "direct").degree_d_rho == -2
-    assert FiniteWeightedSpace((F(1), F(1, 2))).m == 2
 
 
 def test_finite_space_stores_a_list_as_a_tuple():

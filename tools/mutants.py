@@ -7,20 +7,22 @@ Usage, from anywhere in the repository::
 Each row names a module under ``src/barychi``, a function in it (a method
 as ``Class.method``), the source of one expression in that function, as
 ``ast.unparse`` prints it, the expression that replaces it, and the test
-files that must kill the mutant.  The expression is found in the module's
-syntax tree, never by searching its text, so a docstring or a comment that
-happens to spell it is never touched; a row whose expression is missing or
-occurs twice in the function is an error, not a pass.
+files (or pytest node ids in them) that must kill the mutant.  The
+expression is found in the module's syntax tree, never by searching its
+text, so a docstring or a comment that happens to spell it is never
+touched; a row whose expression is missing or occurs twice in the
+function is an error, not a pass.
 
 For each row the script copies ``src`` and ``tests`` into a temporary
 directory, writes the mutated module there with ``ast.unparse`` and runs
 ``python -m pytest -x -q -p no:cacheprovider --hypothesis-seed=0`` on the
-row's test files against that copy.  Before any mutant, the same run on an
+row's tests against that copy.  Before any mutant, the same run on an
 unmutated copy (each listed module round-tripped through ``ast.unparse``)
-must pass, so a kill is never the round trip's doing.  The script prints
-one line per mutant, names every survivor, and exits 1 when a mutant
-survives and 2 when the table or the unmutated copy is at fault.  Only the
-standard library is used, besides pytest and hypothesis for the tests.
+must pass every listed test file whole, so a kill is never the round
+trip's doing.  The script prints one line per mutant, names every
+survivor, and exits 1 when a mutant survives and 2 when the table or the
+unmutated copy is at fault.  Only the standard library is used, besides
+pytest and hypothesis for the tests.
 """
 from __future__ import annotations
 
@@ -45,6 +47,9 @@ CLASSIFIER = ["tests/test_classifier.py"]
 RECORDS = ["tests/test_records.py"]
 MODEL = ["tests/test_model.py"]
 CLI = ["tests/test_cli.py"]
+LEVEL_CAPS = ["tests/test_cli.py::TestLevelCaps"]
+COLLECTOR = ["tests/test_cli.py::TestCollectorSetting"]
+ROUTES_AGREE = ["tests/test_engine.py::TestRoutesAgree"]
 
 # (module, function, expression, replacement, test files)
 MUTANTS = [
@@ -71,10 +76,27 @@ MUTANTS = [
      "map(__import__('bisect').bisect_left, repeat(residues), ra_odd)", ENGINE),
     ("engine", "chi_c_strata", "level >= 0", "level > 0", ENGINE),
     ("engine", "_family_values", "i < level", "i <= level", ENGINE),
+    ("engine", "_family_values", "i < level", "i < level - 1", ENGINE),
     ("classifier", "_r1_table", "floor(instance.rho - w) < n", "floor(instance.rho - w) <= n",
      CLASSIFIER),
     ("classifier", "_r2_table", "w1 + w2 <= eps", "w1 + w2 < eps", CLASSIFIER),
     ("classifier", "_r2_table", "w1 + w2 <= 1 + eps", "w1 + w2 < 1 + eps", CLASSIFIER),
+    ("classifier", "_r2_table", "w1 <= eps and w2 <= eps", "w1 < eps and w2 <= eps", CLASSIFIER),
+    ("classifier", "_r2_table", "w1 <= eps and w2 <= eps", "w1 <= eps and w2 < eps", CLASSIFIER),
+    # The classifier's range: a weight of exactly 1 is in it.
+    ("classifier", "_r1_table", "w > 1", "w >= 1", CLASSIFIER),
+    ("classifier", "_r2_table", "w2 > 1", "w2 >= 1", CLASSIFIER),
+    # Each route's own arithmetic: strata's parity classes and the empty
+    # set's 1, the oracle's empty-face correction, the series' geometric
+    # ratio and factor shift.
+    ("engine", "chi_c_strata", "Counter(map(floordiv, odd, repeat(base)))",
+     "Counter(map(floordiv, even, repeat(base)))", ENGINE),
+    ("engine", "chi_c_strata",
+     "1 + sum((count * value[level] for level, count in odd_at.items()))",
+     "sum((count * value[level] for level, count in odd_at.items()))", ENGINE),
+    ("oracle", "oracle_chi", "len(odd) - (len(even) - 1)", "len(odd) - len(even)", ORACLE),
+    ("series", "chen_lin_series", "coeff * (m + n - 1) // n", "coeff * (m + n) // n", SERIES),
+    ("series", "chen_lin_series", "-step", "-step + 1", SERIES),
     # Subset levels: floor, not ceiling, and bit j of the mask is weight j.
     ("model", "subset_levels", "room // base", "-(-room // base)", MODEL),
     ("model", "subset_levels", "[room - step for room in rooms]",
@@ -86,12 +108,28 @@ MUTANTS = [
     # and a polynomial geometric power stores no zero past its end.
     ("series", "window_columns", "bisect_right(keys, rho.numerator * scale // rho.denominator)",
      "__import__('bisect').bisect_left(keys, rho.numerator * scale // rho.denominator)", SERIES),
+    ("series", "window_columns", "rho.numerator * scale // rho.denominator",
+     "rho.numerator * scale // rho.denominator - 1", SERIES),
     ("series", "window_columns", "bisect_right(keys, 0)",
      "__import__('bisect').bisect_left(keys, 0)", SERIES),
     ("series", "chen_lin_series", "not coeff", "False", SERIES),
-    # main gives the caller back its collector setting on every exit.
+    # main gives the caller back its collector setting on every exit, and
+    # turns the collector back on only when the caller had it on.
     ("cli", "main", "gc.enable()", "None", CLI),
     ("cli", "main", "gc.disable()", "None", CLI),
+    ("cli", "main", "gc.isenabled()", "True", COLLECTOR),
+    # An integer exponent prints as "n", any other as "n/d".
+    ("cli", "_exponent_texts", "d != 1", "True", SERIES),
+    ("cli", "_exponent_texts", "d != 1", "d == 1", SERIES),
+    # validate alone refuses an index listed twice, and it remaps each
+    # component's indices to the canonical order.
+    ("model", "_check_components", "i in seen", "False", MODEL),
+    ("model", "_check_components", "canon_of_label[i]", "i", ROUTES_AGREE),
+    # The level caps: a walk equal to the cap runs, and when m <= 0 the walk
+    # ends at 1 - m, where the polynomial (1 - x)^(-m) ends.
+    ("cli", "_check_levels", "walk > MAX_LEVELS[method]", "walk >= MAX_LEVELS[method]",
+     LEVEL_CAPS),
+    ("cli", "_check_levels", "1 - m", "-m", LEVEL_CAPS),
 ]
 
 
@@ -158,7 +196,7 @@ def main() -> int:
         print(f"stale mutant table: {exc}")
         return 2
     round_trip = {module: ast.unparse(ast.parse(source(module))) for module, *_ in MUTANTS}
-    every_test = sorted({test for *_, tests in MUTANTS for test in tests})
+    every_test = sorted({test.partition("::")[0] for *_, tests in MUTANTS for test in tests})
     passed, seconds = run_tests(round_trip, every_test)
     if not passed:
         print(f"the unmutated copy fails {' '.join(every_test)}; no mutant was run")
