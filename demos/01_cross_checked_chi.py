@@ -30,8 +30,8 @@ strata = chi_c_strata(instance, breakdown=True)
 series = chi_c_series(instance)
 
 print("three algorithms, one answer:")
-for result in (direct, strata, series):
-    print(f"  {result.method:>7}: chi_c = {result.chi_c_value}, d_rho = {result.degree_d_rho}")
+for name, result in (("direct", direct), ("strata", strata), ("series", series)):
+    print(f"  {name:>7}: chi_c = {result.chi_c_value}, d_rho = {result.degree_d_rho}")
 assert direct.chi_c_value == strata.chi_c_value == series.chi_c_value
 
 print("\nhow the direct sum assembles (subset of singular points -> signed term):")

@@ -22,13 +22,7 @@ from math import floor
 from operator import itemgetter
 
 from .classifier import classify
-from .engine import (
-    METHOD_SERIES,
-    ChiResult,
-    chi_c_direct,
-    chi_c_strata,
-    topological_chi_applicable,
-)
+from .engine import ChiResult, chi_c_direct, chi_c_strata, topological_chi_applicable
 from .errors import (
     BarychiError,
     InputFormatError,
@@ -47,6 +41,8 @@ from .model import (
 from .oracle import FiniteWeightedSpace, _check_vertex_count, oracle_chi
 from .series import chen_lin_series, chi_c_series, truncation_bound, window_columns
 
+# The one list of routes: --method, the report, the oracle comparison and
+# selftest's agreement check all run what this table names.
 _METHOD_RUNNERS = {"direct": chi_c_direct, "strata": chi_c_strata, "series": chi_c_series}
 
 # --breakdown prints a row per subset, and each further point doubles its
@@ -249,10 +245,12 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     for name in names:
         if name in MAX_LEVELS:
             _check_levels(instance, name, instance.rho)
-    # The report maker pops the results, so once the report is built it alone
-    # holds their rows, and _write frees it before it writes.
-    results = [[_METHOD_RUNNERS[name](instance, breakdown=args.breakdown) for name in names]]
-    agreed = len({res.chi_c_value for res in results[0]}) == 1
+    # The report maker pops the results, keyed by route name, so once the
+    # report is built it alone holds their rows, and _write frees it before
+    # it writes.
+    results = [{name: _METHOD_RUNNERS[name](instance, breakdown=args.breakdown)
+                for name in names}]
+    agreed = len({res.chi_c_value for res in results[0].values()}) == 1
 
     def report() -> dict:
         return build_report(instance, results.pop(), breakdown=args.breakdown)
@@ -273,12 +271,13 @@ def _check_levels(instance: ValidatedInstance, method: str, bound: Fraction) -> 
 
 
 def build_report(
-    instance: ValidatedInstance, results: list[ChiResult], breakdown: bool = False
+    instance: ValidatedInstance, results: dict[str, ChiResult], breakdown: bool = False
 ) -> dict:
-    """Assemble the canonical report dictionary (field order is fixed)."""
-    values = {res.method: res.chi_c_value for res in results}
+    """Assemble the canonical report dictionary (field order is fixed) from
+    each route's result, keyed by its ``_METHOD_RUNNERS`` name."""
+    values = {name: res.chi_c_value for name, res in results.items()}
     agreed = len(set(values.values())) == 1
-    chi = results[0].chi_c_value if agreed else None
+    chi = next(iter(values.values())) if agreed else None
     report = {
         "instance": instance_to_json_dict(instance),
         "methods": values,
@@ -289,13 +288,13 @@ def build_report(
     }
     if breakdown:
         tables = report["breakdown"] = {}
-        for res in results:
+        for name, res in results.items():
             # Index tuples print as they are; series exponents print as text.
             rows = res.term_breakdown
-            if res.method == METHOD_SERIES:
+            if name == "series":
                 rows = list(zip(_exponent_texts(map(itemgetter(0), rows)),
                                 map(itemgetter(1), rows)))
-            tables[res.method] = rows
+            tables[name] = rows
     return report
 
 
@@ -312,7 +311,7 @@ def _report_text(report: dict) -> Iterator[str]:
     yield f"topological chi applies: {'yes' if report['topological_chi_applies'] else 'no'}\n"
     for method, rows in report.get("breakdown", {}).items():
         yield f"{method} terms:\n"
-        if method == METHOD_SERIES:
+        if method == "series":
             yield from (f"  {key}: {value}\n" for key, value in rows)
         else:  # an index tuple (1, 3) prints as {1,3}
             yield from (f"  {{{','.join(map(str, key))}}}: {value}\n" for key, value in rows)

@@ -50,15 +50,9 @@ from .model import (
     validate,
 )
 
-METHOD_DIRECT = "direct"
-METHOD_STRATA = "strata"
-METHOD_SERIES = "series"
 
-
-class ChiResult(_Record, namedtuple("ChiResult", "chi_c_value method term_breakdown",
-                                    defaults=((),))):
-    """chi_c of the weighted barycenter space (an int), with provenance (the
-    ``METHOD_*`` name of the route).
+class ChiResult(_Record, namedtuple("ChiResult", "chi_c_value term_breakdown", defaults=((),))):
+    """chi_c of the weighted barycenter space (an int), and its rows.
 
     ``term_breakdown`` entries are ``(key, value)`` pairs, keyed as the
     report prints them: a subset's indices as an ascending tuple of ints
@@ -98,7 +92,7 @@ def chi_c_direct(instance: ValidatedInstance, *, breakdown: bool = False) -> Chi
         value = {level: ext_binomial(level - chi + r, level) for level in set(levels) if level >= 0}
         rows = tuple((members, -term if len(members) % 2 else term)
                      for members, term in zip(subset_members(r), map(value.get, levels, repeat(0))))
-    return ChiResult(1 - acc, METHOD_DIRECT, rows)
+    return ChiResult(1 - acc, rows)
 
 
 def _signed_level_counts(instance: ValidatedInstance) -> dict[int, int]:
@@ -215,7 +209,7 @@ def chi_c_strata(instance: ValidatedInstance, *, breakdown: bool = False) -> Chi
                 h = value[level]
                 rows.append((members, h if len(members) % 2 else -h if members else 1 - h))
         rows = tuple(rows)
-    return ChiResult(acc, METHOD_STRATA, rows)
+    return ChiResult(acc, rows)
 
 
 def _family_values(m: int, levels: Iterable[int]) -> dict[int, int]:

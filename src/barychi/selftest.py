@@ -12,12 +12,7 @@ from fractions import Fraction
 
 from .classifier import classify
 from .combinatorics import ext_binomial
-from .engine import (
-    chi_c_direct,
-    chi_c_strata,
-    normalize_drop_heavy,
-    normalize_drop_unit_weights,
-)
+from .engine import chi_c_direct, normalize_drop_heavy, normalize_drop_unit_weights
 from .model import (
     ComponentSpec,
     ProblemInstance,
@@ -25,9 +20,8 @@ from .model import (
     ValidatedInstance,
     validate,
 )
-from .cli import compare_with_oracle
+from .cli import _METHOD_RUNNERS, compare_with_oracle
 from .oracle import FiniteWeightedSpace
-from .series import chi_c_series
 
 
 def random_instance(rng: random.Random) -> ValidatedInstance:
@@ -75,18 +69,18 @@ def random_finite_space(rng: random.Random) -> tuple[FiniteWeightedSpace, Fracti
 
 
 def check_triple_agreement(instance: ValidatedInstance) -> list[str]:
-    """direct == strata == series, and d_rho = 1 - chi_c for each."""
+    """Every route of ``cli._METHOD_RUNNERS`` gives one chi_c, and
+    d_rho = 1 - chi_c for each."""
     failures = []
-    results = [chi_c_direct(instance), chi_c_strata(instance), chi_c_series(instance)]
-    values = {res.chi_c_value for res in results}
-    if len(values) != 1:
+    results = {name: run(instance) for name, run in _METHOD_RUNNERS.items()}
+    if len({res.chi_c_value for res in results.values()}) != 1:
         failures.append(
             f"method disagreement on {_describe(instance)}: "
-            + ", ".join(f"{res.method}={res.chi_c_value}" for res in results)
+            + ", ".join(f"{name}={res.chi_c_value}" for name, res in results.items())
         )
-    for res in results:
+    for name, res in results.items():
         if res.degree_d_rho + res.chi_c_value != 1:
-            failures.append(f"degree relation broken for {res.method} on {_describe(instance)}")
+            failures.append(f"degree relation broken for {name} on {_describe(instance)}")
     return failures
 
 

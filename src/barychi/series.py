@@ -23,7 +23,7 @@ from itertools import repeat
 from math import floor, gcd, lcm
 from operator import floordiv
 
-from .engine import METHOD_SERIES, ChiResult
+from .engine import ChiResult
 from .model import ValidatedInstance
 
 
@@ -152,4 +152,4 @@ def chi_c_series(instance: ValidatedInstance, *, breakdown: bool = False) -> Chi
     if breakdown:
         _, numerators, denominators, coefficients = window_columns(g, instance.rho)
         rows = tuple(zip(zip(numerators, denominators), coefficients))
-    return ChiResult(1 - sum(g._terms.values()), METHOD_SERIES, rows)
+    return ChiResult(1 - sum(g._terms.values()), rows)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from barychi import cli
 from barychi.cli import MAX_BREAKDOWN_POINTS, main
 from barychi.engine import (
-    METHOD_SERIES,
     ChiResult,
     chi_c_direct,
     chi_c_strata,
@@ -259,17 +258,17 @@ def reference_compute(inst, as_json):
     """compute --method all --breakdown output, rendered from the routes'
     term_breakdown with index tuples as lists and (n, d) exponents as
     str(Fraction(n, d))."""
-    results = [route(inst, breakdown=True)
-               for route in (chi_c_direct, chi_c_strata, chi_c_series)]
-    chi = results[0].chi_c_value
-    assert all(res.chi_c_value == chi for res in results)
+    results = {name: route(inst, breakdown=True) for name, route in
+               (("direct", chi_c_direct), ("strata", chi_c_strata), ("series", chi_c_series))}
+    chi = results["direct"].chi_c_value
+    assert all(res.chi_c_value == chi for res in results.values())
     doc = instance_to_json_dict(inst)
-    tables = {res.method: [[str(Fraction(*key)) if res.method == "series" else list(key), value]
-                           for key, value in res.term_breakdown] for res in results}
+    tables = {name: [[str(Fraction(*key)) if name == "series" else list(key), value]
+                     for key, value in res.term_breakdown] for name, res in results.items()}
     if as_json:
         return json.dumps({
             "instance": doc,
-            "methods": {res.method: res.chi_c_value for res in results},
+            "methods": {name: res.chi_c_value for name, res in results.items()},
             "chi_c": chi,
             "d_rho": 1 - chi,
             "verdict": "MATCH",
@@ -278,7 +277,7 @@ def reference_compute(inst, as_json):
         }, separators=(",", ":")) + "\n"
     lines = [f"instance: chi_c={inst.chi_c} weights={','.join(doc['weights'])} "
              f"rho={inst.rho} space=compact"]
-    lines += [f"{res.method}: {res.chi_c_value}" for res in results]
+    lines += [f"{name}: {res.chi_c_value}" for name, res in results.items()]
     lines += [f"chi_c(B_rho) = {chi}", f"d_rho = {1 - chi}",
               f"topological chi applies: {'yes' if topological_chi_applicable(inst) else 'no'}"]
     for method, rows in tables.items():
@@ -1151,8 +1150,7 @@ class TestCollectorSetting:
 
     @pytest.mark.parametrize("caller_enabled", [True, False], ids=["caller-on", "caller-off"])
     def test_mismatch(self, caller_enabled, monkeypatch):
-        seen = self.route(monkeypatch, lambda inst: ChiResult(chi_c_direct(inst).chi_c_value + 1,
-                                                              METHOD_SERIES))
+        seen = self.route(monkeypatch, lambda inst: ChiResult(chi_c_direct(inst).chi_c_value + 1))
         assert self.setting_after(caller_enabled, lambda: main(self.COMPUTE)) == (caller_enabled, 2)
         assert seen == [False]
 
@@ -1178,3 +1176,40 @@ class TestCollectorSetting:
 
         assert self.setting_after(caller_enabled, request) == (caller_enabled, None)
         assert seen == [False]
+
+
+class TestRouteTable:
+    """A route added to cli._METHOD_RUNNERS reaches --method, the report and
+    the oracle comparison from that one entry, and compute's agreement check
+    counts it: a route that disagrees makes compute exit 2."""
+
+    ARGV = ["compute", "--chi-c", "2", "--weights", "1/2", "--rho", "3/2"]
+
+    @pytest.fixture
+    def shifted(self, monkeypatch):
+        def route(instance, *, breakdown=False):
+            res = chi_c_direct(instance, breakdown=breakdown)
+            return ChiResult(res.chi_c_value + 1, res.term_breakdown)
+
+        monkeypatch.setitem(cli._METHOD_RUNNERS, "shifted", route)
+
+    def test_compute_names_it_and_refuses_the_disagreement(self, capsys, shifted):
+        code, out, _ = run(capsys, *self.ARGV, "--breakdown")
+        assert code == 2
+        assert out.splitlines()[1:6] == ["direct: 1", "strata: 1", "series: 1", "shifted: 2",
+                                         "topological chi applies: yes"]
+        assert out.endswith("shifted terms:\n  {}: 0\n  {1}: 0\nverdict: MISMATCH\n")
+        code, out, _ = run(capsys, *self.ARGV, "--json")
+        assert code == 2
+        assert json.loads(out)["methods"] == {"direct": 1, "strata": 1, "series": 1, "shifted": 2}
+
+    def test_method_runs_it_alone(self, capsys, shifted):
+        code, out, _ = run(capsys, *self.ARGV, "--method", "shifted", "--json")
+        assert code == 0
+        assert json.loads(out)["methods"] == {"shifted": 2}
+
+    def test_oracle_compares_it(self, capsys, shifted):
+        code, out, _ = run(capsys, "oracle", "--vertices", "2", "--weights", "1/2", "--rho", "3/2")
+        assert code == 2
+        assert out == ("oracle: 1\ndirect: 1\nstrata: 1\nseries: 1\nshifted: 2\n"
+                       "verdict: MISMATCH\n")

@@ -152,7 +152,7 @@ class TestBreakdown:
             plain, full = route(inst), route(inst, breakdown=True)
             assert plain.term_breakdown == ()
             assert full.term_breakdown
-            assert plain == ChiResult(full.chi_c_value, full.method)
+            assert plain == ChiResult(full.chi_c_value)
 
     @settings(max_examples=100, deadline=None)
     @given(tie_heavy_instances())
@@ -279,6 +279,11 @@ class TestLevelKernels:
         inst = make(-3, ["1"] * r, 9)
         expected = {9 - k: (-1) ** k * ext_binomial(r, k) for k in range(r + 1)}
         assert _signed_level_counts(inst) == expected
+
+    def test_a_pair_past_rho_in_one_quotient_group_has_no_level(self):
+        # Two half weights at rho 1/2: both halves' sums share the quotient 0,
+        # and {1, 2} is heavier than rho, so it has no level, not level -1.
+        assert _signed_level_counts(make(2, ["1/2", "1/2"], "1/2")) == {0: -1}
 
 
 class TestNormalizations:

@@ -96,3 +96,14 @@ def test_routes_share_only_records_and_breakdown_tables(first, second):
     shared = _reachable(ROUTES[first]) & _reachable(ROUTES[second])
     extra = shared - SHARED - SHARED_BY_PAIR.get((first, second), set())
     assert not extra, f"{first} and {second} share {sorted('.'.join(k) for k in extra)}"
+
+
+def test_every_route_of_the_cli_table_is_checked_here():
+    # compute, oracle and selftest run what cli._METHOD_RUNNERS names; each
+    # entry must be the first entry point of its row above.
+    from barychi import cli
+
+    for name, run in cli._METHOD_RUNNERS.items():
+        assert name in ROUTES, name
+        assert (run.__module__, run.__name__) == ("barychi." + ROUTES[name][0][0],
+                                                  ROUTES[name][0][1])

@@ -35,8 +35,7 @@ RECORDS = [
     (ValidatedInstance, (2, (F(1, 2),), F(3), SpaceKind.COMPACT, None),
      dict(chi_c=2, weights=(F(1, 2),), rho=F(3), space_kind=SpaceKind.COMPACT,
           components=None)),
-    (ChiResult, (3, "strata", ((frozenset(), 1),)),
-     dict(chi_c_value=3, method="strata", term_breakdown=((frozenset(), 1),))),
+    (ChiResult, (3, (((1,), 1),)), dict(chi_c_value=3, term_breakdown=(((1,), 1),))),
     (FiniteWeightedSpace, ((F(1, 2), F(1)),), dict(vertex_weights=(F(1, 2), F(1)))),
     (Descriptor, ("A1", -1), dict(text="A1", chi_value=-1)),
     (ConicPiece, (2, frozenset({1})), dict(n=2, index_set=frozenset({1}))),
@@ -74,7 +73,7 @@ def test_copy_and_pickle_give_an_equal_record(cls, args, kwargs):
 
 def test_defaults():
     assert ProblemInstance(1, (), F(2)) == ProblemInstance(1, (), F(2), SpaceKind.COMPACT, None)
-    assert ChiResult(1, "direct").term_breakdown == ()
+    assert ChiResult(1).term_breakdown == ()
     assert ValidatedInstance(1, (), F(2)) == ValidatedInstance(1, (), F(2), SpaceKind.COMPACT, None)
 
 
@@ -137,7 +136,7 @@ def test_equality_needs_the_same_class_and_equal_fields():
 
 
 def test_repr_is_dataclass_style():
-    assert repr(ChiResult(2, "direct")) == "ChiResult(chi_c_value=2, method='direct', term_breakdown=())"
+    assert repr(ChiResult(2)) == "ChiResult(chi_c_value=2, term_breakdown=())"
     assert repr(CIRCLE) == "Descriptor(text='S1', chi_value=0)"
     assert repr(wedge(Descriptor("X", 1), CIRCLE)) == "Descriptor(text='X v S1', chi_value=0)"
     assert repr(ProblemInstance(1, (F(1, 2),), F(2))) == (
@@ -148,7 +147,7 @@ def test_repr_is_dataclass_style():
 
 def test_properties_survive():
     assert ValidatedInstance(0, (F(1), F(2)), F(3), SpaceKind.COMPACT, None).r == 2
-    assert ChiResult(3, "direct").degree_d_rho == -2
+    assert ChiResult(3).degree_d_rho == -2
 
 
 def test_finite_space_stores_a_list_as_a_tuple():

@@ -6,10 +6,16 @@ import gc
 import io
 import random
 import tracemalloc
+from fractions import Fraction as F
 from itertools import count
+from types import SimpleNamespace
 
-from barychi import selftest
-from barychi.engine import normalize_drop_heavy, normalize_drop_unit_weights
+from barychi import cli, selftest
+from barychi.engine import ChiResult, normalize_drop_heavy, normalize_drop_unit_weights
+from barychi.model import ProblemInstance, validate
+
+# chi_c = 1 on every route.
+INSTANCE = validate(ProblemInstance(2, (F(1, 2),), F(3, 2)))
 
 
 def test_each_instance_is_checked_before_the_next_is_drawn(monkeypatch, capsys):
@@ -140,3 +146,26 @@ def test_long_runs_leave_no_tuples_behind():
     small = held(2_000)
     # About 270 KiB more when validate and _drop build their tuples from generators.
     assert held(20_000) - small < 150 * 1024
+
+
+def test_agreement_runs_exactly_the_routes_of_the_cli_table(monkeypatch):
+    calls = []
+    for name, run in list(cli._METHOD_RUNNERS.items()):
+        def logged(instance, name=name, run=run):
+            calls.append(name)
+            return run(instance)
+        monkeypatch.setitem(cli._METHOD_RUNNERS, name, logged)
+    assert selftest.check_triple_agreement(INSTANCE) == []
+    assert calls == ["direct", "strata", "series"]
+
+
+def test_a_route_added_to_the_cli_table_is_checked_and_named(monkeypatch):
+    described = selftest._describe(INSTANCE)
+    monkeypatch.setitem(cli._METHOD_RUNNERS, "shifted", lambda instance: ChiResult(0))
+    assert selftest.check_triple_agreement(INSTANCE) == [
+        f"method disagreement on {described}: direct=1, strata=1, series=1, shifted=0"]
+    # A result whose degree is not 1 - chi_c is named by its table entry.
+    monkeypatch.setitem(cli._METHOD_RUNNERS, "shifted",
+                        lambda instance: SimpleNamespace(chi_c_value=1, degree_d_rho=1))
+    assert selftest.check_triple_agreement(INSTANCE) == [
+        f"degree relation broken for shifted on {described}"]

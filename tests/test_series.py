@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from barychi.cli import _exponent_texts, main
 from barychi.combinatorics import ext_binomial
-from barychi.engine import METHOD_SERIES, ChiResult, chi_c_direct
+from barychi.engine import ChiResult, chi_c_direct
 from barychi.errors import NonPositiveRho, NonPositiveWeight
 from barychi.model import ProblemInstance, instance_to_json_dict, validate
 from barychi.series import (
@@ -287,7 +287,7 @@ class TestChiCSeries:
         chi, rows = window_reference(chen_lin_series(inst, bound), rho)
         assert chi == chi_c_direct(inst).chi_c_value
         # A longer cut leaves the window's rows as they are at rho.
-        assert chi_c_series(inst, breakdown=True) == ChiResult(chi, METHOD_SERIES, rows)
+        assert chi_c_series(inst, breakdown=True) == ChiResult(chi, rows)
 
     def test_unit_weight_factor_consistency(self):
         plain = validate(ProblemInstance(1, (F(2, 5),), F(3)))
@@ -316,7 +316,7 @@ class TestChiCSeries:
         for bound in (None, inst.rho, inst.rho * F(3, 2), inst.rho + F(7, 3)):
             g = chen_lin_series(inst, bound)
             chi, rows = window_reference(g, inst.rho)
-            assert res == ChiResult(chi, METHOD_SERIES, rows if breakdown else ())
+            assert res == ChiResult(chi, rows if breakdown else ())
             assert window_columns(g, inst.rho)[0] == len(rows)
 
     @settings(max_examples=150, deadline=None)

@@ -6,8 +6,8 @@ Usage, from anywhere in the repository::
 
 Each row names a module under ``src/barychi``, a function in it (a method
 as ``Class.method``), the source of one expression in that function, as
-``ast.unparse`` prints it, the expression that replaces it, and the test
-files (or pytest node ids in them) that must kill the mutant.  The
+``ast.unparse`` prints it, the expression that replaces it, and the
+pytest node ids of the tests that must kill the mutant.  The
 expression is found in the module's syntax tree, never by searching its
 text, so a docstring or a comment that happens to spell it is never
 touched; a row whose expression is missing or occurs twice in the
@@ -18,8 +18,8 @@ directory, writes the mutated module there with ``ast.unparse`` and runs
 ``python -m pytest -x -q -p no:cacheprovider --hypothesis-seed=0`` on the
 row's tests against that copy.  Before any mutant, the same run on an
 unmutated copy (each listed module round-tripped through ``ast.unparse``)
-must pass every listed test file whole, so a kill is never the round
-trip's doing.  The script prints one line per mutant, names every
+must pass the union of the rows' node ids, so a kill is never the round
+trip's doing, nor a node id that names no test.  The script prints one line per mutant, names every
 survivor, and exits 1 when a mutant survives and 2 when the table or the
 unmutated copy is at fault.  Only the standard library is used, besides
 pytest and hypothesis for the tests.
@@ -40,96 +40,119 @@ PYTEST = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-se
 # A mutant that makes a test loop counts as killed once this many seconds pass.
 TIMEOUT = 120
 
-ENGINE = ["tests/test_engine.py"]
-SERIES = ["tests/test_series.py"]
-ORACLE = ["tests/test_oracle.py"]
-CLASSIFIER = ["tests/test_classifier.py"]
-RECORDS = ["tests/test_records.py"]
-MODEL = ["tests/test_model.py"]
-CLI = ["tests/test_cli.py"]
-LEVEL_CAPS = ["tests/test_cli.py::TestLevelCaps"]
+# The tests that kill the mutants, as pytest node ids.
+STRATA_AGREES = ["tests/test_engine.py::TestChiCStrata::test_agrees_with_direct"]
+STRATA_HALF = ["tests/test_engine.py::TestChiCStrata::test_single_half_weight_contributions"]
+DIRECT_HALF = ["tests/test_engine.py::TestChiCDirect::test_single_half_weight"]
+DIRECT_HALVES = ["tests/test_engine.py::TestChiCDirect::test_two_half_weights"]
+NO_LEVEL = ["tests/test_engine.py::TestLevelKernels::"
+            "test_a_pair_past_rho_in_one_quotient_group_has_no_level"]
+SERIES_ZEROS = ["tests/test_series.py::TestSparseSeries::test_zero_coefficients_dropped"]
+SERIES_IDENTITY = ["tests/test_series.py::TestSparseSeries::test_exponent_value_identity"]
+SERIES_WINDOW = ["tests/test_series.py::TestSparseSeries::"
+                 "test_reduced_terms_are_terms_as_integers"]
+ORACLE_TWO = ["tests/test_oracle.py::TestOracleChi::test_two_vertices"]
+ORACLE_THREE = ["tests/test_oracle.py::TestOracleChi::test_three_vertices"]
+R1_SWEEP = ["tests/test_classifier.py::TestClassifyR1::test_engine_consistency_sweep"]
+R2_SWEEP = ["tests/test_classifier.py::TestClassifyR2Connected::test_engine_consistency_sweep"]
+LEVELS = ["tests/test_model.py::TestSubsetLevels::test_far_below_zero"]
+RECORDS = ["tests/test_records.py::test_equality_needs_the_same_class_and_equal_fields"]
 COLLECTOR = ["tests/test_cli.py::TestCollectorSetting"]
-ROUTES_AGREE = ["tests/test_engine.py::TestRoutesAgree"]
+LEVEL_CAPS = ["tests/test_cli.py::TestLevelCaps"]
+INDEX_TWICE = ["tests/test_model.py::TestValidate::test_component_index_coverage"]
+REMAP = ["tests/test_engine.py::TestNormalizations::test_drop_heavy_updates_components"]
+COMPUTE_AGREES = ["tests/test_cli.py::TestRouteTable::"
+                  "test_compute_names_it_and_refuses_the_disagreement"]
+SELFTEST_AGREES = ["tests/test_selftest.py::"
+                   "test_a_route_added_to_the_cli_table_is_checked_and_named"]
 
-# (module, function, expression, replacement, test files)
+# (module, function, expression, replacement, the node ids that kill it)
 MUTANTS = [
     # Prune sites: a sum equal to the cap still fits.
     ("engine", "_fitting_sums", "[s + step for s in odd if s <= cap]",
-     "[s + step for s in odd if s < cap]", ENGINE),
+     "[s + step for s in odd if s < cap]", STRATA_AGREES),
     ("engine", "_fitting_sums", "[s + step for s in even if s <= cap]",
-     "[s + step for s in even if s < cap]", ENGINE),
+     "[s + step for s in even if s < cap]", STRATA_AGREES),
     ("engine", "chi_c_strata", "[room - step for room in odd if room >= step]",
-     "[room - step for room in odd if room > step]", ENGINE),
+     "[room - step for room in odd if room > step]", STRATA_AGREES),
     ("engine", "chi_c_strata", "[room - step for room in even if room >= step]",
-     "[room - step for room in even if room > step]", ENGINE),
-    ("series", "chen_lin_series", "k <= cap", "k < cap", SERIES),
+     "[room - step for room in even if room > step]", STRATA_AGREES),
+    ("series", "chen_lin_series", "k <= cap", "k < cap", SERIES_ZEROS),
     ("oracle", "oracle_chi", "[s + step for s in odd if s <= cap]",
-     "[s + step for s in odd if s < cap]", ORACLE),
+     "[s + step for s in odd if s < cap]", ORACLE_THREE),
     ("oracle", "oracle_chi", "[s + step for s in even if s <= cap]",
-     "[s + step for s in even if s < cap]", ORACLE),
+     "[s + step for s in even if s < cap]", ORACLE_TWO),
     # Tie sites: a pair or a subset exactly at a level boundary.
-    ("engine", "_signed_level_counts", "qb > qa", "qb >= qa", ENGINE),
-    ("engine", "_signed_level_counts", "qa > qb", "qa >= qb", ENGINE),
+    ("engine", "_signed_level_counts", "qb > qa", "qb >= qa", DIRECT_HALF),
+    ("engine", "_signed_level_counts", "qa > qb", "qa >= qb", NO_LEVEL),
     ("engine", "_signed_level_counts", "map(bisect_right, repeat(residues), ra_even)",
-     "map(__import__('bisect').bisect_left, repeat(residues), ra_even)", ENGINE),
+     "map(__import__('bisect').bisect_left, repeat(residues), ra_even)", DIRECT_HALF),
     ("engine", "_signed_level_counts", "map(bisect_right, repeat(residues), ra_odd)",
-     "map(__import__('bisect').bisect_left, repeat(residues), ra_odd)", ENGINE),
-    ("engine", "chi_c_strata", "level >= 0", "level > 0", ENGINE),
-    ("engine", "_family_values", "i < level", "i <= level", ENGINE),
-    ("engine", "_family_values", "i < level", "i < level - 1", ENGINE),
+     "map(__import__('bisect').bisect_left, repeat(residues), ra_odd)", DIRECT_HALVES),
+    ("engine", "chi_c_strata", "level >= 0", "level > 0", STRATA_HALF),
+    ("engine", "_family_values", "i < level", "i <= level", STRATA_HALF),
+    ("engine", "_family_values", "i < level", "i < level - 1", STRATA_HALF),
     ("classifier", "_r1_table", "floor(instance.rho - w) < n", "floor(instance.rho - w) <= n",
-     CLASSIFIER),
-    ("classifier", "_r2_table", "w1 + w2 <= eps", "w1 + w2 < eps", CLASSIFIER),
-    ("classifier", "_r2_table", "w1 + w2 <= 1 + eps", "w1 + w2 < 1 + eps", CLASSIFIER),
-    ("classifier", "_r2_table", "w1 <= eps and w2 <= eps", "w1 < eps and w2 <= eps", CLASSIFIER),
-    ("classifier", "_r2_table", "w1 <= eps and w2 <= eps", "w1 <= eps and w2 < eps", CLASSIFIER),
+     R1_SWEEP),
+    ("classifier", "_r2_table", "w1 + w2 <= eps", "w1 + w2 < eps", R2_SWEEP),
+    ("classifier", "_r2_table", "w1 + w2 <= 1 + eps", "w1 + w2 < 1 + eps", R2_SWEEP),
+    ("classifier", "_r2_table", "w1 <= eps and w2 <= eps", "w1 < eps and w2 <= eps", R2_SWEEP),
+    ("classifier", "_r2_table", "w1 <= eps and w2 <= eps", "w1 <= eps and w2 < eps", R2_SWEEP),
     # The classifier's range: a weight of exactly 1 is in it.
-    ("classifier", "_r1_table", "w > 1", "w >= 1", CLASSIFIER),
-    ("classifier", "_r2_table", "w2 > 1", "w2 >= 1", CLASSIFIER),
+    ("classifier", "_r1_table", "w > 1", "w >= 1", R1_SWEEP),
+    ("classifier", "_r2_table", "w2 > 1", "w2 >= 1", R2_SWEEP),
     # Each route's own arithmetic: strata's parity classes and the empty
     # set's 1, the oracle's empty-face correction, the series' geometric
     # ratio and factor shift.
     ("engine", "chi_c_strata", "Counter(map(floordiv, odd, repeat(base)))",
-     "Counter(map(floordiv, even, repeat(base)))", ENGINE),
+     "Counter(map(floordiv, even, repeat(base)))", STRATA_HALF),
     ("engine", "chi_c_strata",
      "1 + sum((count * value[level] for level, count in odd_at.items()))",
-     "sum((count * value[level] for level, count in odd_at.items()))", ENGINE),
-    ("oracle", "oracle_chi", "len(odd) - (len(even) - 1)", "len(odd) - len(even)", ORACLE),
-    ("series", "chen_lin_series", "coeff * (m + n - 1) // n", "coeff * (m + n) // n", SERIES),
-    ("series", "chen_lin_series", "-step", "-step + 1", SERIES),
+     "sum((count * value[level] for level, count in odd_at.items()))", STRATA_HALF),
+    ("oracle", "oracle_chi", "len(odd) - (len(even) - 1)", "len(odd) - len(even)", ORACLE_TWO),
+    ("series", "chen_lin_series", "coeff * (m + n - 1) // n", "coeff * (m + n) // n",
+     SERIES_ZEROS),
+    ("series", "chen_lin_series", "-step", "-step + 1", SERIES_ZEROS),
     # Subset levels: floor, not ceiling, and bit j of the mask is weight j.
-    ("model", "subset_levels", "room // base", "-(-room // base)", MODEL),
+    ("model", "subset_levels", "room // base", "-(-room // base)", LEVELS),
     ("model", "subset_levels", "[room - step for room in rooms]",
-     "[room - step for room in reversed(rooms)]", MODEL),
+     "[room - step for room in reversed(rooms)]", LEVELS),
     # Record equality needs the same class, either way round.
     ("model", "_Record.__eq__", "other.__class__ is self.__class__", "True", RECORDS),
     ("model", "_Record.__ne__", "other.__class__ is not self.__class__", "False", RECORDS),
     # The series window: ties at rho are in it, the constant term is not,
     # and a polynomial geometric power stores no zero past its end.
     ("series", "window_columns", "bisect_right(keys, rho.numerator * scale // rho.denominator)",
-     "__import__('bisect').bisect_left(keys, rho.numerator * scale // rho.denominator)", SERIES),
+     "__import__('bisect').bisect_left(keys, rho.numerator * scale // rho.denominator)",
+     SERIES_WINDOW),
     ("series", "window_columns", "rho.numerator * scale // rho.denominator",
-     "rho.numerator * scale // rho.denominator - 1", SERIES),
+     "rho.numerator * scale // rho.denominator - 1", SERIES_WINDOW),
     ("series", "window_columns", "bisect_right(keys, 0)",
-     "__import__('bisect').bisect_left(keys, 0)", SERIES),
-    ("series", "chen_lin_series", "not coeff", "False", SERIES),
+     "__import__('bisect').bisect_left(keys, 0)", SERIES_WINDOW),
+    ("series", "chen_lin_series", "not coeff", "False", SERIES_IDENTITY),
     # main gives the caller back its collector setting on every exit, and
     # turns the collector back on only when the caller had it on.
-    ("cli", "main", "gc.enable()", "None", CLI),
-    ("cli", "main", "gc.disable()", "None", CLI),
+    ("cli", "main", "gc.enable()", "None", COLLECTOR),
+    ("cli", "main", "gc.disable()", "None", COLLECTOR),
     ("cli", "main", "gc.isenabled()", "True", COLLECTOR),
     # An integer exponent prints as "n", any other as "n/d".
-    ("cli", "_exponent_texts", "d != 1", "True", SERIES),
-    ("cli", "_exponent_texts", "d != 1", "d == 1", SERIES),
+    ("cli", "_exponent_texts", "d != 1", "True", SERIES_WINDOW),
+    ("cli", "_exponent_texts", "d != 1", "d == 1", SERIES_WINDOW),
     # validate alone refuses an index listed twice, and it remaps each
     # component's indices to the canonical order.
-    ("model", "_check_components", "i in seen", "False", MODEL),
-    ("model", "_check_components", "canon_of_label[i]", "i", ROUTES_AGREE),
+    ("model", "_check_components", "i in seen", "False", INDEX_TWICE),
+    ("model", "_check_components", "canon_of_label[i]", "i", REMAP),
     # The level caps: a walk equal to the cap runs, and when m <= 0 the walk
     # ends at 1 - m, where the polynomial (1 - x)^(-m) ends.
     ("cli", "_check_levels", "walk > MAX_LEVELS[method]", "walk >= MAX_LEVELS[method]",
      LEVEL_CAPS),
     ("cli", "_check_levels", "1 - m", "-m", LEVEL_CAPS),
+    # Every route of cli._METHOD_RUNNERS counts: in compute's agreement
+    # check and in selftest's.
+    ("cli", "_cmd_compute", "results[0].values()", "list(results[0].values())[:3]",
+     COMPUTE_AGREES),
+    ("selftest", "check_triple_agreement", "_METHOD_RUNNERS.items()",
+     "list(_METHOD_RUNNERS.items())[:3]", SELFTEST_AGREES),
 ]
 
 
@@ -196,7 +219,7 @@ def main() -> int:
         print(f"stale mutant table: {exc}")
         return 2
     round_trip = {module: ast.unparse(ast.parse(source(module))) for module, *_ in MUTANTS}
-    every_test = sorted({test.partition("::")[0] for *_, tests in MUTANTS for test in tests})
+    every_test = sorted({test for *_, tests in MUTANTS for test in tests})
     passed, seconds = run_tests(round_trip, every_test)
     if not passed:
         print(f"the unmutated copy fails {' '.join(every_test)}; no mutant was run")
