@@ -8,6 +8,7 @@ or a finite decimal "0.3" read as 3/10) and kept as a ``Fraction``.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
@@ -251,10 +252,15 @@ def subset_members(r: int) -> list[tuple[int, ...]]:
 # Exact fraction and instance-document parsing
 
 
-def parse_fraction(text: str) -> Fraction:
-    """Parse "p/q", an integer, or a finite decimal ("0.3" -> 3/10) exactly.
+_EXACT_TEXT = re.compile(r"[+-]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)")
 
-    Binary floats are never accepted; only strings convert.  A number is
+
+def parse_fraction(text: str) -> Fraction:
+    """Parse "p/q", an integer or a finite decimal ("0.3" -> 3/10, "-1e3") exactly.
+
+    Binary floats are never accepted; only strings in the ASCII grammar of
+    ``_EXACT_TEXT`` convert (``Fraction``'s own grammar reads "9 / 2",
+    "1_000" or non-ASCII digits on some Python versions only).  A number is
     refused before it is built when its length (the longer side of a
     ``/``) plus its decimal exponent reach the interpreter's int-to-str
     limit (``sys.get_int_max_str_digits()``, 4300 by default): its
@@ -264,6 +270,8 @@ def parse_fraction(text: str) -> Fraction:
     if not isinstance(text, str):
         raise InputFormatError(f"expected a fraction string, got {type(text).__name__}")
     number = text.strip()
+    if not _EXACT_TEXT.fullmatch(number):
+        raise InputFormatError(f"cannot parse {text!r} as an exact fraction")
     mantissa, _, exponent = number.lower().partition("e")
     limit = sys.get_int_max_str_digits()  # 0 means no limit
     try:

@@ -7,8 +7,9 @@ explicit ``random.Random`` so failures reproduce from a printed seed.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from itertools import product
 
 from .classifier import classify
 from .combinatorics import ext_binomial
@@ -113,70 +114,40 @@ def check_oracle(space: FiniteWeightedSpace, rho: Fraction) -> list[str]:
 
 
 def classifier_sweep_failures() -> list[str]:
-    """Deterministic sweeps of the r = 1 and r = 2 case tables against the
-    engine (compact space, weights <= 1, so topological chi applies)."""
+    """``classify`` against direct on every instance of ``_sweep_groups``
+    (compact spaces, weights <= 1, so the topological chi applies), and the
+    placements of one group against each other."""
     failures = []
+    for group in _sweep_groups():
+        chis = []
+        for instance in group:
+            got, want = classify(instance).chi_value, chi_c_direct(instance).chi_c_value
+            chis.append(got)
+            if got != want:
+                failures.append(f"classify gives {got}, direct {want} on {_describe(instance)}")
+        if len(set(chis)) > 1:
+            failures.append("placement changes chi: " + ", ".join(
+                f"{chi} on {_describe(instance)}" for chi, instance in zip(chis, group)))
+    return failures
+
+
+def _sweep_groups() -> Iterator[list[ValidatedInstance]]:
+    """The classifier's r = 1 and connected r = 2 tables, one space a group,
+    then two compact components, each group one space's two points placed
+    one on each component and both on the first."""
     rhos = [Fraction(k, 4) for k in range(1, 25)]
     tenths = [Fraction(k, 10) for k in range(1, 11)]
-
-    for chi in range(-5, 6):
-        for w in tenths:
-            for rho in rhos:
-                inst = validate(ProblemInstance(chi, (w,), rho))
-                got = classify(inst).chi_value
-                want = chi_c_direct(inst).chi_c_value
-                if got != want:
-                    failures.append(f"r1 chi={chi} w={w} rho={rho}: {got} != {want}")
-
-    for chi in range(-5, 6):
-        for i, w1 in enumerate(tenths):
-            for w2 in tenths[i:]:
-                for rho in rhos:
-                    inst = validate(ProblemInstance(chi, (w1, w2), rho))
-                    got = classify(inst).chi_value
-                    want = chi_c_direct(inst).chi_c_value
-                    if got != want:
-                        failures.append(
-                            f"r2 chi={chi} w=({w1},{w2}) rho={rho}: {got} != {want}"
-                        )
-
-    for chi_1 in range(-2, 4):
-        for chi_2 in range(-2, 4):
-            for i, w1 in enumerate(tenths):
-                for w2 in tenths[i:]:
-                    for rho in (Fraction(5, 2), Fraction(13, 4), Fraction(1, 2)):
-                        failures.extend(
-                            _two_component_case(chi_1, chi_2, w1, w2, rho)
-                        )
-    return failures
-
-
-def _two_component_case(
-    chi_1: int, chi_2: int, w1: Fraction, w2: Fraction, rho: Fraction
-) -> list[str]:
-    failures = []
-    values = []
-    for name, first, second in (("one-each", {1}, {2}), ("both-first", {1, 2}, set())):
-        components = (
-            ComponentSpec(chi_1, True, frozenset(first)),
-            ComponentSpec(chi_2, True, frozenset(second)),
-        )
-        inst = validate(
-            ProblemInstance(chi_1 + chi_2, (w1, w2), rho, SpaceKind.UNION_OF_BASIC, components)
-        )
-        got = classify(inst).chi_value
-        want = chi_c_direct(inst).chi_c_value
-        values.append(got)
-        if got != want:
-            failures.append(
-                f"r2-two-components {name} chi=({chi_1},{chi_2}) "
-                f"w=({w1},{w2}) rho={rho}: {got} != {want}"
-            )
-    if values[0] != values[1]:
-        failures.append(
-            f"placement changed chi for chi=({chi_1},{chi_2}) w=({w1},{w2}) rho={rho}"
-        )
-    return failures
+    pairs = [(w1, w2) for i, w1 in enumerate(tenths) for w2 in tenths[i:]]
+    for table in ([(w,) for w in tenths], pairs):
+        for chi, weights, rho in product(range(-5, 6), table, rhos):
+            yield [validate(ProblemInstance(chi, weights, rho))]
+    placements = ((frozenset({1}), frozenset({2})), (frozenset({1, 2}), frozenset()))
+    for chi_1, chi_2, weights, rho in product(range(-2, 4), range(-2, 4), pairs,
+                                             (Fraction(5, 2), Fraction(13, 4), Fraction(1, 2))):
+        yield [validate(ProblemInstance(
+            chi_1 + chi_2, weights, rho, SpaceKind.UNION_OF_BASIC,
+            (ComponentSpec(chi_1, True, first), ComponentSpec(chi_2, True, second))))
+            for first, second in placements]
 
 
 def hockey_stick_sum(m: int, n: int) -> int:
@@ -316,4 +287,7 @@ class _Failures:
 
 def _describe(instance: ValidatedInstance) -> str:
     weights = ",".join(str(w) for w in instance.weights)
-    return f"(chi_c={instance.chi_c} weights=[{weights}] rho={instance.rho})"
+    components = ";".join(f"{c.chi_c}:{sorted(c.singular_indices)}"
+                          for c in instance.components or ())
+    where = f" components={components}" if components else ""
+    return f"(chi_c={instance.chi_c} weights=[{weights}] rho={instance.rho}{where})"

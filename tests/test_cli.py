@@ -29,9 +29,9 @@ from barychi.model import (
     validate,
 )
 from barychi.oracle import FiniteWeightedSpace
-from barychi.series import SparseSeries, chen_lin_series, chi_c_series, truncation_bound
+from barychi.series import SparseSeries, chi_c_series
 from test_engine import tie_heavy_instances
-from test_series import SCALE_CASES
+from test_series import SCALE_CASES, series_command_reference
 
 
 def run(capsys, *argv):
@@ -289,32 +289,6 @@ def reference_compute(inst, as_json):
     return "\n".join(lines) + "\n"
 
 
-def reference_series(inst, bound, as_json):
-    """series output, rendered from terms() with str(Fraction) exponents."""
-    cut = truncation_bound(inst.rho, bound)
-    terms = chen_lin_series(inst, cut).terms()[1:]
-    chi = chi_c_direct(inst).chi_c_value
-    if as_json:
-        return json.dumps({
-            "instance": instance_to_json_dict(inst),
-            "bound": str(cut),
-            "terms": [[str(e), c] for e, c in terms],
-            "window_sum": -chi,
-            "chi_c": chi,
-            "d_rho": 1 - chi,
-        }, separators=(",", ":")) + "\n"
-    lines = [f"chi_c={chi} d_rho={1 - chi}"]
-    running = 0
-    for e, c in terms:
-        if e > inst.rho:
-            break
-        running += c
-        lines.append(f"{e} {c}\t# sum={running}")
-    lines.append(f"# window end: rho={inst.rho}")
-    lines += [f"{e} {c}" for e, c in terms if e > inst.rho]
-    return "\n".join(lines) + "\n"
-
-
 class TestOutputsMatchReference:
     """Every byte of compute --breakdown and series on tie-heavy instances
     (r <= 8) equals a rendering of the library's documented values, and the
@@ -333,7 +307,7 @@ class TestOutputsMatchReference:
         for cut in (None, bound):
             bound_flags = [] if cut is None else ["--bound", str(cut)]
             assert run_quiet("series", *given_flags, *bound_flags, *flags) == (
-                0, reference_series(inst, cut, as_json))
+                0, series_command_reference(inst, cut, as_json))
         if as_json:
             doc = tmp_path_factory.mktemp("doc") / "instance.json"
             doc.write_text(json.dumps(json.loads(compute[1])["instance"]))

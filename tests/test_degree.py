@@ -21,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barychi import cli
+from barychi.engine import chi_c_direct, chi_c_strata
 from barychi.model import ProblemInstance, validate
+from barychi.series import chen_lin_series
 
 
 def chen_lin_instance(genus, alphas, rho):
@@ -100,3 +102,19 @@ def test_chi_c_is_constant_from_a_critical_value_to_the_next(drawn):
         values = {(rho, run(validate(ProblemInstance(chi, weights, rho))).chi_c_value)
                   for rho in points for run in cli._METHOD_RUNNERS.values()}
         assert len({value for _, value in values}) == 1, (chi, weights, low, high, values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tie_heavy_small_instances())
+def test_one_expansion_gives_the_profile_at_every_critical_value(drawn):
+    # g expanded once, to 6: it jumps only at critical values, and minus its
+    # running sum through a critical value c is chi_c at rho = c.
+    chi, weights = drawn
+    terms = chen_lin_series(validate(ProblemInstance(chi, weights, F(6)))).terms()
+    critical = critical_values(weights, 6)
+    assert {e for e, _ in terms if e > 0} <= set(critical), (chi, weights, terms)
+    for c in critical:
+        running = sum(coeff for e, coeff in terms if 0 < e <= c)
+        inst = validate(ProblemInstance(chi, weights, c))
+        assert (-running, -running) == (chi_c_direct(inst).chi_c_value,
+                                        chi_c_strata(inst).chi_c_value), (chi, weights, c)

@@ -270,6 +270,10 @@ class TestFractionParsing:
             ("7", F(7)),
             (" 9/2 ", F(9, 2)),
             ("1.25", F(5, 4)),
+            ("+1/2", F(1, 2)),
+            ("5.", F(5)),
+            (".5", F(1, 2)),
+            ("1E3", F(1000)),
         ],
     )
     def test_valid(self, text, expected):
@@ -278,6 +282,14 @@ class TestFractionParsing:
     @pytest.mark.parametrize("text", ["", "1/0", "abc", "1/2/3"])
     def test_invalid(self, text):
         with pytest.raises(InputFormatError):
+            parse_fraction(text)
+
+    # Fraction alone reads some of these on some Python versions: spaces
+    # around "/" on 3.13 (not 3.11), underscores from 3.11, and non-ASCII
+    # digits on every version.
+    @pytest.mark.parametrize("text", ["9 / 2", "9/ 2", "1_000", "1e1_0", "\u0661/\u0662"])
+    def test_only_the_ascii_grammar_is_read_on_every_version(self, text):
+        with pytest.raises(InputFormatError, match="as an exact fraction"):
             parse_fraction(text)
 
     def test_digit_limit(self):

@@ -6,13 +6,20 @@ import gc
 import io
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
 from itertools import count
 from types import SimpleNamespace
 
 from barychi import cli, selftest
-from barychi.engine import ChiResult, normalize_drop_heavy, normalize_drop_unit_weights
-from barychi.model import ProblemInstance, validate
+from barychi.engine import (
+    ChiResult,
+    chi_c_direct,
+    normalize_drop_heavy,
+    normalize_drop_unit_weights,
+)
+from barychi.model import ComponentSpec, ProblemInstance, SpaceKind, validate
+from barychi.oracle import FiniteWeightedSpace
 
 # chi_c = 1 on every route.
 INSTANCE = validate(ProblemInstance(2, (F(1, 2),), F(3, 2)))
@@ -169,3 +176,76 @@ def test_a_route_added_to_the_cli_table_is_checked_and_named(monkeypatch):
                         lambda instance: SimpleNamespace(chi_c_value=1, degree_d_rho=1))
     assert selftest.check_triple_agreement(INSTANCE) == [
         f"degree relation broken for shifted on {described}"]
+
+
+# Each check of selftest below is made to fail once, and the line it prints
+# must name what failed.
+
+def two_components(first, second):
+    # chi_c = 2 on every route, and on classify with either placement.
+    return validate(ProblemInstance(
+        1, (F(3, 10), F(2, 5)), F(5, 2), SpaceKind.UNION_OF_BASIC,
+        (ComponentSpec(-2, True, frozenset(first)), ComponentSpec(3, True, frozenset(second)))))
+
+
+def test_the_sweep_has_the_r1_r2_and_two_component_groups():
+    # (group size, r, connected): 29,040 instances in all.
+    shapes = Counter((len(group), group[0].r, group[0].components is None)
+                     for group in selftest._sweep_groups())
+    assert shapes == {(1, 1, True): 2640, (1, 2, True): 14520, (2, 2, False): 5940}
+
+
+def test_the_sweep_names_each_instance_that_classify_gets_wrong(monkeypatch):
+    # One r = 1 space, one connected r = 2 space, and one of the two
+    # placements on two components, which the placement check then names.
+    wrong = {INSTANCE, validate(ProblemInstance(0, (F(3, 10), F(7, 10)), F(5, 4))),
+             two_components({1, 2}, set())}
+    classify = selftest.classify
+
+    def off_by_one(instance):
+        descriptor = classify(instance)
+        return descriptor._replace(chi_value=descriptor.chi_value + (instance in wrong))
+
+    monkeypatch.setattr(selftest, "classify", off_by_one)
+    both_first = "(chi_c=1 weights=[3/10,2/5] rho=5/2 components=-2:[1, 2];3:[])"
+    assert selftest.classifier_sweep_failures() == [
+        "classify gives 2, direct 1 on (chi_c=2 weights=[1/2] rho=3/2)",
+        "classify gives 0, direct -1 on (chi_c=0 weights=[3/10,7/10] rho=5/4)",
+        f"classify gives 3, direct 2 on {both_first}",
+        "placement changes chi: 2 on (chi_c=1 weights=[3/10,2/5] rho=5/2 "
+        f"components=-2:[1];3:[2]), 3 on {both_first}",
+    ]
+
+
+def test_a_normalization_that_changes_chi_c_is_named(monkeypatch):
+    # Dropping the weight 1/2, which fits under rho, changes chi_c from 1 to 2.
+    monkeypatch.setattr(selftest, "normalize_drop_heavy", lambda instance: validate(
+        ProblemInstance(instance.chi_c, (), instance.rho)))
+    assert selftest.check_normalization(INSTANCE) == [
+        "drop-heavy changed chi_c from 1 to 2 on (chi_c=2 weights=[1/2] rho=3/2)"]
+
+
+def test_a_route_that_disagrees_with_the_oracle_is_named(monkeypatch):
+    space = FiniteWeightedSpace.of(3, (F(1, 2),))
+    assert selftest.check_oracle(space, F(5, 2)) == []
+    monkeypatch.setitem(cli._METHOD_RUNNERS, "shifted",
+                        lambda instance: ChiResult(chi_c_direct(instance).chi_c_value + 1))
+    assert selftest.check_oracle(space, F(5, 2)) == [
+        "oracle 1 != shifted 2 for weights=['1/2', '1', '1'] rho=5/2"]
+
+
+def test_each_identity_names_the_point_where_it_fails(monkeypatch):
+    def wrong_at(function, point):
+        return lambda *args: function(*args) + (args == point)
+
+    # C(21, 20) is read by Pascal's rule alone, at (20, 20).
+    for name, point in (("ext_binomial", (21, 20)), ("hockey_stick_sum", (3, 4)),
+                        ("gould_convolution", (1, -2, 5)),
+                        ("chi_disjoint_union_decomposition", (0, 1, 5))):
+        monkeypatch.setattr(selftest, name, wrong_at(getattr(selftest, name), point))
+    assert selftest.identity_failures() == [
+        "Pascal rule fails at (20, 20)",
+        "hockey stick fails at (3, 4)",
+        "Gould convolution fails at (1, -2, 5)",
+        "union decomposition fails at (0, 1, 5)",
+    ]

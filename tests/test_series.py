@@ -333,10 +333,11 @@ class TestChiCSeries:
 
 def series_command_reference(inst, bound: Fraction | None, as_json: bool) -> str:
     """What ``barychi series`` prints, rendered from ``g.terms()`` with
-    ``str(Fraction)`` exponents and the window read by exponent value."""
+    ``str(Fraction)`` exponents and the window read by exponent value.  chi_c
+    is direct's, so the window sum printed is checked against another route."""
     terms = chen_lin_series(inst, bound).terms()[1:]
     window = [c for e, c in terms if e <= inst.rho]
-    chi = -sum(window)
+    chi = chi_c_direct(inst).chi_c_value
     if as_json:
         return json.dumps({
             "instance": instance_to_json_dict(inst),

@@ -65,6 +65,11 @@ COMPUTE_AGREES = ["tests/test_cli.py::TestRouteTable::"
                   "test_compute_names_it_and_refuses_the_disagreement"]
 SELFTEST_AGREES = ["tests/test_selftest.py::"
                    "test_a_route_added_to_the_cli_table_is_checked_and_named"]
+SWEEP_NAMES = ["tests/test_selftest.py::"
+               "test_the_sweep_names_each_instance_that_classify_gets_wrong"]
+NORMALIZATION_NAMES = ["tests/test_selftest.py::test_a_normalization_that_changes_chi_c_is_named"]
+ORACLE_NAMES = ["tests/test_selftest.py::test_a_route_that_disagrees_with_the_oracle_is_named"]
+IDENTITY_NAMES = ["tests/test_selftest.py::test_each_identity_names_the_point_where_it_fails"]
 
 # (module, function, expression, replacement, the node ids that kill it)
 MUTANTS = [
@@ -153,6 +158,27 @@ MUTANTS = [
      COMPUTE_AGREES),
     ("selftest", "check_triple_agreement", "_METHOD_RUNNERS.items()",
      "list(_METHOD_RUNNERS.items())[:3]", SELFTEST_AGREES),
+    # Every other comparison of selftest reports what it finds: the sweep
+    # on each kind of group, blind to one kind at a time, and its placement
+    # check; normalization, the oracle and each identity.
+    ("selftest", "classifier_sweep_failures", "got != want",
+     "got != want and instance.r != 1", SWEEP_NAMES),
+    ("selftest", "classifier_sweep_failures", "got != want",
+     "got != want and (instance.r != 2 or instance.components is not None)", SWEEP_NAMES),
+    ("selftest", "classifier_sweep_failures", "got != want",
+     "got != want and instance.components is None", SWEEP_NAMES),
+    ("selftest", "classifier_sweep_failures", "len(set(chis)) > 1", "False", SWEEP_NAMES),
+    ("selftest", "check_normalization", "reduced != base", "False", NORMALIZATION_NAMES),
+    ("selftest", "check_oracle", "value != expected", "False", ORACLE_NAMES),
+    ("selftest", "identity_failures",
+     "ext_binomial(m, n - 1) + ext_binomial(m, n) != ext_binomial(m + 1, n)", "False",
+     IDENTITY_NAMES),
+    ("selftest", "identity_failures", "hockey_stick_sum(m, n) != ext_binomial(m + n, n)",
+     "False", IDENTITY_NAMES),
+    ("selftest", "identity_failures",
+     "gould_convolution(chi_1, chi_2, k) != ext_binomial(k - chi_1 - chi_2, k)", "False",
+     IDENTITY_NAMES),
+    ("selftest", "identity_failures", "got != want", "False", IDENTITY_NAMES),
 ]
 
 
