@@ -184,7 +184,7 @@ def _components_for(args: argparse.Namespace) -> dict:
     if args.components is not None:
         try:
             return {"components": json.loads(args.components)}
-        except ValueError as exc:  # malformed, or an int past the digit limit
+        except (ValueError, RecursionError) as exc:  # malformed, too deep, or a huge int
             raise InputFormatError(f"--components is not valid JSON: {exc}") from exc
     chi_a = getattr(args, "chi_a", None)
     chi_b = getattr(args, "chi_b", None)

@@ -7,26 +7,26 @@ Two independent routes to the same integer:
 
       chi_c = 1 - sum_I (-1)^|I| * C(floor(rho - w_I) - chi_c(X) + r, floor(rho - w_I)),
 
-  with terms where floor(rho - w_I) < 0 set to zero.  It counts the
-  subsets per level by meet in the middle, over the two halves of the
-  weights.
+  with terms where floor(rho - w_I) < 0 set to zero.
 
 * ``chi_c_strata`` decomposes the space into locally closed strata (one
   family of strata per subset of singular points actually present in a
   configuration, one stratum per count of generic points) and adds up the
-  per-stratum values.  It enumerates the fitting subsets whole, by parity,
-  and tallies them per level.
+  per-stratum values.
 
-The two share no enumerator: each builds its own subset sums, so their
-agreement checks the enumeration as well as the formulas.  Both walk the
-weights heaviest first, against the ascending canonical order: no superset
-of a subset heavier than rho fits, so the heavy weights cut the lists of
-fitting sums while they are short, and the tallies do not depend on the
-order.  Both return a ``ChiResult`` carrying the Leray-Schauder degree
-``d_rho = 1 - chi_c`` and, when asked for, a term breakdown for reporting.
-Only the breakdown rows come from shared tables, both in binary-counter
-(mask) order: the levels floor(rho - w_I) of ``subset_levels`` and the
-ascending index tuples of ``subset_members``.
+Each sums N(L) times a level value over the levels L, with N(L) the signed
+count sum (-1)^|I| of the subsets I at level floor(rho - w_I) = L.  Direct
+counts N(L) by meet in the middle and takes ``math.comb``; strata tallies
+the fitting subsets whole and takes one running sum.  They share no
+enumerator, so their agreement checks the enumeration as well as the
+formulas.  Both walk the weights heaviest first, against the ascending
+canonical order: no superset of a subset heavier than rho fits, so the heavy
+weights cut the fitting sums while they are few, and the tallies do not
+depend on the order.  Both return a ``ChiResult`` carrying the
+Leray-Schauder degree ``d_rho = 1 - chi_c`` and, when asked for, a term
+breakdown for reporting.  Only the breakdown rows come from shared tables,
+both in binary-counter (mask) order: the levels floor(rho - w_I) of
+``subset_levels`` and the ascending index tuples of ``subset_members``.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from collections.abc import Callable, Iterable
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
-from operator import floordiv
+from operator import floordiv, mul
 
 from .combinatorics import ext_binomial
 from .model import (
@@ -75,9 +75,9 @@ def chi_c_direct(instance: ValidatedInstance, *, breakdown: bool = False) -> Chi
     """Closed-form alternating sum over the power set of {1..r}.
 
     Valid for connected and disconnected X alike; only chi_c(X), the
-    weights, and rho enter.  The sum needs only N(L), the signed count of
-    the subsets at each level L = floor(rho - w_I) (see
-    ``_signed_level_counts``), so ``ext_binomial`` runs once per level
+    weights, and rho enter.  By level, chi_c = 1 - sum_L N(L) * C(L - chi_c(X) + r, L),
+    with N(L) the signed count of the subsets at level L = floor(rho - w_I)
+    (see ``_signed_level_counts``), so ``ext_binomial`` runs once per level
     whose count is nonzero.  With ``breakdown`` the result lists every
     subset's signed term, 0 for the ones heavier than rho, in
     binary-counter order (see ``subset_levels``).
@@ -100,68 +100,83 @@ def _signed_level_counts(instance: ValidatedInstance) -> dict[int, int]:
     for each level L >= 0 where it is nonzero.
 
     Meet in the middle (Horowitz and Sahni, JACM 1974).  With rho and the
-    weights as integers over their LCD ``base`` (rho becomes ``top``), the
-    subsets of each half of the weights that stay under ``top`` are
-    enumerated apart, about 2^(r/2) each.  Write ``top - a = base*qa + ra``
-    for a first-half sum a and ``b = base*qb + rb`` for a second-half sum b,
-    with residues in [0, base).  The union of the two subsets has level
+    weights as integers over their LCD ``base`` (rho becomes ``top``), each
+    half of the weights gets a table of its distinct sums under ``top`` and
+    their signed counts.  Write ``top - a = base*qa + ra`` for a first-half
+    sum a and ``b = base*qb + rb`` for a second-half sum b, with residues in
+    [0, base).  The union of the two subsets has level
     floor((top - a - b) / base) = qa - qb - [rb > ra], and it fits under rho
     exactly when that is >= 0.  The second half is grouped by qb, with its
     residues ascending and the running signed count beside them, so each
     pair of a first-half group (one qa) and a second-half group (qb <= qa)
-    costs one ``bisect`` per first-half sum.  That is O(2^(r/2) * levels)
-    bisects in all.
+    costs one ``bisect`` per distinct first-half sum, times its count:
+    O(2^(r/2) * levels) bisects in all.
     """
     rho = instance.rho
     base = lcm(rho.denominator, *(w.denominator for w in instance.weights))
     top = rho.numerator * (base // rho.denominator)
     steps = [w.numerator * (base // w.denominator) for w in instance.weights]
 
-    # qa -> the residues ra of the first-half sums at that quotient, by parity.
-    first: dict[int, tuple[list[int], list[int]]] = {}
-    for parity, sums in enumerate(_fitting_sums(steps[0::2], top)):
-        for a in sums:
-            qa, ra = divmod(top - a, base)
-            first.setdefault(qa, ([], []))[parity].append(ra)
+    # qa -> {residue ra of a first-half sum at that quotient: its signed count}.
+    first: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for a, count in _fitting_sums(steps[0::2], top).items():
+        qa, ra = divmod(top - a, base)
+        first[qa][ra] = count
     # qb -> (ascending residues rb, signed count of the first j of them at j).
-    even, odd = _fitting_sums(steps[1::2], top)
     second: dict[int, tuple[list[int], list[int]]] = {}
-    for b, sign in sorted([*zip(even, repeat(1)), *zip(odd, repeat(-1))]):
+    for b, count in sorted(_fitting_sums(steps[1::2], top).items()):
         qb, rb = divmod(b, base)
         residues, running = second.setdefault(qb, ([], [0]))
         residues.append(rb)
-        running.append(running[-1] + sign)
+        running.append(running[-1] + count)
 
     counts: defaultdict[int, int] = defaultdict(int)
-    for qa, (ra_even, ra_odd) in first.items():
-        net = len(ra_even) - len(ra_odd)
+    for qa, at_qa in first.items():
+        net = sum(at_qa.values())
         for qb, (residues, running) in second.items():
             if qb > qa:
                 continue
             # Signed count of the pairs with rb <= ra: they sit at level qa - qb.
-            at = running.__getitem__
-            low = (sum(map(at, map(bisect_right, repeat(residues), ra_even)))
-                   - sum(map(at, map(bisect_right, repeat(residues), ra_odd))))
+            low = sum(map(mul, at_qa.values(),
+                          map(running.__getitem__, map(bisect_right, repeat(residues), at_qa))))
             counts[qa - qb] += low
             if qa > qb:  # the pairs with rb > ra sit one level lower
                 counts[qa - qb - 1] += net * running[-1] - low
     return {level: count for level, count in counts.items() if count}
 
 
-def _fitting_sums(steps: list[int], top: int) -> tuple[list[int], list[int]]:
-    """The sums of the subsets of ``steps`` that stay <= top, split by the
-    parity of the subset size: ``(even, odd)``.  The empty sum 0 is in
-    ``even``.  A step extends only the sums it keeps under ``top``; a
-    heavier sum has no fitting extension, as the steps are positive.  The
-    steps come in ascending (canonical) order and are walked from the
-    heaviest, which prunes while the lists are short; the sums are the same
-    in any order."""
-    even, odd = [0], []
+def _fitting_sums(steps: list[int], top: int) -> dict[int, int]:
+    """``sum -> sum of (-1)^|I|`` over the subsets I of ``steps`` with a sum
+    <= top, zeros dropped; equal sums share one entry.  A step extends only
+    the sums it keeps under ``top`` (the steps are positive, so a heavier
+    sum has no fitting extension), and the heaviest step comes first, which
+    prunes while the table is short; the table is the same in any order."""
+    table = {0: 1}
     for step in reversed(steps):
         cap = top - step
-        even, odd = (even + [s + step for s in odd if s <= cap],
-                     odd + [s + step for s in even if s <= cap])
-    return even, odd
+        grown = table.copy()
+        for s, n in table.items():
+            if s <= cap:
+                grown[s + step] = grown.get(s + step, 0) - n
+        table = grown
+    return {s: n for s, n in table.items() if n}
+
+
+def _room_level_counts(instance: ValidatedInstance) -> Counter[int]:
+    """N(L) for each level L >= 0 that holds a fitting subset, 0 where they
+    cancel: the rooms (rho - w_I) * base of the fitting subsets I, built
+    whole by the parity of |I| and heaviest weight first, tallied per
+    level, the even less the odd."""
+    rho = instance.rho
+    base = lcm(rho.denominator, *(w.denominator for w in instance.weights))
+    even, odd = [rho.numerator * (base // rho.denominator)], []
+    for w in reversed(instance.weights):
+        step = w.numerator * (base // w.denominator)
+        even, odd = (even + [room - step for room in odd if room >= step],
+                     odd + [room - step for room in even if room >= step])
+    counts = Counter(map(floordiv, even, repeat(base)))
+    counts.subtract(Counter(map(floordiv, odd, repeat(base))))
+    return counts
 
 
 def chi_c_strata(instance: ValidatedInstance, *, breakdown: bool = False) -> ChiResult:
@@ -178,37 +193,20 @@ def chi_c_strata(instance: ValidatedInstance, *, breakdown: bool = False) -> Chi
 
     With H(L) = 1 + sum_{i=1..L} C(i - chi + r - 1, i) (see
     ``_family_values``), a family is worth H(L) for odd k, -H(L) for even
-    k >= 2 and 1 - H(L) for the empty set.  So chi_c is 1 plus the sum, over
-    levels, of (odd families - even families) * H(L): the fitting subsets
-    are only tallied per level and parity.  The weights are walked heaviest
-    first (``reversed`` canonical order): a room a heavy weight does not fit
-    in is dropped before the light weights would double it, and the tally is
-    the same in any order.  Agrees with ``chi_c_direct`` on every instance.
-    With ``breakdown`` the result lists each contributing subset's value, in
-    binary-counter order.
+    k >= 2 and 1 - H(L) for the empty set.  So chi_c = 1 - sum_L N(L) * H(L),
+    with N(L) from ``_room_level_counts``.  Agrees with ``chi_c_direct`` on
+    every instance.  With ``breakdown`` the result lists each contributing
+    subset's value, in binary-counter order.
     """
-    chi, r, rho = instance.chi_c, instance.r, instance.rho
-    base = lcm(rho.denominator, *(w.denominator for w in instance.weights))
-    top = rho.numerator * (base // rho.denominator)
-    # (rho - w_I) * base for the fitting subsets I, |I| even / odd.
-    even, odd = [top], []
-    for w in reversed(instance.weights):
-        step = w.numerator * (base // w.denominator)
-        even, odd = (even + [room - step for room in odd if room >= step],
-                     odd + [room - step for room in even if room >= step])
-    odd_at = Counter(map(floordiv, odd, repeat(base)))  # level -> families
-    even_at = Counter(map(floordiv, even, repeat(base)))
-    value = _family_values(r - chi, odd_at.keys() | even_at.keys())
-    acc = (1 + sum(count * value[level] for level, count in odd_at.items())
-           - sum(count * value[level] for level, count in even_at.items()))
+    chi, r = instance.chi_c, instance.r
+    counts = _room_level_counts(instance)
+    value = _family_values(r - chi, counts)
+    acc = 1 - sum(count * value[level] for level, count in counts.items())
     rows = ()
-    if breakdown:
-        rows = []
-        for members, level in zip(subset_members(r), subset_levels(instance)):
-            if level >= 0:
-                h = value[level]
-                rows.append((members, h if len(members) % 2 else -h if members else 1 - h))
-        rows = tuple(rows)
+    if breakdown:  # a subset past rho has a negative level, which has no value
+        values = map(value.get, subset_levels(instance))
+        rows = tuple((members, h if len(members) % 2 else -h if members else 1 - h)
+                     for members, h in zip(subset_members(r), values) if h is not None)
     return ChiResult(acc, rows)
 
 

@@ -305,7 +305,7 @@ def instance_from_json(doc: str | dict) -> ProblemInstance:
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
-        except ValueError as exc:  # malformed, or an int past the digit limit
+        except (ValueError, RecursionError) as exc:  # malformed, too deep, or a huge int
             raise InputFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputFormatError("instance document must be a JSON object")

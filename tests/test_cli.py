@@ -214,6 +214,33 @@ class TestUnreadableInstanceFile:
         self.check(capsys, doc)
 
 
+class TestDeeplyNestedJson:
+    """JSON nested deeper than the interpreter's stack allows is an
+    InputFormatError (exit 1, one error line), in the --components flag and
+    in an --instance document alike, not a RecursionError traceback.  The
+    depth is CPython's own test_json depth, past the limit of every
+    supported Python: 3.12 and later guard the C json scanner by a C
+    recursion limit of their own, thousands deep, not by
+    sys.getrecursionlimit()."""
+
+    NESTED = "[" * 100_000 + "]" * 100_000
+
+    def test_components_flag(self, capsys):
+        code, out, err = run(capsys, "compute", "--chi-c", "1", "--rho", "1",
+                             "--components", self.NESTED)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: InputFormatError: --components is not valid JSON: ")
+        assert err.count("\n") == 1
+
+    def test_instance_document(self, capsys, tmp_path):
+        doc = tmp_path / "instance.json"
+        doc.write_text(self.NESTED)
+        code, out, err = run(capsys, "compute", "--instance", str(doc))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: InputFormatError: invalid JSON: ")
+        assert err.count("\n") == 1
+
+
 class TestOversizedNumbers:
     """A number at or past the int-to-str digit limit is an InputFormatError
     (exit 1) at once: printing it in the report would raise, and expanding a

@@ -1,7 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import comb, floor
+from math import comb, floor, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from barychi.combinatorics import ext_binomial
 from barychi.engine import (
     ChiResult,
+    _fitting_sums,
+    _room_level_counts,
     _signed_level_counts,
     chi_c_direct,
     chi_c_strata,
@@ -100,6 +102,14 @@ class TestChiCStrata:
     def test_agrees_with_direct(self, engine_corpus):
         for inst in engine_corpus[:200]:
             assert chi_c_strata(inst).chi_c_value == chi_c_direct(inst).chi_c_value
+
+    def test_breakdown_lists_a_level_whose_signed_count_is_zero(self):
+        # Three half weights at rho 1: the three singles and the three pairs
+        # all sit at level 0, so N(0) = 0, and each is still a stratum family.
+        rows = dict(chi_c_strata(make(2, ["1/2"] * 3, 1), breakdown=True).term_breakdown)
+        assert sorted(rows) == [(), (1,), (1, 2), (1, 3), (2,), (2, 3), (3,)]
+        assert [rows[(i,)] for i in (1, 2, 3)] == [1, 1, 1]
+        assert [rows[pair] for pair in ((1, 2), (1, 3), (2, 3))] == [-1, -1, -1]
 
 
 @st.composite
@@ -192,6 +202,11 @@ def tally_levels(inst):
     for mask, level in enumerate(subset_levels(inst)):
         if level >= 0:
             counts[level] += -1 if mask.bit_count() % 2 else 1
+    return nonzero(counts)
+
+
+def nonzero(counts):
+    """The levels of ``counts`` whose count is not 0, as a plain dict."""
     return {level: count for level, count in counts.items() if count}
 
 
@@ -221,6 +236,32 @@ def union_instances(draw):
                                 list(range(cut + 1, inst.r + 1))))
     return inst, ProblemInstance(inst.chi_c, tuple(draw(st.permutations(inst.weights))),
                                  inst.rho, SpaceKind.UNION_OF_BASIC, components)
+
+
+@st.composite
+def tie_heavy_steps(draw):
+    """Up to 10 steps, the weights of a few drawn values with denominators
+    1..6 (repeats and equal subset sums are common) over their LCD, and a
+    top below, at or above their total."""
+    pool = draw(st.lists(st.fractions(F(1, 6), F(3), max_denominator=6), min_size=1, max_size=3))
+    weights = draw(st.lists(st.sampled_from(pool), max_size=10))
+    base = lcm(*(w.denominator for w in weights))
+    steps = [w.numerator * (base // w.denominator) for w in weights]
+    total = sum(steps)
+    top = draw(st.one_of(st.integers(0, total), st.just(total),
+                         st.integers(total, total + 3 * base)))
+    return steps, top
+
+
+def signed_table(steps, top):
+    """sum -> sum of (-1)^|I| over every subset I of ``steps`` with a sum
+    <= top, one subset at a time, zeros dropped."""
+    counts = Counter()
+    for size in range(len(steps) + 1):
+        for subset in combinations(steps, size):
+            if sum(subset) <= top:
+                counts[sum(subset)] += (-1) ** size
+    return {total: count for total, count in counts.items() if count}
 
 
 class TestRoutesAgree:
@@ -255,7 +296,21 @@ class TestLevelKernels:
     @settings(max_examples=300, deadline=None)
     @given(kernel_instances())
     def test_meet_in_the_middle_counts_match_tally(self, inst):
-        assert _signed_level_counts(inst) == tally_levels(inst)
+        # Strata's room tally gives the same N(L), level by level.
+        assert nonzero(_room_level_counts(inst)) == _signed_level_counts(inst) == tally_levels(inst)
+
+    @settings(max_examples=200, deadline=None)
+    @given(union_instances())
+    def test_level_counts_match_tally_on_two_component_unions(self, pair):
+        union = validate(pair[1])
+        assert (nonzero(_room_level_counts(union)) == _signed_level_counts(union)
+                == tally_levels(union))
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_steps())
+    def test_fitting_sums_are_the_signed_table_per_subset(self, case):
+        steps, top = case
+        assert _fitting_sums(steps, top) == signed_table(steps, top)
 
     @settings(max_examples=200, deadline=None)
     @given(kernel_instances())
@@ -278,7 +333,7 @@ class TestLevelKernels:
         # ones of size k sit at level rho - k.
         inst = make(-3, ["1"] * r, 9)
         expected = {9 - k: (-1) ** k * ext_binomial(r, k) for k in range(r + 1)}
-        assert _signed_level_counts(inst) == expected
+        assert _signed_level_counts(inst) == nonzero(_room_level_counts(inst)) == expected
 
     def test_a_pair_past_rho_in_one_quotient_group_has_no_level(self):
         # Two half weights at rho 1/2: both halves' sums share the quotient 0,

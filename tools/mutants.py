@@ -43,8 +43,10 @@ TIMEOUT = 120
 # The tests that kill the mutants, as pytest node ids.
 STRATA_AGREES = ["tests/test_engine.py::TestChiCStrata::test_agrees_with_direct"]
 STRATA_HALF = ["tests/test_engine.py::TestChiCStrata::test_single_half_weight_contributions"]
+STRATA_ZERO_COUNT = ["tests/test_engine.py::TestChiCStrata::"
+                     "test_breakdown_lists_a_level_whose_signed_count_is_zero"]
 DIRECT_HALF = ["tests/test_engine.py::TestChiCDirect::test_single_half_weight"]
-DIRECT_HALVES = ["tests/test_engine.py::TestChiCDirect::test_two_half_weights"]
+ONE_LEVEL = ["tests/test_engine.py::TestLevelKernels::test_all_subsets_at_one_level[3]"]
 NO_LEVEL = ["tests/test_engine.py::TestLevelKernels::"
             "test_a_pair_past_rho_in_one_quotient_group_has_no_level"]
 SERIES_ZEROS = ["tests/test_series.py::TestSparseSeries::test_zero_coefficients_dropped"]
@@ -74,13 +76,10 @@ IDENTITY_NAMES = ["tests/test_selftest.py::test_each_identity_names_the_point_wh
 # (module, function, expression, replacement, the node ids that kill it)
 MUTANTS = [
     # Prune sites: a sum equal to the cap still fits.
-    ("engine", "_fitting_sums", "[s + step for s in odd if s <= cap]",
-     "[s + step for s in odd if s < cap]", STRATA_AGREES),
-    ("engine", "_fitting_sums", "[s + step for s in even if s <= cap]",
-     "[s + step for s in even if s < cap]", STRATA_AGREES),
-    ("engine", "chi_c_strata", "[room - step for room in odd if room >= step]",
+    ("engine", "_fitting_sums", "s <= cap", "s < cap", STRATA_AGREES),
+    ("engine", "_room_level_counts", "[room - step for room in odd if room >= step]",
      "[room - step for room in odd if room > step]", STRATA_AGREES),
-    ("engine", "chi_c_strata", "[room - step for room in even if room >= step]",
+    ("engine", "_room_level_counts", "[room - step for room in even if room >= step]",
      "[room - step for room in even if room > step]", STRATA_AGREES),
     ("series", "chen_lin_series", "k <= cap", "k < cap", SERIES_ZEROS),
     ("oracle", "oracle_chi", "[s + step for s in odd if s <= cap]",
@@ -90,11 +89,10 @@ MUTANTS = [
     # Tie sites: a pair or a subset exactly at a level boundary.
     ("engine", "_signed_level_counts", "qb > qa", "qb >= qa", DIRECT_HALF),
     ("engine", "_signed_level_counts", "qa > qb", "qa >= qb", NO_LEVEL),
-    ("engine", "_signed_level_counts", "map(bisect_right, repeat(residues), ra_even)",
-     "map(__import__('bisect').bisect_left, repeat(residues), ra_even)", DIRECT_HALF),
-    ("engine", "_signed_level_counts", "map(bisect_right, repeat(residues), ra_odd)",
-     "map(__import__('bisect').bisect_left, repeat(residues), ra_odd)", DIRECT_HALVES),
-    ("engine", "chi_c_strata", "level >= 0", "level > 0", STRATA_HALF),
+    ("engine", "_signed_level_counts", "map(bisect_right, repeat(residues), at_qa)",
+     "map(__import__('bisect').bisect_left, repeat(residues), at_qa)", DIRECT_HALF),
+    ("engine", "chi_c_strata", "_family_values(r - chi, counts)",
+     "_family_values(r - chi, [level for level in counts if counts[level]])", STRATA_ZERO_COUNT),
     ("engine", "_family_values", "i < level", "i <= level", STRATA_HALF),
     ("engine", "_family_values", "i < level", "i < level - 1", STRATA_HALF),
     ("classifier", "_r1_table", "floor(instance.rho - w) < n", "floor(instance.rho - w) <= n",
@@ -106,14 +104,19 @@ MUTANTS = [
     # The classifier's range: a weight of exactly 1 is in it.
     ("classifier", "_r1_table", "w > 1", "w >= 1", R1_SWEEP),
     ("classifier", "_r2_table", "w2 > 1", "w2 >= 1", R2_SWEEP),
-    # Each route's own arithmetic: strata's parity classes and the empty
-    # set's 1, the oracle's empty-face correction, the series' geometric
+    # Each route's own arithmetic: the sign of N(L) in direct's tables and
+    # strata's tally, each first-half sum's count, the empty set's 1 in
+    # strata, the oracle's empty-face correction, the series' geometric
     # ratio and factor shift.
-    ("engine", "chi_c_strata", "Counter(map(floordiv, odd, repeat(base)))",
+    ("engine", "_fitting_sums", "grown.get(s + step, 0) - n", "grown.get(s + step, 0) + n",
+     DIRECT_HALF),
+    ("engine", "_signed_level_counts", "mul", "lambda count, running: running", DIRECT_HALF),
+    ("engine", "_signed_level_counts", "sum(at_qa.values())", "len(at_qa)", ONE_LEVEL),
+    ("engine", "_room_level_counts", "Counter(map(floordiv, odd, repeat(base)))",
      "Counter(map(floordiv, even, repeat(base)))", STRATA_HALF),
     ("engine", "chi_c_strata",
-     "1 + sum((count * value[level] for level, count in odd_at.items()))",
-     "sum((count * value[level] for level, count in odd_at.items()))", STRATA_HALF),
+     "1 - sum((count * value[level] for level, count in counts.items()))",
+     "-sum((count * value[level] for level, count in counts.items()))", STRATA_HALF),
     ("oracle", "oracle_chi", "len(odd) - (len(even) - 1)", "len(odd) - len(even)", ORACLE_TWO),
     ("series", "chen_lin_series", "coeff * (m + n - 1) // n", "coeff * (m + n) // n",
      SERIES_ZEROS),
