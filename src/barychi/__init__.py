@@ -11,7 +11,6 @@ The names below are the ones README's "Library API" section documents;
 everything else lives in the submodules.
 """
 
-from .classifier import classify, maximal_pieces
 from .engine import (
     chi_c_direct,
     chi_c_strata,
@@ -45,3 +44,18 @@ __all__ = [
     "topological_chi_applicable",
     "validate",
 ]
+
+
+# The classifier is loaded on the first read of one of its names (PEP 562),
+# not at import, since no route uses it; that read binds the name here.
+def __getattr__(name: str):
+    if name not in ("classify", "maximal_pieces"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import classifier
+
+    value = globals()[name] = getattr(classifier, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

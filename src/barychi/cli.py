@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import gc
 import io
-import json
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
@@ -21,7 +20,6 @@ from itertools import accumulate, chain, islice
 from math import floor
 from operator import itemgetter
 
-from .classifier import classify
 from .engine import ChiResult, chi_c_direct, chi_c_strata, topological_chi_applicable
 from .errors import (
     BarychiError,
@@ -38,6 +36,7 @@ from .model import (
     parse_weights,
     validate,
 )
+# Eager, unlike json and the classifier: perfbench's tracer hooks the global oracle_chi.
 from .oracle import FiniteWeightedSpace, _check_vertex_count, oracle_chi
 from .series import chen_lin_series, chi_c_series, truncation_bound, window_columns
 
@@ -182,6 +181,8 @@ def _components_for(args: argparse.Namespace) -> dict:
     the two entries that classify's ``--chi-a/--chi-b [--placement]``
     spell; ``{}`` when neither is given."""
     if args.components is not None:
+        import json
+
         try:
             return {"components": json.loads(args.components)}
         except (ValueError, RecursionError) as exc:  # malformed, too deep, or a huge int
@@ -210,6 +211,8 @@ def _write(args: argparse.Namespace, document: Callable[[], dict],
     is held here alone, and it is freed, like the buffer, before the text is
     written; the lines go into the buffer as they are made."""
     buffer = io.StringIO()
+    if args.json:  # only a --json request loads json
+        import json
     try:
         # A document is built fresh for each output and holds no cycles.
         buffer.writelines([json.dumps(document(), separators=(",", ":"), check_circular=False),
@@ -398,6 +401,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     if args.placement and (instance.components is None or instance.r != 2):
         raise _InputError("--placement needs two components (--chi-a/--chi-b)")
+    # Only classify loads the classifier.
+    from .classifier import classify
+
     descriptor = classify(instance)
     # Checked last, so that an input refused for another reason keeps its message.
     split_flags = (args.chi_a, args.chi_b, args.placement)

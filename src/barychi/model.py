@@ -7,7 +7,6 @@ or a finite decimal "0.3" read as 3/10) and kept as a ``Fraction``.
 """
 from __future__ import annotations
 
-import json
 import re
 import sys
 from collections import namedtuple
@@ -118,15 +117,15 @@ def validate(instance: ProblemInstance) -> ValidatedInstance:
     int here is never a bool.)
     """
     if not _is_int(instance.chi_c):
-        raise InputFormatError(f"chi_c must be an int, got {instance.chi_c!r}")
+        raise InputFormatError(f"chi_c must be an int, got {_shown(instance.chi_c)}")
     if not isinstance(instance.space_kind, SpaceKind):
-        raise InputFormatError(f"space_kind must be a SpaceKind, got {instance.space_kind!r}")
+        raise InputFormatError(f"space_kind must be a SpaceKind, got {_shown(instance.space_kind)}")
     if not isinstance(instance.weights, (tuple, list)):
-        raise InputFormatError(f"weights must be a tuple or a list, got {instance.weights!r}")
+        raise InputFormatError(f"weights must be a tuple or a list, got {_shown(instance.weights)}")
     for value in (*instance.weights, instance.rho):
         if not _is_exact(value):
             raise InputFormatError(
-                f"weights and rho must be exact (an int or a Fraction), got {value!r}"
+                f"weights and rho must be exact (an int or a Fraction), got {_shown(value)}"
             )
 
     weights = tuple([Fraction(w) for w in instance.weights])
@@ -168,18 +167,18 @@ def _check_components(
     # A lone ComponentSpec is a tuple too, but of its fields, not of records.
     if (not isinstance(components, (tuple, list))
             or not all(isinstance(c, ComponentSpec) for c in components)):
-        raise InputFormatError(
-            f"components must be a tuple or a list of ComponentSpec records, got {components!r}"
-        )
+        raise InputFormatError("components must be a tuple or a list of ComponentSpec records, "
+                               f"got {_shown(components)}")
     for c in components:
         if not _is_int(c.chi_c):
-            raise InputFormatError(f"component chi_c must be an int, got {c.chi_c!r}")
+            raise InputFormatError(f"component chi_c must be an int, got {_shown(c.chi_c)}")
         if not isinstance(c.is_compact, bool):
-            raise InputFormatError(f"component is_compact must be a bool, got {c.is_compact!r}")
+            raise InputFormatError(
+                f"component is_compact must be a bool, got {_shown(c.is_compact)}")
         indices = c.singular_indices
         if not isinstance(indices, (set, frozenset, tuple, list)) or not all(map(_is_int, indices)):
             raise InputFormatError("component singular_indices must be a set, tuple or list of "
-                                   f"ints, got {indices!r}")
+                                   f"ints, got {_shown(indices)}")
     total_chi = sum(c.chi_c for c in components)
     if total_chi != chi_c:
         raise InconsistentComponents(
@@ -271,16 +270,16 @@ def parse_fraction(text: str) -> Fraction:
         raise InputFormatError(f"expected a fraction string, got {type(text).__name__}")
     number = text.strip()
     if not _EXACT_TEXT.fullmatch(number):
-        raise InputFormatError(f"cannot parse {text!r} as an exact fraction")
+        raise InputFormatError(f"cannot parse {_shown(text)} as an exact fraction")
     mantissa, _, exponent = number.lower().partition("e")
     limit = sys.get_int_max_str_digits()  # 0 means no limit
     try:
         # Each side of the mantissa has at most as many digits as characters.
         if limit and max(map(len, mantissa.split("/"))) + abs(int(exponent or 0)) >= limit:
-            raise InputFormatError(f"{text!r} reaches the {limit}-digit int-to-str limit")
+            raise InputFormatError(f"{_shown(text)} reaches the {limit}-digit int-to-str limit")
         return Fraction(number)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputFormatError(f"cannot parse {text!r} as an exact fraction") from exc
+        raise InputFormatError(f"cannot parse {_shown(text)} as an exact fraction") from exc
 
 
 def parse_weights(csv: str) -> tuple[Fraction, ...]:
@@ -303,6 +302,8 @@ def instance_from_json(doc: str | dict) -> ProblemInstance:
     its flags as the document they spell.
     """
     if isinstance(doc, str):
+        import json  # loaded only for a document given as text
+
         try:
             doc = json.loads(doc)
         except (ValueError, RecursionError) as exc:  # malformed, too deep, or a huge int
@@ -331,7 +332,7 @@ def instance_from_json(doc: str | dict) -> ProblemInstance:
     try:
         kind = SpaceKind(name)
     except ValueError:
-        raise InputFormatError(f"unknown space kind {name!r}; expected one of "
+        raise InputFormatError(f"unknown space kind {_shown(name)}; expected one of "
                                f"{sorted(member.value for member in SpaceKind)}") from None
     components = None
     if given:
@@ -351,6 +352,17 @@ def _is_exact(value: object) -> bool:
     """Whether ``value`` is an int (never a bool) or a ``Fraction``: a float
     is inexact, and a str would skip ``parse_fraction``'s digit guard."""
     return _is_int(value) or isinstance(value, Fraction)
+
+
+# An error message shows an input's repr whole up to this many characters,
+# and only its start past them, so one long field cannot flood the line.
+_SHOWN = 60
+
+
+def _shown(value: object) -> str:
+    """``repr(value)``, cut to its first ``_SHOWN`` characters when longer."""
+    text = repr(value)
+    return f"{text[:_SHOWN]}... ({len(text)} characters)" if len(text) > _SHOWN else text
 
 
 def _component_from_json(entry: object) -> ComponentSpec:

@@ -272,6 +272,25 @@ class TestOversizedNumbers:
             assert err.startswith("error: InputFormatError: ")
 
 
+class TestLongInputsAreCut:
+    """An error line shows only the start of a long input's repr, so it stays
+    one short line however long the input is."""
+
+    LONG = "x" * 100_000
+
+    @pytest.mark.parametrize("argv", [
+        ["--weights", LONG],
+        ["--weights", "1/2", "--components",
+         '[{"chi_c":1,"is_compact":"' + LONG + '","singular_indices":[1]}]'],
+    ], ids=["weight", "is-compact"])
+    def test_one_line_under_200_bytes(self, capsys, argv):
+        code, out, err = run(capsys, "compute", "--chi-c", "1", "--rho", "1", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: InputFormatError: ")
+        assert err.count("\n") == 1
+        assert len(err.encode()) < 200
+
+
 def run_quiet(*argv):
     """main(argv) with its exit code and captured stdout, outside pytest's
     capture fixtures (hypothesis runs one test body many times)."""

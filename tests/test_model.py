@@ -307,6 +307,14 @@ class TestFractionParsing:
         with pytest.raises(InputFormatError):
             parse_fraction(0.3)
 
+    def test_error_shows_a_repr_of_up_to_60_characters_whole(self):
+        # A 58-character text has a 60-character repr; one more is cut.
+        for text, shown in (("x" * 58, "'" + "x" * 58 + "'"),
+                            ("x" * 59, "'" + "x" * 59 + "... (61 characters)")):
+            with pytest.raises(InputFormatError) as info:
+                parse_fraction(text)
+            assert str(info.value) == f"cannot parse {shown} as an exact fraction"
+
     def test_weights_csv(self):
         assert parse_weights("") == ()
         assert parse_weights("   ") == ()

@@ -72,6 +72,9 @@ SWEEP_NAMES = ["tests/test_selftest.py::"
 NORMALIZATION_NAMES = ["tests/test_selftest.py::test_a_normalization_that_changes_chi_c_is_named"]
 ORACLE_NAMES = ["tests/test_selftest.py::test_a_route_that_disagrees_with_the_oracle_is_named"]
 IDENTITY_NAMES = ["tests/test_selftest.py::test_each_identity_names_the_point_where_it_fails"]
+LONG_INPUTS = ["tests/test_cli.py::TestLongInputsAreCut"]
+SHOWN_WHOLE = ["tests/test_model.py::TestFractionParsing::"
+               "test_error_shows_a_repr_of_up_to_60_characters_whole"]
 
 # (module, function, expression, replacement, the node ids that kill it)
 MUTANTS = [
@@ -150,6 +153,10 @@ MUTANTS = [
     # component's indices to the canonical order.
     ("model", "_check_components", "i in seen", "False", INDEX_TWICE),
     ("model", "_check_components", "canon_of_label[i]", "i", REMAP),
+    # An error line cuts a long input's repr, and shows one of up to
+    # _SHOWN characters whole.
+    ("model", "_shown", "len(text) > _SHOWN", "False", LONG_INPUTS),
+    ("model", "_shown", "len(text) > _SHOWN", "len(text) >= _SHOWN", SHOWN_WHOLE),
     # The level caps: a walk equal to the cap runs, and when m <= 0 the walk
     # ends at 1 - m, where the polynomial (1 - x)^(-m) ends.
     ("cli", "_check_levels", "walk > MAX_LEVELS[method]", "walk >= MAX_LEVELS[method]",
