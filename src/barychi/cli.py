@@ -30,6 +30,7 @@ from .errors import (
 )
 from .model import (
     ValidatedInstance,
+    _cut,
     instance_from_json,
     instance_to_json_dict,
     parse_fraction,
@@ -52,6 +53,8 @@ MAX_BREAKDOWN_POINTS = 16
 # bound) one at a time; README (limits) gives the measured cost a level.
 MAX_LEVELS = {"strata": 10**7, "series": 10**6}
 
+_MESSAGE_SHOWN = 200  # characters of an argparse or OS message an error line shows
+
 
 class _InputError(Exception):
     """Raised for flag-level problems; converted to exit code 1."""
@@ -59,9 +62,9 @@ class _InputError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; the contract reserves 2 for
-    # cross-check mismatches, so route parse errors through exit code 1.
+    # cross-check mismatches, so parse errors exit 1, a long message cut.
     def error(self, message: str):
-        raise _InputError(message)
+        raise _InputError(_cut(message, _MESSAGE_SHOWN))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -166,7 +169,8 @@ def _load_instance(args: argparse.Namespace) -> ValidatedInstance:
             with open(args.instance, "r", encoding="utf-8") as fh:
                 doc = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
-            raise InputFormatError(f"cannot read --instance file: {exc}") from exc
+            reason = _cut(str(exc), _MESSAGE_SHOWN)
+            raise InputFormatError(f"cannot read --instance file: {reason}") from exc
     elif args.chi_c is None or args.rho is None:
         raise _InputError("--chi-c and --rho are required (or pass --instance FILE)")
     else:

@@ -120,19 +120,11 @@ def validate(instance: ProblemInstance) -> ValidatedInstance:
         raise InputFormatError(f"chi_c must be an int, got {_shown(instance.chi_c)}")
     if not isinstance(instance.space_kind, SpaceKind):
         raise InputFormatError(f"space_kind must be a SpaceKind, got {_shown(instance.space_kind)}")
-    if not isinstance(instance.weights, (tuple, list)):
-        raise InputFormatError(f"weights must be a tuple or a list, got {_shown(instance.weights)}")
-    for value in (*instance.weights, instance.rho):
-        if not _is_exact(value):
-            raise InputFormatError(
-                f"weights and rho must be exact (an int or a Fraction), got {_shown(value)}"
-            )
-
-    weights = tuple([Fraction(w) for w in instance.weights])
+    weights = tuple([_exact(w, "weights and rho") for w in _listed(instance.weights, "weights")])
+    rho = _exact(instance.rho, "weights and rho")
     for w in weights:
         if w <= 0:
             raise NonPositiveWeight(f"weight {w} is not strictly positive")
-    rho = Fraction(instance.rho)
     if rho <= 0:
         raise NonPositiveRho(f"rho {rho} is not strictly positive")
     r = len(weights)
@@ -348,21 +340,35 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_exact(value: object) -> bool:
-    """Whether ``value`` is an int (never a bool) or a ``Fraction``: a float
-    is inexact, and a str would skip ``parse_fraction``'s digit guard."""
-    return _is_int(value) or isinstance(value, Fraction)
+def _exact(value: object, what: str) -> Fraction:
+    """``value`` as a ``Fraction``, if it is an int (never a bool) or a ``Fraction``."""
+    if _is_int(value) or isinstance(value, Fraction):
+        return Fraction(value)
+    raise InputFormatError(f"{what} must be exact (an int or a Fraction), got {_shown(value)}")
 
 
-# An error message shows an input's repr whole up to this many characters,
-# and only its start past them, so one long field cannot flood the line.
-_SHOWN = 60
+def _listed(value: object, what: str) -> tuple | list:
+    """``value``, when it is a tuple or a list."""
+    if not isinstance(value, (tuple, list)):
+        raise InputFormatError(f"{what} must be a tuple or a list, got {_shown(value)}")
+    return value
+
+
+_SHOWN = 60  # characters of an input's repr that an error message shows whole
+
+
+def _cut(text: str, limit: int) -> str:
+    """``text``, or its first ``limit`` characters and its length, so that one
+    long value cannot flood an error line: the one cut of the package."""
+    return f"{text[:limit]}... ({len(text)} characters)" if len(text) > limit else text
 
 
 def _shown(value: object) -> str:
-    """``repr(value)``, cut to its first ``_SHOWN`` characters when longer."""
-    text = repr(value)
-    return f"{text[:_SHOWN]}... ({len(text)} characters)" if len(text) > _SHOWN else text
+    """``repr(value)`` cut to ``_SHOWN`` characters, or its type's name if it has no repr."""
+    try:
+        return _cut(repr(value), _SHOWN)
+    except Exception:  # an int past the int-to-str limit, a list nested too deep
+        return f"<unprintable {type(value).__name__}>"
 
 
 def _component_from_json(entry: object) -> ComponentSpec:

@@ -3,7 +3,7 @@
 For X a finite set of weighted points, the weighted barycenter space is
 the subcomplex of the full simplex on X whose faces have total vertex
 weight <= rho.  Its Euler characteristic comes from counting faces
-directly, with no shared code with the engine or series routes.
+directly, sharing no code with the engine or series routes but input checks.
 """
 from __future__ import annotations
 
@@ -13,14 +13,16 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .errors import InputFormatError, NonPositiveWeight, NoVertices, TooManyVertices, TooManyWeights
-from .model import ProblemInstance, SpaceKind, _is_exact, _Record
+from .model import ProblemInstance, SpaceKind, _exact, _is_int, _listed, _Record, _shown
 
 # 2^m faces are enumerated outright.
 MAX_VERTICES = 22
 
 
 def _check_vertex_count(m: int) -> None:
-    """Refuse a space with no vertex, or with more than ``oracle_chi`` counts."""
+    """Refuse a vertex count that is not an int (a bool included), below 1, or past the cap."""
+    if not _is_int(m):
+        raise InputFormatError(f"the vertex count must be an int, got {_shown(m)}")
     if m < 1:
         raise NoVertices("need at least one vertex")
     if m > MAX_VERTICES:
@@ -28,24 +30,17 @@ def _check_vertex_count(m: int) -> None:
 
 
 class FiniteWeightedSpace(_Record, namedtuple("FiniteWeightedSpace", "vertex_weights")):
-    """A finite discrete space: a tuple or a list, stored as a tuple, of one
-    weight per vertex (1 = generic) for 1 to ``MAX_VERTICES`` vertices.  Each
-    weight is an int or a ``Fraction`` (``InputFormatError`` otherwise, as in
-    ``validate``).  The call, ``_make``, ``_replace``, copy and pickle all check."""
+    """A finite discrete space: a tuple or a list of one weight per vertex (1 =
+    generic) for 1 to ``MAX_VERTICES`` vertices, each an int or a ``Fraction``
+    (``InputFormatError`` otherwise, as in ``validate``), kept as a tuple of
+    ``Fraction``s.  The call, ``_make``, ``_replace``, copy and pickle all check."""
 
     __slots__ = ()
 
     def __new__(cls, vertex_weights: tuple[Fraction, ...]) -> "FiniteWeightedSpace":
-        if not isinstance(vertex_weights, (tuple, list)):
-            raise InputFormatError(
-                f"vertex weights must be a tuple or a list, got {vertex_weights!r}")
-        vertex_weights = tuple(vertex_weights)
-        _check_vertex_count(len(vertex_weights))
+        _check_vertex_count(len(_listed(vertex_weights, "vertex weights")))
+        vertex_weights = tuple([_exact(w, "vertex weights") for w in vertex_weights])
         for w in vertex_weights:
-            if not _is_exact(w):
-                raise InputFormatError(
-                    f"vertex weights must be exact (an int or a Fraction), got {w!r}"
-                )
             if w <= 0:
                 raise NonPositiveWeight(f"vertex weight {w} is not strictly positive")
         return super().__new__(cls, vertex_weights)
@@ -61,21 +56,21 @@ class FiniteWeightedSpace(_Record, namedtuple("FiniteWeightedSpace", "vertex_wei
         weights and the rest weight 1.  The vertex count is checked before
         any weight is built."""
         _check_vertex_count(m)
-        if len(singular_weights) > m:
+        if len(_listed(singular_weights, "singular weights")) > m:
             raise TooManyWeights("more weights than vertices")
         return cls(tuple(singular_weights) + (Fraction(1),) * (m - len(singular_weights)))
 
     def matching_instance(self, rho: Fraction | int) -> ProblemInstance:
         """The engine-side view of this space: chi_c = m (m compact points),
-        singular weights = the non-unit vertex weights."""
+        singular weights = the non-unit vertex weights, rho as given (checked by ``validate``)."""
         singular = tuple(w for w in self.vertex_weights if w != 1)
-        return ProblemInstance(len(self.vertex_weights), singular, Fraction(rho), SpaceKind.COMPACT)
+        return ProblemInstance(len(self.vertex_weights), singular, rho, SpaceKind.COMPACT)
 
 
 def oracle_chi(space: FiniteWeightedSpace, rho: Fraction | int) -> int:
     """Euler characteristic of the weight-bounded subcomplex by direct face
     enumeration: sum over nonempty vertex subsets S with w(S) <= rho of
-    (-1)^(|S|+1).
+    (-1)^(|S|+1).  rho is an int or a ``Fraction`` (``InputFormatError`` otherwise).
 
     Face weights are integers over the LCD of rho and the vertex weights,
     kept in two lists by the parity of |S|.  Each vertex extends only the
@@ -85,7 +80,7 @@ def oracle_chi(space: FiniteWeightedSpace, rho: Fraction | int) -> int:
     short; the count is the same in any order.  O(2^m) time and memory when
     rho is at least the total weight.
     """
-    rho = Fraction(rho)
+    rho = _exact(rho, "rho")
     scale = lcm(rho.denominator, *(w.denominator for w in space.vertex_weights))
     top = rho.numerator * (scale // rho.denominator)
     if top < 0:

@@ -24,7 +24,7 @@ from math import floor, gcd, lcm
 from operator import floordiv
 
 from .engine import ChiResult
-from .model import ValidatedInstance
+from .model import ValidatedInstance, _exact
 
 
 class SparseSeries:
@@ -60,8 +60,8 @@ class SparseSeries:
 
 
 def truncation_bound(rho: Fraction, bound: Fraction | None) -> Fraction:
-    """The exponent the series is cut at: ``bound``, but never below rho."""
-    return rho if bound is None or bound < rho else bound
+    """The exponent the series is cut at: ``bound``, exact like rho, but never below rho."""
+    return max(rho, rho if bound is None else _exact(bound, "bound"))
 
 
 def chen_lin_series(instance: ValidatedInstance, bound: Fraction | None = None) -> SparseSeries:

@@ -290,6 +290,21 @@ class TestLongInputsAreCut:
         assert err.count("\n") == 1
         assert len(err.encode()) < 200
 
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--chi-c", LONG, "--rho", "1"],
+        ["compute", "--chi-c", "1", "--rho", "1", "--space", LONG],
+        ["oracle", "--vertices", LONG, "--rho", "1"],
+        ["selftest", "--cases", LONG],
+        ["compute", "--instance", LONG],
+    ], ids=["chi-c", "space", "vertices", "cases", "instance-path"])
+    def test_argparse_and_os_messages_are_cut_to_one_line_under_300_bytes(self, capsys, argv):
+        # Whole, argparse's messages and the OS's repeated all 100,000 characters.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert len(err.encode()) < 300
+
 
 def run_quiet(*argv):
     """main(argv) with its exit code and captured stdout, outside pytest's

@@ -1,4 +1,4 @@
-"""The four routes to chi_c share no code beyond their value types.
+"""The four routes to chi_c share no code beyond their value types and input checks.
 
 direct, strata and series are checked against each other and against the
 oracle's face count; their agreement is evidence only while each computes
@@ -25,8 +25,14 @@ ROUTES = {
 # The records every route takes or returns.
 SHARED = {("model", "_Record"), ("model", "ComponentSpec"), ("model", "SpaceKind"),
           ("model", "ProblemInstance"), ("model", "ValidatedInstance"), ("engine", "ChiResult")}
-# The --breakdown tables: rows only, never the value a route returns.
-SHARED_BY_PAIR = {("direct", "strata"): {("model", "subset_levels"), ("model", "subset_members")}}
+SHARED_BY_PAIR = {
+    # The --breakdown tables: rows only, never the value a route returns.
+    ("direct", "strata"): {("model", "subset_levels"), ("model", "subset_members")},
+    # The exactness check refuses inputs and computes no chi_c: agreement stays independent.
+    ("series", "oracle"): {("model", "_exact"), ("model", "_is_int"), ("model", "_shown"),
+                           ("model", "_cut"), ("errors", "InputFormatError"),
+                           ("errors", "BarychiError")},
+}
 
 
 def _read_package():

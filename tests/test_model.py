@@ -20,6 +20,7 @@ from barychi.model import (
     ProblemInstance,
     SpaceKind,
     ValidatedInstance,
+    _shown,
     enumerate_subset_weights,
     instance_from_json,
     instance_to_json_dict,
@@ -154,7 +155,8 @@ class TestValidate:
         ComponentSpec(1, True, frozenset({1})),  # alone, it is a tuple of its fields
         5,                                       # would raise a bare TypeError
         (ComponentSpec(1, True, 1),),            # the same, from its indices
-    ], ids=["dicts", "lone-component", "int", "int-indices"])
+        [10**5000],                              # its repr raised a bare ValueError
+    ], ids=["dicts", "lone-component", "int", "int-indices", "unprintable"])
     def test_malformed_components_refused(self, components):
         with pytest.raises(InputFormatError):
             validate(ProblemInstance(1, (F(1, 2),), F(1), SpaceKind.UNION_OF_BASIC, components))
@@ -314,6 +316,11 @@ class TestFractionParsing:
             with pytest.raises(InputFormatError) as info:
                 parse_fraction(text)
             assert str(info.value) == f"cannot parse {shown} as an exact fraction"
+
+    def test_error_names_a_value_with_no_repr_by_its_type(self):
+        # repr raises ValueError past the int-to-str limit (4300 digits by default).
+        assert _shown(10**5000) == "<unprintable int>"
+        assert _shown([10**5000]) == "<unprintable list>"
 
     def test_weights_csv(self):
         assert parse_weights("") == ()

@@ -76,6 +76,21 @@ class TestFiniteWeightedSpace:
         with pytest.raises(InputFormatError):
             FiniteWeightedSpace.of(3, (weight,))
 
+    @pytest.mark.parametrize("args", [("3",), (3.0,), (2.5,), (True,), (3, 0.5),
+                                      (3, (w for w in [F(1, 2)]))],
+                             ids=["str-count", "float-count", "fractional-count", "bool-count",
+                                  "float-weights", "generator-weights"])
+    def test_of_refuses_a_mistyped_count_or_weight_list(self, args):
+        # They raised a bare TypeError, and True built one vertex.
+        with pytest.raises(InputFormatError):
+            FiniteWeightedSpace.of(*args)
+
+    def test_error_cuts_a_long_weight(self):
+        # Whole, the message repeated all 100,000 characters.
+        with pytest.raises(InputFormatError) as info:
+            FiniteWeightedSpace((F(1, 3), "x" * 100_000))
+        assert len(str(info.value)) < 200
+
     def test_int_weights_accepted(self):
         space = FiniteWeightedSpace.of(3, (2,))
         assert space == FiniteWeightedSpace((F(2), F(1), F(1)))
@@ -110,6 +125,16 @@ class TestOracleChi:
     def test_empty_complex(self):
         space = FiniteWeightedSpace((F(1, 2), F(2, 3)))
         assert oracle_chi(space, F(1, 3)) == 0
+
+    @pytest.mark.parametrize("rho", [0.1, "5/6", True], ids=["float", "str", "bool"])
+    def test_rejects_inexact_rho(self, rho):
+        # Accepted, they counted 0, 1 and 2, and matching_instance turned
+        # 0.1 into the rho 3602879701896397/36028797018963968.
+        space = FiniteWeightedSpace((F(1, 3), F(1, 2), F(1)))
+        with pytest.raises(InputFormatError):
+            oracle_chi(space, rho)
+        with pytest.raises(InputFormatError):
+            validate(space.matching_instance(rho))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

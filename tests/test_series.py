@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from barychi.cli import _exponent_texts, main
 from barychi.combinatorics import ext_binomial
 from barychi.engine import ChiResult, chi_c_direct
-from barychi.errors import NonPositiveRho, NonPositiveWeight
+from barychi.errors import InputFormatError, NonPositiveRho, NonPositiveWeight
 from barychi.model import ProblemInstance, instance_to_json_dict, validate
 from barychi.series import (
     SparseSeries,
@@ -245,6 +245,14 @@ class TestChenLinSeries:
             chen_lin_series(validate(ProblemInstance(0, (F(0),), F(1))))
         with pytest.raises(NonPositiveRho):
             chen_lin_series(validate(ProblemInstance(0, (), F(-2))))
+
+    @pytest.mark.parametrize("bound", [0.5, 2.5, "3", True],
+                             ids=["float-below-rho", "float", "str", "bool"])
+    def test_refuses_an_inexact_bound(self, bound):
+        # A float or bool below rho was accepted, 2.5 raised an
+        # AttributeError and "3" a TypeError.
+        with pytest.raises(InputFormatError):
+            chen_lin_series(validate(ProblemInstance(1, (F(1, 2),), F(2))), bound)
 
 
 class TestChiCSeries:
