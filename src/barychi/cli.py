@@ -11,6 +11,7 @@ would mean a genuine bug; the algorithms are proven equal).
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import io
 import sys
@@ -90,11 +91,35 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="barychi", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+    # argparse makes a HelpFormatter for each flag it adds, and each one would
+    # ask the OS for the terminal size; the width is read once a build, so
+    # help still follows COLUMNS on every call.
+    import shutil
 
-    compute = sub.add_parser("compute", help="chi_c and d_rho, cross-checked")
-    _instance_flags(compute)
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
+    parser = _Parser(prog="barychi", description=__doc__.splitlines()[0],
+                     formatter_class=formatter)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=functools.partial(_Parser, formatter_class=formatter))
+
+    # The instance flags of compute, series and classify, declared once.
+    instance_flags = _Parser(add_help=False, formatter_class=formatter)
+    instance_flags.add_argument("--chi-c", type=int,
+                                help="Euler characteristic (compact supports) of X")
+    instance_flags.add_argument("--weights", help="comma-separated singular weights")
+    instance_flags.add_argument("--rho", help="total-mass bound, exact fraction")
+    instance_flags.add_argument(
+        "--space",
+        choices=["compact", "lc", "even-interior"],
+        default=None,
+        help="what is known about X (default: compact)",
+    )
+    instance_flags.add_argument("--components", help="JSON array of component objects")
+    instance_flags.add_argument("--instance", help="path to an instance JSON document")
+
+    compute = sub.add_parser("compute", parents=[instance_flags],
+                             help="chi_c and d_rho, cross-checked")
     compute.add_argument(
         "--method",
         choices=[*_METHOD_RUNNERS, "all"],
@@ -105,8 +130,8 @@ def _build_parser() -> _Parser:
     compute.add_argument("--json", action="store_true", help="emit a canonical JSON report")
     compute.set_defaults(run=_cmd_compute)
 
-    series = sub.add_parser("series", help="dump the generating series")
-    _instance_flags(series)
+    series = sub.add_parser("series", parents=[instance_flags],
+                            help="dump the generating series")
     series.add_argument("--bound", help="truncate at this exponent instead of rho")
     series.add_argument("--json", action="store_true")
     series.set_defaults(run=_cmd_series)
@@ -120,8 +145,8 @@ def _build_parser() -> _Parser:
     oracle.add_argument("--json", action="store_true")
     oracle.set_defaults(run=_cmd_oracle)
 
-    classify = sub.add_parser("classify", help="symbolic homotopy type (r <= 2)")
-    _instance_flags(classify)
+    classify = sub.add_parser("classify", parents=[instance_flags],
+                              help="symbolic homotopy type (r <= 2)")
     classify.add_argument(
         "--placement",
         choices=["one-each", "both-first"],
@@ -138,20 +163,6 @@ def _build_parser() -> _Parser:
     st.set_defaults(run=_cmd_selftest)
 
     return parser
-
-
-def _instance_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--chi-c", type=int, help="Euler characteristic (compact supports) of X")
-    sub.add_argument("--weights", help="comma-separated singular weights")
-    sub.add_argument("--rho", help="total-mass bound, exact fraction")
-    sub.add_argument(
-        "--space",
-        choices=["compact", "lc", "even-interior"],
-        default=None,
-        help="what is known about X (default: compact)",
-    )
-    sub.add_argument("--components", help="JSON array of component objects")
-    sub.add_argument("--instance", help="path to an instance JSON document")
 
 
 def _load_instance(args: argparse.Namespace) -> ValidatedInstance:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 import sys
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from enum import Enum
 from fractions import Fraction
 from math import lcm
@@ -124,9 +124,9 @@ def validate(instance: ProblemInstance) -> ValidatedInstance:
     rho = _exact(instance.rho, "weights and rho")
     for w in weights:
         if w <= 0:
-            raise NonPositiveWeight(f"weight {w} is not strictly positive")
+            raise NonPositiveWeight(f"weight {_shown(w, str)} is not strictly positive")
     if rho <= 0:
-        raise NonPositiveRho(f"rho {rho} is not strictly positive")
+        raise NonPositiveRho(f"rho {_shown(rho, str)} is not strictly positive")
     r = len(weights)
     if r > MAX_SINGULAR_POINTS:
         raise TooManySingularPoints(
@@ -363,10 +363,11 @@ def _cut(text: str, limit: int) -> str:
     return f"{text[:limit]}... ({len(text)} characters)" if len(text) > limit else text
 
 
-def _shown(value: object) -> str:
-    """``repr(value)`` cut to ``_SHOWN`` characters, or its type's name if it has no repr."""
+def _shown(value: object, form: Callable[[object], str] = repr) -> str:
+    """``form(value)``, ``repr`` or ``str``, cut to ``_SHOWN`` characters, or
+    its type's name if it cannot be printed."""
     try:
-        return _cut(repr(value), _SHOWN)
+        return _cut(form(value), _SHOWN)
     except Exception:  # an int past the int-to-str limit, a list nested too deep
         return f"<unprintable {type(value).__name__}>"
 

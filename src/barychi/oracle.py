@@ -42,7 +42,7 @@ class FiniteWeightedSpace(_Record, namedtuple("FiniteWeightedSpace", "vertex_wei
         vertex_weights = tuple([_exact(w, "vertex weights") for w in vertex_weights])
         for w in vertex_weights:
             if w <= 0:
-                raise NonPositiveWeight(f"vertex weight {w} is not strictly positive")
+                raise NonPositiveWeight(f"vertex weight {_shown(w, str)} is not strictly positive")
         return super().__new__(cls, vertex_weights)
 
     @classmethod

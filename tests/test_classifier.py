@@ -167,6 +167,23 @@ class TestConicCap:
         assert time.perf_counter() - start < 1
 
 
+class TestLongWeightsAreCut:
+    """A refused weight is echoed cut: one of 4,001 digits by its start, one
+    of 5,001, past the int-to-str limit, by its type's name.  Whole, the first
+    made a line of 4,000 characters and the second raised a bare ValueError."""
+
+    @pytest.mark.parametrize("digits", [4000, 5000])
+    @pytest.mark.parametrize("weights,refuse,error", [
+        ([], classify, OutOfScope),
+        ([F(1, 2)], classify, OutOfScope),
+        ([F(1, 2)], maximal_pieces, WeightOutOfRange),
+    ], ids=["r1-table", "r2-table", "conic"])
+    def test_refused_with_a_short_message(self, digits, weights, refuse, error):
+        with pytest.raises(error) as info:
+            refuse(make(1, [*weights, F(10**digits)], 1))
+        assert len(str(info.value)) < 200
+
+
 @st.composite
 def case_table_instances(draw, min_r=0):
     """(chi_c, weights, rho) with min_r <= r <= 2, weights in (0, 1] with

@@ -31,6 +31,7 @@ from barychi.model import (
 from barychi.oracle import FiniteWeightedSpace
 from barychi.series import SparseSeries, chi_c_series
 from test_engine import tie_heavy_instances
+from test_import_path import fresh
 from test_series import SCALE_CASES, series_command_reference
 
 
@@ -304,6 +305,25 @@ class TestLongInputsAreCut:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert len(err.encode()) < 300
+
+    NINES = "9" * 4000
+
+    @pytest.mark.parametrize("argv,error", [
+        (["compute", "--chi-c", "1", "--rho", "1", "--weights", "-" + NINES], "NonPositiveWeight"),
+        (["compute", "--chi-c", "1", "--rho", "-" + NINES], "NonPositiveRho"),
+        (["oracle", "--vertices", "2", "--weights", "-" + NINES, "--rho", "1"],
+         "NonPositiveWeight"),
+        (["classify", "--chi-c", "1", "--weights", NINES, "--rho", "1"], "OutOfScope"),
+        (["classify", "--chi-c", "1", "--weights", "1/2," + NINES, "--rho", "1"], "OutOfScope"),
+    ], ids=["weight", "rho", "oracle-weight", "classify-weight", "classify-second-weight"])
+    def test_echoed_weights_and_rho_are_cut_to_one_line_under_200_bytes(self, capsys, argv,
+                                                                         error):
+        # Whole, each line repeated all 4,000 digits.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {error}: ")
+        assert err.count("\n") == 1
+        assert len(err.encode()) < 200
 
 
 def run_quiet(*argv):
@@ -1211,6 +1231,56 @@ class TestCollectorSetting:
 
         assert self.setting_after(caller_enabled, request) == (caller_enabled, None)
         assert seen == [False]
+
+
+class TestHelpFollowsColumns:
+    """Help is laid out at the width COLUMNS gives on each call, never at one
+    read at import or by an earlier call."""
+
+    @staticmethod
+    def help_lines(capsys, monkeypatch, columns):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out.splitlines()
+
+    def test_each_call_reads_columns(self, capsys, monkeypatch):
+        # At 60 columns every line fits: the widest usage token,
+        # "[--method {direct,strata,series,all}]", ends at column 60.
+        narrow = self.help_lines(capsys, monkeypatch, 60)
+        assert max(map(len, narrow)) <= 60
+        assert len(self.help_lines(capsys, monkeypatch, 200)) < len(narrow)
+        assert self.help_lines(capsys, monkeypatch, 60) == narrow
+
+
+class TestNothingCarriesOver:
+    """main keeps nothing from one call to the next: in one process, after
+    any other requests, each request prints the bytes and exits with the code
+    it does alone in a new process.  compute, series and classify share their
+    instance flags, so a value left over from one would show in the next."""
+
+    REQUESTS = [
+        ["classify", "--chi-c", "3", "--weights", "3/10,2/5", "--rho", "5/2",
+         "--chi-a", "2", "--chi-b", "1"],
+        # No --weights: r = 0 unless the weights of another request carry over.
+        ["compute", "--chi-c", "2", "--rho", "3/2"],
+        ["series", "--chi-c", "-1", "--weights", "1/3", "--rho", "5/2", "--bound", "4"],
+        # No --rho: refused unless the rho of another request carries over.
+        ["compute", "--chi-c", "1"],
+        ["oracle", "--vertices", "3", "--weights", "1/2", "--rho", "2"],
+        # No --chi-a/--chi-b: a connected space unless the split carries over.
+        ["classify", "--chi-c", "3", "--weights", "3/10,2/5", "--rho", "5/2"],
+    ]
+
+    def test_each_request_prints_what_it_prints_alone(self, capsys):
+        alone = [(done.returncode, done.stdout, done.stderr) for done in
+                 (fresh("from barychi.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
+                  for argv in self.REQUESTS)]
+        assert {code for code, *_ in alone} == {0, 1}
+        order = [*range(len(self.REQUESTS)), *reversed(range(len(self.REQUESTS))), 3, 0, 4, 2]
+        for i in order:
+            assert run(capsys, *self.REQUESTS[i]) == alone[i], self.REQUESTS[i]
 
 
 class TestRouteTable:

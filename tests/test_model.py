@@ -53,6 +53,18 @@ class TestValidate:
         with pytest.raises(TooManySingularPoints):
             validate(ProblemInstance(0, (F(1, 2),) * 31, F(1)))
 
+    # A value of 4,001 digits is echoed cut, and one of 5,001, past the
+    # int-to-str limit, by its type's name; whole, the first made a line of
+    # 4,000 characters and the second raised a bare ValueError.
+    @pytest.mark.parametrize("digits", [4000, 5000])
+    def test_echoed_weight_and_rho_are_cut(self, digits):
+        huge = F(-(10**digits))
+        for instance, error in ((ProblemInstance(1, (F(1, 2), huge), F(1)), NonPositiveWeight),
+                                (ProblemInstance(1, (), huge), NonPositiveRho)):
+            with pytest.raises(error) as info:
+                validate(instance)
+            assert len(str(info.value)) < 200
+
     def test_component_chi_mismatch(self):
         components = (
             ComponentSpec(2, True, frozenset({1})),

@@ -91,6 +91,14 @@ class TestFiniteWeightedSpace:
             FiniteWeightedSpace((F(1, 3), "x" * 100_000))
         assert len(str(info.value)) < 200
 
+    @pytest.mark.parametrize("digits", [4000, 5000])
+    def test_error_cuts_a_long_nonpositive_weight(self, digits):
+        # Whole, 4,001 digits made a line of 4,000 characters, and 5,001, past
+        # the int-to-str limit, raised a bare ValueError.
+        with pytest.raises(NonPositiveWeight) as info:
+            FiniteWeightedSpace((F(1, 3), F(-(10**digits))))
+        assert len(str(info.value)) < 200
+
     def test_int_weights_accepted(self):
         space = FiniteWeightedSpace.of(3, (2,))
         assert space == FiniteWeightedSpace((F(2), F(1), F(1)))

@@ -79,6 +79,11 @@ INEXACT_RHO = ["tests/test_oracle.py::TestOracleChi::test_rejects_inexact_rho"]
 INEXACT_BOUND = ["tests/test_series.py::TestChenLinSeries::test_refuses_an_inexact_bound"]
 SHOWN_WHOLE = ["tests/test_model.py::TestFractionParsing::"
                "test_error_shows_a_repr_of_up_to_60_characters_whole"]
+ECHOED_INSTANCE = ["tests/test_model.py::TestValidate::test_echoed_weight_and_rho_are_cut"]
+ECHOED_VERTEX = ["tests/test_oracle.py::TestFiniteWeightedSpace::"
+                 "test_error_cuts_a_long_nonpositive_weight"]
+ECHOED_CLASSIFIED = ["tests/test_classifier.py::TestLongWeightsAreCut"]
+HELP_COLUMNS = ["tests/test_cli.py::TestHelpFollowsColumns"]
 
 # (module, function, expression, replacement, the node ids that kill it)
 MUTANTS = [
@@ -162,6 +167,15 @@ MUTANTS = [
     ("model", "_cut", "len(text) > limit", "False", LONG_INPUTS),
     ("model", "_cut", "len(text) > limit", "len(text) >= limit", SHOWN_WHOLE),
     ("cli", "_Parser.error", "_cut(message, _MESSAGE_SHOWN)", "message", LONG_FLAGS),
+    # A refused weight or rho is echoed through the same cut, as str.
+    ("model", "validate", "_shown(w, str)", "str(w)", ECHOED_INSTANCE),
+    ("model", "validate", "_shown(rho, str)", "str(rho)", ECHOED_INSTANCE),
+    ("oracle", "FiniteWeightedSpace.__new__", "_shown(w, str)", "str(w)", ECHOED_VERTEX),
+    ("classifier", "_conic_levels", "_shown(w, str)", "str(w)", ECHOED_CLASSIFIED),
+    ("classifier", "_r1_table", "_shown(w, str)", "str(w)", ECHOED_CLASSIFIED),
+    ("classifier", "_r2_table", "_shown(w2, str)", "str(w2)", ECHOED_CLASSIFIED),
+    # Help is laid out at the width of the call's COLUMNS, not a fixed one.
+    ("cli", "_build_parser", "shutil.get_terminal_size().columns - 2", "78", HELP_COLUMNS),
     # One exactness check: a float is refused, and the series bound is checked.
     ("model", "_exact", "isinstance(value, Fraction)", "isinstance(value, (Fraction, float))",
      INEXACT_RHO),
