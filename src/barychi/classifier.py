@@ -87,7 +87,7 @@ def _conic_levels(instance: ValidatedInstance) -> list[int]:
         )
     for w in instance.weights:
         if w >= 1:
-            raise WeightOutOfRange(f"conic decomposition needs w < 1, got {_shown(w, str)}")
+            raise WeightOutOfRange(f"conic decomposition needs w < 1, got {_shown(w)}")
     return subset_levels(instance)
 
 
@@ -173,7 +173,7 @@ def _r1_table(instance: ValidatedInstance, x: Descriptor) -> Descriptor:
     B_n of X itself."""
     w = instance.weights[0]
     if w > 1:
-        raise OutOfScope(f"w = {_shown(w, str)} > 1: complement-like regime, not classified")
+        raise OutOfScope(f"w = {_shown(w)} > 1: complement-like regime, not classified")
     n = floor(instance.rho)
     if floor(instance.rho - w) < n:
         return bary(n, x)
@@ -193,7 +193,7 @@ def _r2_table(instance: ValidatedInstance, glued: Descriptor, split: Descriptor)
     """
     w1, w2 = instance.weights  # canonical order: w1 <= w2
     if w2 > 1:
-        raise OutOfScope(f"w = {_shown(w2, str)} > 1: complement-like regime, not classified")
+        raise OutOfScope(f"w = {_shown(w2)} > 1: complement-like regime, not classified")
     n = floor(instance.rho)
     eps = instance.rho - n
     if w1 + w2 <= eps:

@@ -5,8 +5,9 @@ Subcommands: ``compute`` (run one or all algorithms and cross-check),
 count vs the algorithms), ``classify`` (symbolic homotopy type), and
 ``selftest`` (randomized corpora).
 
-Exit codes: 0 on success/MATCH, 1 on input error, 2 on MISMATCH (which
-would mean a genuine bug; the algorithms are proven equal).
+Exit codes: 0 on success/MATCH, 1 on input error, 2 on MISMATCH or a
+selftest FAIL (which would mean a genuine bug; the algorithms are proven
+equal).
 """
 from __future__ import annotations
 
@@ -28,10 +29,12 @@ from .errors import (
     TooManyDigits,
     TooManyLevels,
     TooManySingularPoints,
+    TooManyWeights,
 )
 from .model import (
     ValidatedInstance,
     _cut,
+    _shown,
     instance_from_json,
     instance_to_json_dict,
     parse_fraction,
@@ -39,7 +42,7 @@ from .model import (
     validate,
 )
 # Eager, unlike json and the classifier: perfbench's tracer hooks the global oracle_chi.
-from .oracle import FiniteWeightedSpace, _check_vertex_count, oracle_chi
+from .oracle import FiniteWeightedSpace, oracle_chi
 from .series import chen_lin_series, chi_c_series, truncation_bound, window_columns
 
 # The one list of routes: --method, the report, the oracle comparison and
@@ -284,7 +287,7 @@ def _check_levels(instance: ValidatedInstance, method: str, bound: Fraction) -> 
     m = instance.r - instance.chi_c
     walk = floor(bound) if m > 0 else min(floor(bound), 1 - m)
     if walk > MAX_LEVELS[method]:
-        raise TooManyLevels(f"the {method} route walks {walk} levels, past its cap "
+        raise TooManyLevels(f"the {method} route walks {_shown(walk)} levels, past its cap "
                             f"{MAX_LEVELS[method]}")
 
 
@@ -378,11 +381,10 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    weights = parse_weights(args.weights)
-    _check_vertex_count(args.vertices)
-    if len(weights) > args.vertices:
-        raise _InputError("--weights lists more entries than --vertices")
-    space = FiniteWeightedSpace.of(args.vertices, weights)
+    try:
+        space = FiniteWeightedSpace.of(args.vertices, parse_weights(args.weights))
+    except TooManyWeights:
+        raise _InputError("--weights lists more entries than --vertices") from None
     instance, expected, values = compare_with_oracle(space, parse_fraction(args.rho))
     match = all(v == expected for v in values.values())
     verdict = "MATCH" if match else "MISMATCH"
@@ -447,12 +449,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
     if args.cases < 1:
-        raise _InputError(f"--cases must be at least 1, got {args.cases}")
+        raise _InputError(f"--cases must be at least 1, got {_shown(args.cases)}")
     # selftest checks the oracle through this module, so it is imported late.
     from .selftest import run_selftest
 
     ok = run_selftest(cases=args.cases, seed=args.seed)
-    return 0 if ok else 1
+    return 0 if ok else 2
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 import sys
 from collections import namedtuple
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from enum import Enum
 from fractions import Fraction
 from math import lcm
@@ -124,9 +124,9 @@ def validate(instance: ProblemInstance) -> ValidatedInstance:
     rho = _exact(instance.rho, "weights and rho")
     for w in weights:
         if w <= 0:
-            raise NonPositiveWeight(f"weight {_shown(w, str)} is not strictly positive")
+            raise NonPositiveWeight(f"weight {_shown(w)} is not strictly positive")
     if rho <= 0:
-        raise NonPositiveRho(f"rho {_shown(rho, str)} is not strictly positive")
+        raise NonPositiveRho(f"rho {_shown(rho)} is not strictly positive")
     r = len(weights)
     if r > MAX_SINGULAR_POINTS:
         raise TooManySingularPoints(
@@ -174,13 +174,13 @@ def _check_components(
     total_chi = sum(c.chi_c for c in components)
     if total_chi != chi_c:
         raise InconsistentComponents(
-            f"component chi_c values sum to {total_chi}, instance says {chi_c}"
+            f"component chi_c values sum to {_shown(total_chi)}, instance says {_shown(chi_c)}"
         )
     seen: set[int] = set()
     for c in components:
         for i in c.singular_indices:
             if not 1 <= i <= r:
-                raise InconsistentComponents(f"singular index {i} outside 1..{r}")
+                raise InconsistentComponents(f"singular index {_shown(i)} outside 1..{r}")
             if i in seen:
                 raise InconsistentComponents(f"singular index {i} assigned twice")
             seen.add(i)
@@ -363,11 +363,12 @@ def _cut(text: str, limit: int) -> str:
     return f"{text[:limit]}... ({len(text)} characters)" if len(text) > limit else text
 
 
-def _shown(value: object, form: Callable[[object], str] = repr) -> str:
-    """``form(value)``, ``repr`` or ``str``, cut to ``_SHOWN`` characters, or
-    its type's name if it cannot be printed."""
+def _shown(value: object) -> str:
+    """``value`` as an error line quotes it: a ``Fraction`` as ``p/q`` and
+    anything else by its ``repr``, cut to ``_SHOWN`` characters, or its
+    type's name if it cannot be printed."""
     try:
-        return _cut(form(value), _SHOWN)
+        return _cut(str(value) if isinstance(value, Fraction) else repr(value), _SHOWN)
     except Exception:  # an int past the int-to-str limit, a list nested too deep
         return f"<unprintable {type(value).__name__}>"
 

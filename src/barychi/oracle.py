@@ -26,7 +26,8 @@ def _check_vertex_count(m: int) -> None:
     if m < 1:
         raise NoVertices("need at least one vertex")
     if m > MAX_VERTICES:
-        raise TooManyVertices(f"m = {m} vertices exceeds the face-enumeration cap {MAX_VERTICES}")
+        raise TooManyVertices(
+            f"m = {_shown(m)} vertices exceeds the face-enumeration cap {MAX_VERTICES}")
 
 
 class FiniteWeightedSpace(_Record, namedtuple("FiniteWeightedSpace", "vertex_weights")):
@@ -42,7 +43,7 @@ class FiniteWeightedSpace(_Record, namedtuple("FiniteWeightedSpace", "vertex_wei
         vertex_weights = tuple([_exact(w, "vertex weights") for w in vertex_weights])
         for w in vertex_weights:
             if w <= 0:
-                raise NonPositiveWeight(f"vertex weight {_shown(w, str)} is not strictly positive")
+                raise NonPositiveWeight(f"vertex weight {_shown(w)} is not strictly positive")
         return super().__new__(cls, vertex_weights)
 
     @classmethod

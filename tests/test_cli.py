@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barychi import cli
+from barychi import cli, selftest
 from barychi.cli import MAX_BREAKDOWN_POINTS, main
 from barychi.engine import (
     ChiResult,
@@ -307,21 +307,35 @@ class TestLongInputsAreCut:
         assert len(err.encode()) < 300
 
     NINES = "9" * 4000
+    NINES_4200 = "9" * 4200
 
-    @pytest.mark.parametrize("argv,error", [
-        (["compute", "--chi-c", "1", "--rho", "1", "--weights", "-" + NINES], "NonPositiveWeight"),
-        (["compute", "--chi-c", "1", "--rho", "-" + NINES], "NonPositiveRho"),
+    @pytest.mark.parametrize("argv,prefix", [
+        (["compute", "--chi-c", "1", "--rho", "1", "--weights", "-" + NINES],
+         "NonPositiveWeight: "),
+        (["compute", "--chi-c", "1", "--rho", "-" + NINES], "NonPositiveRho: "),
         (["oracle", "--vertices", "2", "--weights", "-" + NINES, "--rho", "1"],
-         "NonPositiveWeight"),
-        (["classify", "--chi-c", "1", "--weights", NINES, "--rho", "1"], "OutOfScope"),
-        (["classify", "--chi-c", "1", "--weights", "1/2," + NINES, "--rho", "1"], "OutOfScope"),
-    ], ids=["weight", "rho", "oracle-weight", "classify-weight", "classify-second-weight"])
-    def test_echoed_weights_and_rho_are_cut_to_one_line_under_200_bytes(self, capsys, argv,
-                                                                         error):
-        # Whole, each line repeated all 4,000 digits.
+         "NonPositiveWeight: "),
+        (["classify", "--chi-c", "1", "--weights", NINES, "--rho", "1"], "OutOfScope: "),
+        (["classify", "--chi-c", "1", "--weights", "1/2," + NINES, "--rho", "1"], "OutOfScope: "),
+        (["oracle", "--vertices", NINES, "--rho", "1"], "TooManyVertices: "),
+        (["selftest", "--cases", "-" + NINES], "--cases must be at least 1, got "),
+        (["compute", "--chi-c", NINES, "--rho", "1", "--weights", "1/2",
+          "--components", '[{"chi_c":1,"singular_indices":[1]}]'], "InconsistentComponents: "),
+        (["compute", "--chi-c", "1", "--rho", "1", "--weights", "1/2",
+          "--components", '[{"chi_c":1,"singular_indices":[' + NINES + "]}]"],
+         "InconsistentComponents: "),
+        (["compute", "--chi-c", "-3", "--rho", NINES_4200], "TooManyLevels: "),
+        (["compute", "--chi-c", "-3", "--rho", "1e4200"], "TooManyLevels: "),
+        (["series", "--chi-c", "-1", "--weights", "1/2", "--rho", "1", "--bound", NINES_4200],
+         "TooManyLevels: "),
+    ], ids=["weight", "rho", "oracle-weight", "classify-weight", "classify-second-weight",
+            "vertices", "cases", "component-chi-sum", "singular-index", "strata-walk",
+            "strata-walk-exponent", "series-walk"])
+    def test_echoed_values_are_cut_to_one_line_under_200_bytes(self, capsys, argv, prefix):
+        # Whole, each line repeated all 4,000 or 4,200 digits.
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err.startswith(f"error: {error}: ")
+        assert err.startswith(f"error: {prefix}")
         assert err.count("\n") == 1
         assert len(err.encode()) < 200
 
@@ -1070,6 +1084,13 @@ class TestSelftest:
     def test_no_cases_refused(self, capsys, cases):
         assert run(capsys, "selftest", "--cases", cases, "--seed", "1") == (
             1, "", f"error: --cases must be at least 1, got {cases}\n")
+
+    def test_a_failure_exits_2(self, capsys, monkeypatch):
+        # 2 is a cross-check that disagrees; 1 is kept for input errors.
+        monkeypatch.setattr(selftest, "identity_failures", lambda: ["Pascal rule fails at (0, 1)"])
+        code, out, err = run(capsys, "selftest", "--cases", "1", "--seed", "1")
+        assert (code, err) == (2, "")
+        assert out.splitlines()[-1] == "result: FAIL"
 
 
 class TestNoCyclicGarbage:

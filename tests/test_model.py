@@ -65,6 +65,23 @@ class TestValidate:
                 validate(instance)
             assert len(str(info.value)) < 200
 
+    # An int past the int-to-str limit is named by its type; whole, each
+    # message raised a bare ValueError.
+    @pytest.mark.parametrize("chi,weights,component", [
+        (10**5000, (), ComponentSpec(1, True, ())),
+        (1, (), ComponentSpec(10**5000, True, ())),
+        (1, (F(1, 2),), ComponentSpec(1, True, (10**5000,))),
+    ], ids=["instance-chi", "component-chi", "singular-index"])
+    def test_echoed_component_ints_are_cut(self, chi, weights, component):
+        instance = ProblemInstance(chi, weights, F(1), SpaceKind.UNION_OF_BASIC, (component,))
+        with pytest.raises(InconsistentComponents, match="<unprintable int>"):
+            validate(instance)
+
+    def test_a_fraction_is_quoted_as_p_over_q(self):
+        with pytest.raises(InputFormatError) as info:
+            validate(ProblemInstance(F(3, 2), (), F(1)))
+        assert str(info.value) == "chi_c must be an int, got 3/2"
+
     def test_component_chi_mismatch(self):
         components = (
             ComponentSpec(2, True, frozenset({1})),
@@ -328,6 +345,13 @@ class TestFractionParsing:
             with pytest.raises(InputFormatError) as info:
                 parse_fraction(text)
             assert str(info.value) == f"cannot parse {shown} as an exact fraction"
+
+    @pytest.mark.parametrize("value,shown", [
+        (F(-1), "-1"), (F(3, 2), "3/2"), ("x", "'x'"), (7, "7"),
+        (10**99, "1" + "0" * 59 + "... (100 characters)"),
+    ], ids=["integral-fraction", "fraction", "str", "int", "100-digit-int"])
+    def test_one_rule_picks_the_form(self, value, shown):
+        assert _shown(value) == shown
 
     def test_error_names_a_value_with_no_repr_by_its_type(self):
         # repr raises ValueError past the int-to-str limit (4300 digits by default).

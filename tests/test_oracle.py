@@ -18,7 +18,7 @@ from barychi.errors import (
     TooManyWeights,
 )
 from barychi.model import validate
-from barychi.oracle import FiniteWeightedSpace, oracle_chi, skeleton_chi
+from barychi.oracle import FiniteWeightedSpace, _check_vertex_count, oracle_chi, skeleton_chi
 from barychi.series import chi_c_series
 
 F = Fraction
@@ -98,6 +98,12 @@ class TestFiniteWeightedSpace:
         with pytest.raises(NonPositiveWeight) as info:
             FiniteWeightedSpace((F(1, 3), F(-(10**digits))))
         assert len(str(info.value)) < 200
+
+    def test_error_names_a_count_past_the_digit_limit_by_its_type(self):
+        # Whole, the message raised a bare ValueError.
+        for check in (FiniteWeightedSpace.of, _check_vertex_count):
+            with pytest.raises(TooManyVertices, match="<unprintable int>"):
+                check(10**5000)
 
     def test_int_weights_accepted(self):
         space = FiniteWeightedSpace.of(3, (2,))

@@ -84,6 +84,16 @@ ECHOED_VERTEX = ["tests/test_oracle.py::TestFiniteWeightedSpace::"
                  "test_error_cuts_a_long_nonpositive_weight"]
 ECHOED_CLASSIFIED = ["tests/test_classifier.py::TestLongWeightsAreCut"]
 HELP_COLUMNS = ["tests/test_cli.py::TestHelpFollowsColumns"]
+ECHOED = ("tests/test_cli.py::TestLongInputsAreCut::"
+          "test_echoed_values_are_cut_to_one_line_under_200_bytes")
+ECHOED_COUNT = [f"{ECHOED}[vertices]"]
+ECHOED_CASES = [f"{ECHOED}[cases]"]
+ECHOED_CHI = [f"{ECHOED}[component-chi-sum]"]
+ECHOED_INDEX = [f"{ECHOED}[singular-index]"]
+ECHOED_WALK = [f"{ECHOED}[strata-walk]"]
+ECHOED_COMPONENT_CHI = ["tests/test_model.py::TestValidate::"
+                        "test_echoed_component_ints_are_cut[component-chi]"]
+FRACTION_SHOWN = ["tests/test_golden_cli.py::test_cli_bytes[compute-71]"]
 
 # (module, function, expression, replacement, the node ids that kill it)
 MUTANTS = [
@@ -167,13 +177,24 @@ MUTANTS = [
     ("model", "_cut", "len(text) > limit", "False", LONG_INPUTS),
     ("model", "_cut", "len(text) > limit", "len(text) >= limit", SHOWN_WHOLE),
     ("cli", "_Parser.error", "_cut(message, _MESSAGE_SHOWN)", "message", LONG_FLAGS),
-    # A refused weight or rho is echoed through the same cut, as str.
-    ("model", "validate", "_shown(w, str)", "str(w)", ECHOED_INSTANCE),
-    ("model", "validate", "_shown(rho, str)", "str(rho)", ECHOED_INSTANCE),
-    ("oracle", "FiniteWeightedSpace.__new__", "_shown(w, str)", "str(w)", ECHOED_VERTEX),
-    ("classifier", "_conic_levels", "_shown(w, str)", "str(w)", ECHOED_CLASSIFIED),
-    ("classifier", "_r1_table", "_shown(w, str)", "str(w)", ECHOED_CLASSIFIED),
-    ("classifier", "_r2_table", "_shown(w2, str)", "str(w2)", ECHOED_CLASSIFIED),
+    # One echo rule: a Fraction is quoted as p/q, anything else by its repr.
+    ("model", "_shown", "isinstance(value, Fraction)", "False", FRACTION_SHOWN),
+    # Every echoed weight, rho or outside int goes through the same cut.
+    ("model", "validate", "_shown(w)", "str(w)", ECHOED_INSTANCE),
+    ("model", "validate", "_shown(rho)", "str(rho)", ECHOED_INSTANCE),
+    ("oracle", "FiniteWeightedSpace.__new__", "_shown(w)", "str(w)", ECHOED_VERTEX),
+    ("classifier", "_conic_levels", "_shown(w)", "str(w)", ECHOED_CLASSIFIED),
+    ("classifier", "_r1_table", "_shown(w)", "str(w)", ECHOED_CLASSIFIED),
+    ("classifier", "_r2_table", "_shown(w2)", "str(w2)", ECHOED_CLASSIFIED),
+    ("oracle", "_check_vertex_count",
+     "f'm = {_shown(m)} vertices exceeds the face-enumeration cap {MAX_VERTICES}'",
+     "f'm = {m} vertices exceeds the face-enumeration cap {MAX_VERTICES}'", ECHOED_COUNT),
+    ("cli", "_cmd_selftest", "_shown(args.cases)", "args.cases", ECHOED_CASES),
+    ("model", "_check_components", "_shown(total_chi)", "total_chi", ECHOED_COMPONENT_CHI),
+    ("model", "_check_components", "_shown(chi_c)", "chi_c", ECHOED_CHI),
+    ("model", "_check_components", "f'singular index {_shown(i)} outside 1..{r}'",
+     "f'singular index {i} outside 1..{r}'", ECHOED_INDEX),
+    ("cli", "_check_levels", "_shown(walk)", "walk", ECHOED_WALK),
     # Help is laid out at the width of the call's COLUMNS, not a fixed one.
     ("cli", "_build_parser", "shutil.get_terminal_size().columns - 2", "78", HELP_COLUMNS),
     # One exactness check: a float is refused, and the series bound is checked.
