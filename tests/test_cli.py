@@ -309,14 +309,24 @@ class TestLongInputsAreCut:
     NINES = "9" * 4000
     NINES_4200 = "9" * 4200
 
-    @pytest.mark.parametrize("argv,prefix", [
-        (["compute", "--chi-c", "1", "--rho", "1", "--weights", "-" + NINES],
-         "NonPositiveWeight: "),
-        (["compute", "--chi-c", "1", "--rho", "-" + NINES], "NonPositiveRho: "),
+    @pytest.mark.parametrize("argv,error", [
+        (["compute", "--chi-c", "1", "--rho", "1", "--weights", "-" + NINES], "NonPositiveWeight"),
+        (["compute", "--chi-c", "1", "--rho", "-" + NINES], "NonPositiveRho"),
         (["oracle", "--vertices", "2", "--weights", "-" + NINES, "--rho", "1"],
-         "NonPositiveWeight: "),
-        (["classify", "--chi-c", "1", "--weights", NINES, "--rho", "1"], "OutOfScope: "),
-        (["classify", "--chi-c", "1", "--weights", "1/2," + NINES, "--rho", "1"], "OutOfScope: "),
+         "NonPositiveWeight"),
+        (["classify", "--chi-c", "1", "--weights", NINES, "--rho", "1"], "OutOfScope"),
+        (["classify", "--chi-c", "1", "--weights", "1/2," + NINES, "--rho", "1"], "OutOfScope"),
+    ], ids=["weight", "rho", "oracle-weight", "classify-weight", "classify-second-weight"])
+    def test_echoed_weights_and_rho_are_cut_to_one_line_under_200_bytes(self, capsys, argv,
+                                                                         error):
+        # Whole, each line repeated all 4,000 digits.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {error}: ")
+        assert err.count("\n") == 1
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("argv,prefix", [
         (["oracle", "--vertices", NINES, "--rho", "1"], "TooManyVertices: "),
         (["selftest", "--cases", "-" + NINES], "--cases must be at least 1, got "),
         (["compute", "--chi-c", NINES, "--rho", "1", "--weights", "1/2",
@@ -328,8 +338,7 @@ class TestLongInputsAreCut:
         (["compute", "--chi-c", "-3", "--rho", "1e4200"], "TooManyLevels: "),
         (["series", "--chi-c", "-1", "--weights", "1/2", "--rho", "1", "--bound", NINES_4200],
          "TooManyLevels: "),
-    ], ids=["weight", "rho", "oracle-weight", "classify-weight", "classify-second-weight",
-            "vertices", "cases", "component-chi-sum", "singular-index", "strata-walk",
+    ], ids=["vertices", "cases", "component-chi-sum", "singular-index", "strata-walk",
             "strata-walk-exponent", "series-walk"])
     def test_echoed_values_are_cut_to_one_line_under_200_bytes(self, capsys, argv, prefix):
         # Whole, each line repeated all 4,000 or 4,200 digits.
