@@ -79,8 +79,8 @@ def main(argv: list[str] | None = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _build_parser(argv).parse_args(argv)
         return args.run(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -93,7 +93,9 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: list[str]) -> _Parser:
+    """The parser of ``argv``: every subcommand by name and help line, and
+    the flags of the one that ``argv`` invokes."""
     # argparse makes a HelpFormatter for each flag it adds, and each one would
     # ask the OS for the terminal size; the width is read once a build, so
     # help still follows COLUMNS on every call.
@@ -105,24 +107,34 @@ def _build_parser() -> _Parser:
                      formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=functools.partial(_Parser, formatter_class=formatter))
+    # The top level takes no option with a value, so argparse dispatches to
+    # the first word of argv that names a subcommand; no other subcommand
+    # parses anything, so their flags are not declared.
+    command = next((arg for arg in argv if arg in _COMMANDS), None)
+    for name, (help_line, declare) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_line)
+        if name == command:
+            declare(subparser)
+    return parser
 
-    # The instance flags of compute, series and classify, declared once.
-    instance_flags = _Parser(add_help=False, formatter_class=formatter)
-    instance_flags.add_argument("--chi-c", type=int,
-                                help="Euler characteristic (compact supports) of X")
-    instance_flags.add_argument("--weights", help="comma-separated singular weights")
-    instance_flags.add_argument("--rho", help="total-mass bound, exact fraction")
-    instance_flags.add_argument(
+
+def _instance_flags(parser: _Parser) -> None:
+    """The instance flags of compute, series and classify."""
+    parser.add_argument("--chi-c", type=int, help="Euler characteristic (compact supports) of X")
+    parser.add_argument("--weights", help="comma-separated singular weights")
+    parser.add_argument("--rho", help="total-mass bound, exact fraction")
+    parser.add_argument(
         "--space",
         choices=["compact", "lc", "even-interior"],
         default=None,
         help="what is known about X (default: compact)",
     )
-    instance_flags.add_argument("--components", help="JSON array of component objects")
-    instance_flags.add_argument("--instance", help="path to an instance JSON document")
+    parser.add_argument("--components", help="JSON array of component objects")
+    parser.add_argument("--instance", help="path to an instance JSON document")
 
-    compute = sub.add_parser("compute", parents=[instance_flags],
-                             help="chi_c and d_rho, cross-checked")
+
+def _compute_flags(compute: _Parser) -> None:
+    _instance_flags(compute)
     compute.add_argument(
         "--method",
         choices=[*_METHOD_RUNNERS, "all"],
@@ -133,13 +145,15 @@ def _build_parser() -> _Parser:
     compute.add_argument("--json", action="store_true", help="emit a canonical JSON report")
     compute.set_defaults(run=_cmd_compute)
 
-    series = sub.add_parser("series", parents=[instance_flags],
-                            help="dump the generating series")
+
+def _series_flags(series: _Parser) -> None:
+    _instance_flags(series)
     series.add_argument("--bound", help="truncate at this exponent instead of rho")
     series.add_argument("--json", action="store_true")
     series.set_defaults(run=_cmd_series)
 
-    oracle = sub.add_parser("oracle", help="finite-space face count vs the algorithms")
+
+def _oracle_flags(oracle: _Parser) -> None:
     oracle.add_argument("--vertices", type=int, required=True, help="number of vertices")
     oracle.add_argument(
         "--weights", default="", help="weights of the first vertices (rest weigh 1)"
@@ -148,8 +162,9 @@ def _build_parser() -> _Parser:
     oracle.add_argument("--json", action="store_true")
     oracle.set_defaults(run=_cmd_oracle)
 
-    classify = sub.add_parser("classify", parents=[instance_flags],
-                              help="symbolic homotopy type (r <= 2)")
+
+def _classify_flags(classify: _Parser) -> None:
+    _instance_flags(classify)
     classify.add_argument(
         "--placement",
         choices=["one-each", "both-first"],
@@ -160,12 +175,21 @@ def _build_parser() -> _Parser:
     classify.add_argument("--json", action="store_true")
     classify.set_defaults(run=_cmd_classify)
 
-    st = sub.add_parser("selftest", help="randomized cross-check corpora")
-    st.add_argument("--cases", type=int, default=1000)
-    st.add_argument("--seed", type=int, default=None)
-    st.set_defaults(run=_cmd_selftest)
 
-    return parser
+def _selftest_flags(selftest: _Parser) -> None:
+    selftest.add_argument("--cases", type=int, default=1000)
+    selftest.add_argument("--seed", type=int, default=None)
+    selftest.set_defaults(run=_cmd_selftest)
+
+
+# Each subcommand, in help order: its help line and what declares its flags.
+_COMMANDS = {
+    "compute": ("chi_c and d_rho, cross-checked", _compute_flags),
+    "series": ("dump the generating series", _series_flags),
+    "oracle": ("finite-space face count vs the algorithms", _oracle_flags),
+    "classify": ("symbolic homotopy type (r <= 2)", _classify_flags),
+    "selftest": ("randomized cross-check corpora", _selftest_flags),
+}
 
 
 def _load_instance(args: argparse.Namespace) -> ValidatedInstance:

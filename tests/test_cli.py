@@ -30,6 +30,7 @@ from barychi.model import (
 )
 from barychi.oracle import FiniteWeightedSpace
 from barychi.series import SparseSeries, chi_c_series
+import dispatch_cli
 from test_engine import tie_heavy_instances
 from test_import_path import fresh
 from test_series import SCALE_CASES, series_command_reference
@@ -1146,7 +1147,7 @@ class TestNoCyclicGarbage:
                                                  "classify", "input-error", "selftest",
                                                  "compute-breakdown", "series-bound"])
     def test_a_request_adds_none_to_parsing(self, argv):
-        parsed = self.garbage(lambda: cli._build_parser().parse_args(argv))
+        parsed = self.garbage(lambda: cli._build_parser(argv).parse_args(argv))
         assert self.garbage(lambda: main(argv)) == parsed
 
 
@@ -1311,6 +1312,74 @@ class TestNothingCarriesOver:
         order = [*range(len(self.REQUESTS)), *reversed(range(len(self.REQUESTS))), 3, 0, 4, 2]
         for i in order:
             assert run(capsys, *self.REQUESTS[i]) == alone[i], self.REQUESTS[i]
+
+
+class TestDispatchBytes:
+    """Each argv of tests/dispatch_cli.py, at each of its widths, exits with
+    the code and prints the stdout and stderr recorded for this Python: help,
+    a wrong or a missing command, words before the command, another
+    subcommand's flags, abbreviations and bad values."""
+
+    RECORDED = {(tuple(run["argv"]), run["columns"]): run for run in dispatch_cli.recorded()}
+
+    @pytest.mark.parametrize("columns", dispatch_cli.COLUMNS)
+    @pytest.mark.parametrize("argv", dispatch_cli.CASES,
+                             ids=[" ".join(argv) or "(none)" for argv in dispatch_cli.CASES])
+    def test_prints_the_recorded_bytes(self, argv, columns):
+        if not self.RECORDED:
+            pytest.skip(f"no dispatch bytes recorded for Python {dispatch_cli.version()}")
+        assert dispatch_cli.run(argv, columns) == self.RECORDED[tuple(argv), columns]
+
+
+class TestOnlyTheInvokedCommandIsBuilt:
+    """A build declares the flags of the subcommand its argv invokes, exactly
+    those, and only -h for every other subcommand."""
+
+    INSTANCE = [("--chi-c",), ("--weights",), ("--rho",), ("--space",), ("--components",),
+                ("--instance",)]
+    FLAGS = {
+        "compute": [*INSTANCE, ("--method",), ("--breakdown",), ("--json",)],
+        "series": [*INSTANCE, ("--bound",), ("--json",)],
+        "oracle": [("--vertices",), ("--weights",), ("--rho",), ("--json",)],
+        "classify": [*INSTANCE, ("--placement",), ("--chi-a",), ("--chi-b",), ("--json",)],
+        "selftest": [("--cases",), ("--seed",)],
+    }
+
+    @pytest.mark.parametrize("command", FLAGS)
+    def test_flags_of_the_invoked_command_alone(self, command):
+        (subparsers,) = cli._build_parser([command, "--json"])._subparsers._group_actions
+        assert list(subparsers.choices) == list(self.FLAGS)
+        for name, subparser in subparsers.choices.items():
+            flags = [tuple(action.option_strings) for action in subparser._actions]
+            assert flags == [("-h", "--help"), *(self.FLAGS[name] if name == command else [])]
+
+
+class TestMainReadsSysArgv:
+    """main() with no argument runs the request sys.argv names, as
+    main(sys.argv[1:]) does."""
+
+    @staticmethod
+    def outcome(capsys, request):
+        try:
+            code = request()
+        except SystemExit as exc:  # argparse's help
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--chi-c", "2", "--weights", "1/2", "--rho", "1"],
+        ["oracle", "--vertices", "3", "--weights", "1/2", "--rho", "2", "--json"],
+        ["classify", "--chi-c", "3", "--weights", "3/10,2/5", "--rho", "5/2", "--chi-a", "2",
+         "--chi-b", "1"],
+        ["selftest", "-h"],
+        ["series", "--chi-c", "1", "--rho", "1", "--cases", "3"],
+    ], ids=["compute", "oracle", "classify", "selftest-help", "series-error"])
+    def test_no_argument_reads_sys_argv(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "argv", ["barychi", *argv])
+        alone = self.outcome(capsys, main)
+        assert alone == self.outcome(capsys, lambda: main(sys.argv[1:]))
+        assert alone[1] or alone[2]
 
 
 class TestRouteTable:

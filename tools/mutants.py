@@ -19,10 +19,13 @@ directory, writes the mutated module there with ``ast.unparse`` and runs
 row's tests against that copy.  Before any mutant, the same run on an
 unmutated copy (each listed module round-tripped through ``ast.unparse``)
 must pass the union of the rows' node ids, so a kill is never the round
-trip's doing, nor a node id that names no test.  The script prints one line per mutant, names every
-survivor, and exits 1 when a mutant survives and 2 when the table or the
-unmutated copy is at fault.  Only the standard library is used, besides
-pytest and hypothesis for the tests.
+trip's doing, nor a node id that names no test.  That run goes alone; the
+rows then run on one thread per CPU this process may use, each thread
+waiting on its row's pytest process in the row's own copy.  The script
+prints one line per mutant, in table order, names every survivor, and
+exits 1 when a mutant survives and 2 when the table or the unmutated copy
+is at fault.  Only the standard library is used, besides pytest and
+hypothesis for the tests.
 """
 from __future__ import annotations
 
@@ -33,6 +36,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -94,6 +98,9 @@ ECHOED_WALK = [f"{ECHOED}[strata-walk]"]
 ECHOED_COMPONENT_CHI = ["tests/test_model.py::TestValidate::"
                         "test_echoed_component_ints_are_cut[component-chi]"]
 FRACTION_SHOWN = ["tests/test_golden_cli.py::test_cli_bytes[compute-71]"]
+WORD_BEFORE_COMMAND = ["tests/test_cli.py::TestDispatchBytes::test_prints_the_recorded_bytes"
+                       f"[--bogus compute --chi-c 1 --rho 1-{columns}]"
+                       for columns in (40, 100, 200)]
 
 # (module, function, expression, replacement, the node ids that kill it)
 MUTANTS = [
@@ -197,6 +204,10 @@ MUTANTS = [
     ("cli", "_check_levels", "_shown(walk)", "walk", ECHOED_WALK),
     # Help is laid out at the width of the call's COLUMNS, not a fixed one.
     ("cli", "_build_parser", "shutil.get_terminal_size().columns - 2", "78", HELP_COLUMNS),
+    # A build declares the flags of the subcommand argparse dispatches to:
+    # the first word of argv that names one, not whatever argv starts with.
+    ("cli", "_build_parser", "next((arg for arg in argv if arg in _COMMANDS), None)",
+     "argv[0] if argv else None", WORD_BEFORE_COMMAND),
     # One exactness check: a float is refused, and the series bound is checked.
     ("model", "_exact", "isinstance(value, Fraction)", "isinstance(value, (Fraction, float))",
      INEXACT_RHO),
@@ -304,13 +315,16 @@ def main() -> int:
     if not passed:
         print(f"the unmutated copy fails {' '.join(every_test)}; no mutant was run")
         return 2
-    print(f"unmutated copy passes ({seconds:.1f} s)")
+    print(f"unmutated copy passes ({seconds:.1f} s)", flush=True)
     survivors = []
-    for name, modules, tests in mutants:
-        passed, seconds = run_tests(modules, tests)
-        print(f"{'SURVIVED' if passed else 'killed  '} {name} ({seconds:.1f} s)")
-        if passed:
-            survivors.append(name)
+    # Each row's time goes to starting its pytest process, which a thread
+    # only waits on, so one thread per usable CPU keeps them all busy.
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        outcomes = pool.map(lambda mutant: run_tests(*mutant[1:]), mutants)
+        for (name, *_), (passed, seconds) in zip(mutants, outcomes):
+            print(f"{'SURVIVED' if passed else 'killed  '} {name} ({seconds:.1f} s)", flush=True)
+            if passed:
+                survivors.append(name)
     for name in survivors:
         print(f"survivor: {name}")
     print(f"{len(mutants) - len(survivors)} of {len(mutants)} mutants killed")
