@@ -95,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _build_parser(argv: list[str]) -> _Parser:
     """The parser of ``argv``: every subcommand by name and help line, and
-    the flags of the one that ``argv`` invokes."""
+    the ``-h`` and flags of the one that ``argv`` invokes."""
     # argparse makes a HelpFormatter for each flag it adds, and each one would
     # ask the OS for the terminal size; the width is read once a build, so
     # help still follows COLUMNS on every call.
@@ -105,16 +105,18 @@ def _build_parser(argv: list[str]) -> _Parser:
                                   width=shutil.get_terminal_size().columns - 2)
     parser = _Parser(prog="barychi", description=__doc__.splitlines()[0],
                      formatter_class=formatter)
-    sub = parser.add_subparsers(dest="command", required=True,
+    # Given prog, argparse does not lay out a usage line to find the prefix.
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog,
                                 parser_class=functools.partial(_Parser, formatter_class=formatter))
     # The top level takes no option with a value, so argparse dispatches to
     # the first word of argv that names a subcommand; no other subcommand
-    # parses anything, so their flags are not declared.
+    # parses, prints or refuses anything, so it holds no action at all.
     command = next((arg for arg in argv if arg in _COMMANDS), None)
     for name, (help_line, declare) in _COMMANDS.items():
-        subparser = sub.add_parser(name, help=help_line)
         if name == command:
-            declare(subparser)
+            declare(sub.add_parser(name, help=help_line))
+        else:
+            sub.add_parser(name, help=help_line, add_help=False)
     return parser
 
 

@@ -2,10 +2,12 @@ import contextlib
 import gc
 import io
 import json
+import os
 import sys
 import time
 from fractions import Fraction
 from itertools import chain
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -1332,8 +1334,8 @@ class TestDispatchBytes:
 
 
 class TestOnlyTheInvokedCommandIsBuilt:
-    """A build declares the flags of the subcommand its argv invokes, exactly
-    those, and only -h for every other subcommand."""
+    """A build declares -h and the flags of the subcommand its argv invokes,
+    exactly those, and no action at all for every other subcommand."""
 
     INSTANCE = [("--chi-c",), ("--weights",), ("--rho",), ("--space",), ("--components",),
                 ("--instance",)]
@@ -1351,7 +1353,54 @@ class TestOnlyTheInvokedCommandIsBuilt:
         assert list(subparsers.choices) == list(self.FLAGS)
         for name, subparser in subparsers.choices.items():
             flags = [tuple(action.option_strings) for action in subparser._actions]
-            assert flags == [("-h", "--help"), *(self.FLAGS[name] if name == command else [])]
+            assert flags == ([("-h", "--help"), *self.FLAGS[name]] if name == command else [])
+
+
+def every_command_parser(argv):
+    """The reference build: every subcommand declared in full, with its -h
+    and all its flags, laid out by argparse's own formatter.  ``argv`` is
+    not read."""
+    parser = cli._Parser(prog="barychi", description=cli.__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, declare) in cli._COMMANDS.items():
+        declare(sub.add_parser(name, help=help_line))
+    return parser
+
+
+class TestIdleCommandsNeverDispatch:
+    """argparse dispatches only to the subcommand that a build declares in
+    full, so any argv exits with the code and prints the bytes it does when
+    every subcommand is declared in full."""
+
+    FLAGS = sorted({flag for choice in every_command_parser([])._subparsers._group_actions
+                    for subparser in choice.choices.values()
+                    for action in subparser._actions for flag in action.option_strings})
+    WORDS = [*cli._COMMANDS, *FLAGS, "--", "1", "-1", "1/2", "2", "all", "lc", "x", "bogus",
+             "comp", "-5", "--we", "--chi"]
+
+    @staticmethod
+    def outcome(build, argv):
+        # selftest is stubbed alike in both runs, so a bare selftest stays cheap.
+        def run_selftest(cases, seed):
+            print(f"selftest cases={cases} seed={seed}")
+            return True
+
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(cli, "_build_parser", build), \
+                mock.patch.object(selftest, "run_selftest", run_selftest), \
+                mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's help
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(WORDS), max_size=8))
+    def test_same_bytes_as_every_command_declared(self, argv):
+        assert (self.outcome(cli._build_parser, argv)
+                == self.outcome(every_command_parser, argv)), argv
 
 
 class TestMainReadsSysArgv:

@@ -101,6 +101,10 @@ FRACTION_SHOWN = ["tests/test_golden_cli.py::test_cli_bytes[compute-71]"]
 WORD_BEFORE_COMMAND = ["tests/test_cli.py::TestDispatchBytes::test_prints_the_recorded_bytes"
                        f"[--bogus compute --chi-c 1 --rho 1-{columns}]"
                        for columns in (40, 100, 200)]
+IDLE_SHAPE = ["tests/test_cli.py::TestOnlyTheInvokedCommandIsBuilt"]
+SUBCOMMAND_HELP = ["tests/test_cli.py::TestDispatchBytes::test_prints_the_recorded_bytes"
+                   f"[{command} -h-{columns}]" for command in ("compute", "selftest")
+                   for columns in (40, 100, 200)]
 
 # (module, function, expression, replacement, the node ids that kill it)
 MUTANTS = [
@@ -208,6 +212,10 @@ MUTANTS = [
     # the first word of argv that names one, not whatever argv starts with.
     ("cli", "_build_parser", "next((arg for arg in argv if arg in _COMMANDS), None)",
      "argv[0] if argv else None", WORD_BEFORE_COMMAND),
+    # A subcommand argv does not invoke holds no action, not even -h; the
+    # invoked one's usage starts "barychi <command>", one space between.
+    ("cli", "_build_parser", "False", "True", IDLE_SHAPE),
+    ("cli", "_build_parser", "parser.prog", "parser.prog + ' '", SUBCOMMAND_HELP),
     # One exactness check: a float is refused, and the series bound is checked.
     ("model", "_exact", "isinstance(value, Fraction)", "isinstance(value, (Fraction, float))",
      INEXACT_RHO),
