@@ -23,11 +23,14 @@ from .model import (
 )
 from .cli import _METHOD_RUNNERS, compare_with_oracle
 from .oracle import FiniteWeightedSpace
+from .series import COLUMNS_FROM
 
 
 def random_instance(rng: random.Random) -> ValidatedInstance:
     """chi_c in [-10, 10], r in [0, 8], weights in (0, 2] with
-    denominators <= 20, rho in (0, 12]."""
+    denominators <= 20, rho in (0, 12], or, one draw in eight, in
+    (COLUMNS_FROM, 2 * COLUMNS_FROM], where the series route expands its
+    residue columns."""
     chi_c = rng.randint(-10, 10)
     r = rng.randint(0, 8)
     weights = []
@@ -35,7 +38,8 @@ def random_instance(rng: random.Random) -> ValidatedInstance:
         d = rng.randint(1, 20)
         weights.append(Fraction(rng.randint(1, 2 * d), d))
     d = rng.randint(1, 20)
-    rho = Fraction(rng.randint(1, 12 * d), d)
+    low, high = (COLUMNS_FROM, 2 * COLUMNS_FROM) if rng.randrange(8) == 0 else (0, 12)
+    rho = Fraction(rng.randint(low * d + 1, high * d), d)
     kind = rng.choice(list(SpaceKind))
     components = None
     if kind is SpaceKind.UNION_OF_BASIC:

@@ -103,6 +103,12 @@ class TestChiCStrata:
         for inst in engine_corpus[:200]:
             assert chi_c_strata(inst).chi_c_value == chi_c_direct(inst).chi_c_value
 
+    def test_a_pair_whose_weights_sum_to_rho_is_counted(self):
+        # w_1 + w_2 = rho: the pair's room is 0, and its family is the open
+        # 1-simplex at level 0, worth -1.
+        inst = make(0, ["1/2", "3/2"], 2)
+        assert chi_c_strata(inst).chi_c_value == chi_c_direct(inst).chi_c_value == -2
+
     def test_breakdown_lists_a_level_whose_signed_count_is_zero(self):
         # Three half weights at rho 1: the three singles and the three pairs
         # all sit at level 0, so N(0) = 0, and each is still a stratum family.

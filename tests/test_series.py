@@ -11,18 +11,22 @@ from hypothesis import strategies as st
 
 from barychi.cli import _exponent_texts, main
 from barychi.combinatorics import ext_binomial
-from barychi.engine import ChiResult, chi_c_direct
+from barychi.engine import ChiResult, chi_c_direct, chi_c_strata
 from barychi.errors import InputFormatError, NonPositiveRho, NonPositiveWeight
 from barychi.model import ProblemInstance, instance_to_json_dict, validate
 from barychi.series import (
+    COLUMNS_FROM,
     SparseSeries,
+    _expand_columns,
+    _expand_terms,
+    _factors,
     chen_lin_series,
     chi_c_series,
     truncation_bound,
     window_columns,
 )
 
-from test_engine import kernel_instances, tie_heavy_instances
+from test_engine import kernel_instances, make, tie_heavy_instances
 
 F = Fraction
 
@@ -408,3 +412,76 @@ class TestFactorOrder:
         bound = None if stretch is None else inst.rho * stretch
         assert chen_lin_series(inst, bound).terms() == \
             chen_lin_series_ascending(inst, bound).terms()
+
+
+@st.composite
+def column_cases(draw):
+    """An instance and a cut at or above rho, tie-heavy: r = 0..6 weights
+    drawn with repeats from a few that mostly share a small denominator,
+    integer weights among them; rho a drawn subset's weight plus an integer,
+    an integer, or on the small grid, with floor(rho) on both sides of
+    ``COLUMNS_FROM``; m = r - chi_c from -3 to 12; the cut at rho, at a
+    subset's weight plus an integer, just under the switch, on it, or
+    further above rho."""
+    den = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+    weight = st.one_of(st.integers(1, 3).map(F), st.integers(1, 4 * den).map(lambda n: F(n, den)),
+                       st.fractions(F(1, 20), F(5), max_denominator=20))
+    pool = draw(st.lists(weight, min_size=1, max_size=3))
+    weights = draw(st.lists(st.sampled_from(pool), max_size=6))
+    chosen = [w for w in weights if draw(st.booleans())]
+    top = 2 * COLUMNS_FROM
+    rho = draw(st.one_of(
+        st.integers(0, top).map(lambda n: sum(chosen, F(n))),
+        st.integers(1, top).map(F),
+        st.integers(1, top * den).map(lambda n: F(n, den)),
+    ))
+    rho = rho if rho > 0 else F(1, den)
+    inst = make(len(weights) - draw(st.integers(-3, 12)), weights, rho)
+    bound = draw(st.one_of(
+        st.none(),
+        st.integers(0, top).map(lambda n: sum(chosen, F(n))),
+        st.sampled_from([F(COLUMNS_FROM) - F(1, den), F(COLUMNS_FROM)]),
+        st.fractions(F(0), F(COLUMNS_FROM), max_denominator=12).map(lambda b: rho + b),
+    ))
+    return inst, truncation_bound(rho, bound)
+
+
+class TestResidueColumns:
+    """A long cut is expanded as residue columns, a short one term by term;
+    the two must give the same series."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(column_cases())
+    def test_columns_give_the_terms_of_the_dict(self, case):
+        inst, cut = case
+        by_terms, by_columns = (expand(*_factors(inst, cut))
+                                for expand in (_expand_terms, _expand_columns))
+        assert by_columns.terms() == by_terms.terms()
+        assert len(by_columns) == len(by_terms)
+
+    def test_the_switch_is_on_the_floor_of_the_cut(self):
+        inst = validate(ProblemInstance(-1, (F(1, 2), F(2, 3)), F(1)))
+        below = chen_lin_series(inst, F(COLUMNS_FROM) - F(1, 6))
+        at = chen_lin_series(inst, F(COLUMNS_FROM))
+        assert type(below) is SparseSeries and type(at) is not SparseSeries
+        assert at.terms()[:len(below)] == below.terms()
+
+
+@st.composite
+def long_rho_instances(draw):
+    """r <= 4 tie-heavy weights and rho = w_J + n with floor(rho) in 16..300."""
+    weights = draw(st.lists(st.fractions(F(1, 12), F(3), max_denominator=12), max_size=4))
+    chosen = sum((w for w in weights if draw(st.booleans())), F(0))
+    rho = chosen + draw(st.integers(16 - floor(chosen), 300 - floor(chosen)))
+    return make(draw(st.integers(-8, 4)), weights, rho)
+
+
+class TestRoutesAgreeAtLongRho:
+    @settings(max_examples=100, deadline=None)
+    @given(long_rho_instances())
+    def test_series_agrees_with_direct_and_strata(self, inst):
+        res = chi_c_series(inst, breakdown=True)
+        assert res.chi_c_value == chi_c_direct(inst).chi_c_value == chi_c_strata(inst).chi_c_value
+        # The window rows read off the columns are those of the dict.
+        assert res == ChiResult(*window_reference(_expand_terms(*_factors(inst, inst.rho)),
+                                                  inst.rho))

@@ -47,6 +47,8 @@ TIMEOUT = 120
 # The tests that kill the mutants, as pytest node ids.
 STRATA_AGREES = ["tests/test_engine.py::TestChiCStrata::test_agrees_with_direct"]
 STRATA_HALF = ["tests/test_engine.py::TestChiCStrata::test_single_half_weight_contributions"]
+STRATA_PAIR_AT_RHO = ["tests/test_engine.py::TestChiCStrata::"
+                      "test_a_pair_whose_weights_sum_to_rho_is_counted"]
 STRATA_ZERO_COUNT = ["tests/test_engine.py::TestChiCStrata::"
                      "test_breakdown_lists_a_level_whose_signed_count_is_zero"]
 DIRECT_HALF = ["tests/test_engine.py::TestChiCDirect::test_single_half_weight"]
@@ -57,6 +59,8 @@ SERIES_ZEROS = ["tests/test_series.py::TestSparseSeries::test_zero_coefficients_
 SERIES_IDENTITY = ["tests/test_series.py::TestSparseSeries::test_exponent_value_identity"]
 SERIES_WINDOW = ["tests/test_series.py::TestSparseSeries::"
                  "test_reduced_terms_are_terms_as_integers"]
+SERIES_COLUMNS = ["tests/test_series.py::TestResidueColumns::"
+                  "test_columns_give_the_terms_of_the_dict"]
 ORACLE_TWO = ["tests/test_oracle.py::TestOracleChi::test_two_vertices"]
 ORACLE_THREE = ["tests/test_oracle.py::TestOracleChi::test_three_vertices"]
 R1_SWEEP = ["tests/test_classifier.py::TestClassifyR1::test_engine_consistency_sweep"]
@@ -111,10 +115,10 @@ MUTANTS = [
     # Prune sites: a sum equal to the cap still fits.
     ("engine", "_fitting_sums", "s <= cap", "s < cap", STRATA_AGREES),
     ("engine", "_room_level_counts", "[room - step for room in odd if room >= step]",
-     "[room - step for room in odd if room > step]", STRATA_AGREES),
+     "[room - step for room in odd if room > step]", STRATA_PAIR_AT_RHO),
     ("engine", "_room_level_counts", "[room - step for room in even if room >= step]",
      "[room - step for room in even if room > step]", STRATA_AGREES),
-    ("series", "chen_lin_series", "k <= cap", "k < cap", SERIES_ZEROS),
+    ("series", "_expand_terms", "k <= cap", "k < cap", SERIES_ZEROS),
     ("oracle", "oracle_chi", "[s + step for s in odd if s <= cap]",
      "[s + step for s in odd if s < cap]", ORACLE_THREE),
     ("oracle", "oracle_chi", "[s + step for s in even if s <= cap]",
@@ -151,9 +155,16 @@ MUTANTS = [
      "1 - sum((count * value[level] for level, count in counts.items()))",
      "-sum((count * value[level] for level, count in counts.items()))", STRATA_HALF),
     ("oracle", "oracle_chi", "len(odd) - (len(even) - 1)", "len(odd) - len(even)", ORACLE_TWO),
-    ("series", "chen_lin_series", "coeff * (m + n - 1) // n", "coeff * (m + n) // n",
-     SERIES_ZEROS),
-    ("series", "chen_lin_series", "-step", "-step + 1", SERIES_ZEROS),
+    ("series", "_factors", "coeff * (m + n - 1) // n", "coeff * (m + n) // n", SERIES_ZEROS),
+    ("series", "_factors", "-step", "-step + 1", SERIES_ZEROS),
+    # The residue columns: a step that carries past the scale lands one
+    # level on, and a column is cut at the same top as the dict's terms.
+    ("series", "_expand_columns", "t >= scale", "t > scale", SERIES_COLUMNS),
+    ("series", "_expand_columns", "at + 1", "at", SERIES_COLUMNS),
+    ("series", "_expand_columns", "(top - t) // scale - at + 1", "(top - t) // scale - at + 2",
+     SERIES_COLUMNS),
+    ("series", "_expand_columns", "(top - t) // scale - at + 1", "(top - t) // scale - at",
+     SERIES_COLUMNS),
     # Subset levels: floor, not ceiling, and bit j of the mask is weight j.
     ("model", "subset_levels", "room // base", "-(-room // base)", LEVELS),
     ("model", "subset_levels", "[room - step for room in rooms]",
@@ -170,7 +181,7 @@ MUTANTS = [
      "rho.numerator * scale // rho.denominator - 1", SERIES_WINDOW),
     ("series", "window_columns", "bisect_right(keys, 0)",
      "__import__('bisect').bisect_left(keys, 0)", SERIES_WINDOW),
-    ("series", "chen_lin_series", "not coeff", "False", SERIES_IDENTITY),
+    ("series", "_factors", "not coeff", "False", SERIES_IDENTITY),
     # main gives the caller back its collector setting on every exit, and
     # turns the collector back on only when the caller had it on.
     ("cli", "main", "gc.enable()", "None", COLLECTOR),
