@@ -13,9 +13,10 @@ One scale serves the whole expansion: ``chen_lin_series`` stores every
 exponent as an integer over the LCD of the bound, rho and the weights, so
 each factor 1 - x^{w_j} is an integer shift of the terms and the cut and
 the window end are integer comparisons.  A short cut keeps the terms in
-one int-keyed dict; a cut of ``COLUMNS_FROM`` or more whole levels keeps
-them as residue columns, one list per exponent class modulo 1, so that a
-factor moves a whole column by slices.
+one int-keyed dict; a cut of ``COLUMNS_FROM`` or more whole levels, each
+with a term of the geometric power, keeps them as residue columns, one list
+per exponent class modulo 1, so that a factor moves a whole column by
+slices.
 """
 from __future__ import annotations
 
@@ -129,14 +130,23 @@ def chen_lin_series(instance: ValidatedInstance, bound: Fraction | None = None) 
     """Expand g(x) truncated at ``truncation_bound(rho, bound)``.
 
     ``_factors`` sets the scale, the geometric power and the factors'
-    order; a cut whose floor reaches ``COLUMNS_FROM`` is expanded as residue
-    columns (``_expand_columns``), a shorter one term by term in a dict
-    (``_expand_terms``).  The two give the same terms.  The constant term
+    order.  A cut whose floor reaches ``COLUMNS_FROM`` is expanded as residue
+    columns (``_expand_columns``) when the geometric power reaches it too,
+    any other cut term by term in a dict (``_expand_terms``).  The two give
+    the same terms.  The constant term
     of the product is exactly 1 (checked).
     """
     bound = truncation_bound(instance.rho, bound)
-    expand = _expand_columns if floor(bound) >= COLUMNS_FROM else _expand_terms
-    g = expand(*_factors(instance, bound))
+    scale, top, powers, steps = _factors(instance, bound)
+    # A column is stored densely from level 0 to its last term, so it costs
+    # as much as the walk is long.  Columns are used only where that walk
+    # is the whole cut, the power having a term at every level under it:
+    # one that ends early (m <= 0) leaves g a few terms under a cut that may
+    # lie any distance out.
+    levels = floor(bound)
+    dense = len(powers) > levels
+    expand = _expand_columns if dense and levels >= COLUMNS_FROM else _expand_terms
+    g = expand(scale, top, powers, steps)
     if g._constant() != 1:
         raise ArithmeticError(f"constant term of g is {g._constant()}, not 1")
     return g

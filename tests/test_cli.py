@@ -965,6 +965,23 @@ class TestLevelCaps:
         # Every face fits: the full simplex, contractible.
         assert out == "oracle: 1\ndirect: 1\nstrata: 1\nseries: 1\nverdict: MATCH\n"
 
+    # m <= 0 and a weight of 10^30 under rho = 10^40: g is 1 - x^(10^30), two
+    # terms, and the walk ends after one level however far out the cut is.
+    HUGE_WEIGHT = [
+        pytest.param(("oracle", "--vertices", "1", "--weights", "1e30", "--rho", "1e40"),
+                     id="oracle"),
+        pytest.param(("compute", "--chi-c", "1", "--weights", "1e30", "--rho", "1e40",
+                      "--method", "series"), id="series"),
+    ]
+
+    @pytest.mark.parametrize("argv", HUGE_WEIGHT)
+    def test_a_huge_weight_under_an_ended_power_answers_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert "series: 1\n" in out and "verdict: MATCH\n" in out
+
 
 class TestClassify:
     def test_two_light_points(self, capsys):

@@ -100,7 +100,12 @@ class TestChiCStrata:
             assert value == expected, (index_set, value, expected)
 
     def test_agrees_with_direct(self, engine_corpus):
-        for inst in engine_corpus[:200]:
+        corpus = engine_corpus[:200]
+        # A subset whose weights sum exactly to rho, the tie the prune
+        # sites' >= keeps: without one the agreement cannot tell >= from >.
+        assert any(index_set and total == inst.rho
+                   for inst in corpus for index_set, total in enumerate_subset_weights(inst))
+        for inst in corpus:
             assert chi_c_strata(inst).chi_c_value == chi_c_direct(inst).chi_c_value
 
     def test_a_pair_whose_weights_sum_to_rho_is_counted(self):

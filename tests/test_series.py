@@ -446,9 +446,42 @@ def column_cases(draw):
     return inst, truncation_bound(rho, bound)
 
 
+@st.composite
+def ended_power_cases(draw):
+    """m = r - chi_c from -3 to 0, so the geometric power is a polynomial of
+    degree -m; r <= 3 weights, each small or of 10^19 to 10^30, some
+    integers, some repeated; rho a drawn subset's weight plus an integer,
+    or an integer, from ``COLUMNS_FROM`` to 10^40."""
+    weight = st.one_of(st.integers(1, 3).map(F), st.fractions(F(1, 6), F(5), max_denominator=6),
+                       st.integers(10**19, 10**30).map(F),
+                       st.fractions(F(10**19), F(10**30), max_denominator=7))
+    pool = draw(st.lists(weight, min_size=1, max_size=2))
+    weights = draw(st.lists(st.sampled_from(pool), max_size=3))
+    chosen = sum((w for w in weights if draw(st.booleans())), F(0))
+    rho = draw(st.one_of(st.integers(COLUMNS_FROM, 10**40).map(lambda n: chosen + n),
+                         st.integers(COLUMNS_FROM, 10**40).map(F)))
+    return make(len(weights) - draw(st.integers(-3, 0)), weights, rho)
+
+
+def ended_power_reference(inst) -> list[tuple[Fraction, int]]:
+    """g's terms cut at rho for m <= 0, by its definition: the polynomial
+    (1 - x)^(-m) times each subset's signed monomial (-1)^|I| x^(w_I)."""
+    m = inst.r - inst.chi_c
+    g: dict[Fraction, int] = {}
+    for mask in range(1 << inst.r):
+        w_i = sum((w for j, w in enumerate(inst.weights) if mask >> j & 1), F(0))
+        for n in range(-m + 1):
+            e = w_i + n
+            if e <= inst.rho:
+                sign = (-1) ** (mask.bit_count() + n)
+                g[e] = g.get(e, 0) + sign * ext_binomial(-m, n)
+    return sorted((e, c) for e, c in g.items() if c)
+
+
 class TestResidueColumns:
-    """A long cut is expanded as residue columns, a short one term by term;
-    the two must give the same series."""
+    """A long cut with a term of the geometric power at every level under it
+    is expanded as residue columns, any other cut term by term; the two must
+    give the same series."""
 
     @settings(max_examples=400, deadline=None)
     @given(column_cases())
@@ -465,6 +498,14 @@ class TestResidueColumns:
         at = chen_lin_series(inst, F(COLUMNS_FROM))
         assert type(below) is SparseSeries and type(at) is not SparseSeries
         assert at.terms()[:len(below)] == below.terms()
+
+    @settings(max_examples=200, deadline=None)
+    @given(ended_power_cases())
+    def test_an_ended_power_keeps_the_dict(self, inst):
+        g = chen_lin_series(inst)
+        assert type(g) is SparseSeries
+        assert g.terms() == ended_power_reference(inst)
+        assert chi_c_series(inst).chi_c_value == chi_c_direct(inst).chi_c_value
 
 
 @st.composite

@@ -61,6 +61,7 @@ SERIES_WINDOW = ["tests/test_series.py::TestSparseSeries::"
                  "test_reduced_terms_are_terms_as_integers"]
 SERIES_COLUMNS = ["tests/test_series.py::TestResidueColumns::"
                   "test_columns_give_the_terms_of_the_dict"]
+SERIES_ENDED = ["tests/test_series.py::TestResidueColumns::test_an_ended_power_keeps_the_dict"]
 ORACLE_TWO = ["tests/test_oracle.py::TestOracleChi::test_two_vertices"]
 ORACLE_THREE = ["tests/test_oracle.py::TestOracleChi::test_three_vertices"]
 R1_SWEEP = ["tests/test_classifier.py::TestClassifyR1::test_engine_consistency_sweep"]
@@ -165,6 +166,8 @@ MUTANTS = [
      SERIES_COLUMNS),
     ("series", "_expand_columns", "(top - t) // scale - at + 1", "(top - t) // scale - at",
      SERIES_COLUMNS),
+    # A power that ends early keeps the dict, whatever the cut's floor.
+    ("series", "chen_lin_series", "len(powers) > levels", "True", SERIES_ENDED),
     # Subset levels: floor, not ceiling, and bit j of the mask is weight j.
     ("model", "subset_levels", "room // base", "-(-room // base)", LEVELS),
     ("model", "subset_levels", "[room - step for room in rooms]",
