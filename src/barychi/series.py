@@ -133,16 +133,14 @@ def chen_lin_series(instance: ValidatedInstance, bound: Fraction | None = None) 
     order.  A cut whose floor reaches ``COLUMNS_FROM`` is expanded as residue
     columns (``_expand_columns``) when the geometric power reaches it too,
     any other cut term by term in a dict (``_expand_terms``).  The two give
-    the same terms.  The constant term
-    of the product is exactly 1 (checked).
+    the same terms.  The constant term of the product is exactly 1 (checked).
     """
     bound = truncation_bound(instance.rho, bound)
     scale, top, powers, steps = _factors(instance, bound)
     # A column is stored densely from level 0 to its last term, so it costs
-    # as much as the walk is long.  Columns are used only where that walk
-    # is the whole cut, the power having a term at every level under it:
-    # one that ends early (m <= 0) leaves g a few terms under a cut that may
-    # lie any distance out.
+    # as many levels as the cut has.  Columns are used only where the power
+    # has a term at every level under the cut anyway: one that ends early
+    # (m <= 0) leaves g a few terms under a cut that may lie any distance out.
     levels = floor(bound)
     dense = len(powers) > levels
     expand = _expand_columns if dense and levels >= COLUMNS_FROM else _expand_terms
