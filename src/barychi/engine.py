@@ -164,18 +164,25 @@ def _fitting_sums(steps: list[int], top: int) -> dict[int, int]:
 
 def _room_level_counts(instance: ValidatedInstance) -> Counter[int]:
     """N(L) for each level L >= 0 that holds a fitting subset, 0 where they
-    cancel: the rooms (rho - w_I) * base of the fitting subsets I, built
-    whole by the parity of |I| and heaviest weight first, tallied per
-    level, the even less the odd."""
+    cancel: the rooms (rho - w_I) * base of the fitting subsets I, tallied
+    per level, the even less the odd.  The subsets without the lightest
+    weight are built whole by the parity of |I|, heaviest weight first; the
+    lightest weight's extensions, the largest share, are tallied as they are
+    made and never stored, odd's adding to the counts and even's
+    subtracting."""
     rho = instance.rho
     base = lcm(rho.denominator, *(w.denominator for w in instance.weights))
+    steps = [w.numerator * (base // w.denominator) for w in instance.weights]
     even, odd = [rho.numerator * (base // rho.denominator)], []
-    for w in reversed(instance.weights):
-        step = w.numerator * (base // w.denominator)
+    for step in reversed(steps[1:]):
         even, odd = (even + [room - step for room in odd if room >= step],
                      odd + [room - step for room in even if room >= step])
     counts = Counter(map(floordiv, even, repeat(base)))
     counts.subtract(Counter(map(floordiv, odd, repeat(base))))
+    if steps:
+        step = steps[0]
+        counts.update((room - step) // base for room in odd if room >= step)
+        counts.subtract(Counter((room - step) // base for room in even if room >= step))
     return counts
 
 

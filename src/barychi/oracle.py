@@ -78,21 +78,27 @@ def oracle_chi(space: FiniteWeightedSpace, rho: Fraction | int) -> int:
     subsets it keeps under rho (one integer add each); a heavier subset
     has no face among its supersets.  The vertices go heaviest first, in
     descending weight order, so that pruning cuts the lists while they are
-    short; the count is the same in any order.  O(2^m) time and memory when
-    rho is at least the total weight.
+    short; the count is the same in any order.  The lightest vertex comes
+    last, and its faces are counted one comparison each, never stored.
+    O(2^m) time and O(2^(m-1)) memory when rho is at least the total weight.
     """
     rho = _exact(rho, "rho")
     scale = lcm(rho.denominator, *(w.denominator for w in space.vertex_weights))
     top = rho.numerator * (scale // rho.denominator)
     if top < 0:
         return 0  # not even the empty set fits
+    *steps, lightest = sorted((w.numerator * (scale // w.denominator)
+                               for w in space.vertex_weights), reverse=True)
     even, odd = [0], []  # weights * scale of the subsets that fit, |S| even / odd
-    for step in sorted((w.numerator * (scale // w.denominator) for w in space.vertex_weights),
-                       reverse=True):
+    for step in steps:
         cap = top - step  # s + step <= top
         even, odd = (even + [s + step for s in odd if s <= cap],
                      odd + [s + step for s in even if s <= cap])
-    return len(odd) - (len(even) - 1)  # the empty set is no face
+    cap = top - lightest
+    # The empty set is no face; an even subset plus the lightest vertex is
+    # an odd face, an odd subset plus it an even one.
+    return (len(odd) - (len(even) - 1)
+            + len([s for s in even if s <= cap]) - len([s for s in odd if s <= cap]))
 
 
 def skeleton_chi(n: int, k: int) -> int:

@@ -23,7 +23,7 @@ from .model import (
 )
 from .cli import _METHOD_RUNNERS, compare_with_oracle
 from .oracle import FiniteWeightedSpace
-from .series import COLUMNS_FROM
+from .series import COLUMNS_FROM, chen_lin_series
 
 
 def random_instance(rng: random.Random) -> ValidatedInstance:
@@ -75,14 +75,21 @@ def random_finite_space(rng: random.Random) -> tuple[FiniteWeightedSpace, Fracti
 
 def check_triple_agreement(instance: ValidatedInstance) -> list[str]:
     """Every route of ``cli._METHOD_RUNNERS`` gives one chi_c, and
-    d_rho = 1 - chi_c for each."""
+    d_rho = 1 - chi_c for each; and so does 1 minus the sum of the whole
+    ``chen_lin_series``, what the ``series`` command and a breakdown print,
+    as the series route counts its last factor without expanding it."""
     failures = []
     results = {name: run(instance) for name, run in _METHOD_RUNNERS.items()}
-    if len({res.chi_c_value for res in results.values()}) != 1:
+    chis = {res.chi_c_value for res in results.values()}
+    expanded = 1 - sum(coefficient for _, coefficient in chen_lin_series(instance).terms())
+    if len(chis) != 1:
         failures.append(
             f"method disagreement on {_describe(instance)}: "
             + ", ".join(f"{name}={res.chi_c_value}" for name, res in results.items())
         )
+    elif expanded not in chis:
+        failures.append(f"the expanded series gives {expanded}, every route {chis.pop()}, "
+                        f"on {_describe(instance)}")
     for name, res in results.items():
         if res.degree_d_rho + res.chi_c_value != 1:
             failures.append(f"degree relation broken for {name} on {_describe(instance)}")

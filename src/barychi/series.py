@@ -16,7 +16,10 @@ the window end are integer comparisons.  A short cut keeps the terms in
 one int-keyed dict; a cut of ``COLUMNS_FROM`` or more whole levels, each
 with a term of the geometric power, keeps them as residue columns, one list
 per exponent class modulo 1, so that a factor moves a whole column by
-slices.
+slices.  ``chen_lin_series`` (what the ``series`` command and a breakdown
+print) expands every factor; ``chi_c_series`` without a breakdown needs
+only the window's sum, and counts the last factor's terms instead of
+expanding it.
 """
 from __future__ import annotations
 
@@ -83,6 +86,10 @@ class SparseSeries:
     def _constant(self) -> int:
         return self._terms.get(0, 0)
 
+    def _sum_through(self, cap: int) -> int:
+        """The sum of the coefficients at the keys k <= cap."""
+        return sum([c for k, c in self._terms.items() if k <= cap])
+
 
 class _ColumnSeries(SparseSeries):
     """A series stored as residue columns: the coefficient of
@@ -120,6 +127,14 @@ class _ColumnSeries(SparseSeries):
     def _constant(self) -> int:
         return self._columns[0][0]
 
+    def _sum_through(self, cap: int) -> int:
+        # Column s holds the keys s, s + scale, ...: those <= cap are its first
+        # (cap - s) // scale + 1 entries.  A residue past cap has none, and
+        # its slice end would be negative, which counts from the column's end.
+        scale = self.scale
+        return sum([sum(column[:(cap - s) // scale + 1])
+                    for s, column in self._columns.items() if s <= cap])
+
 
 def truncation_bound(rho: Fraction, bound: Fraction | None) -> Fraction:
     """The exponent the series is cut at: ``bound``, exact like rho, but never below rho."""
@@ -130,18 +145,24 @@ def chen_lin_series(instance: ValidatedInstance, bound: Fraction | None = None) 
     """Expand g(x) truncated at ``truncation_bound(rho, bound)``.
 
     ``_factors`` sets the scale, the geometric power and the factors'
-    order.  A cut whose floor reaches ``COLUMNS_FROM`` is expanded as residue
-    columns (``_expand_columns``) when the geometric power reaches it too,
-    any other cut term by term in a dict (``_expand_terms``).  The two give
-    the same terms.  The constant term of the product is exactly 1 (checked).
+    order, and ``_expand`` multiplies out every factor, in a dict or as
+    residue columns.
     """
     bound = truncation_bound(instance.rho, bound)
-    scale, top, powers, steps = _factors(instance, bound)
+    return _expand(*_factors(instance, bound))
+
+
+def _expand(scale: int, top: int, powers: list[int], steps: list[int]) -> SparseSeries:
+    """The geometric power ``powers`` times 1 - x^step for each of ``steps``
+    in turn, cut at ``top``: as residue columns (``_expand_columns``) when the
+    cut's floor reaches ``COLUMNS_FROM`` and the power reaches the cut too,
+    else term by term in a dict (``_expand_terms``).  The two give the same
+    terms.  The constant term is exactly 1 (checked)."""
     # A column is stored densely from level 0 to its last term, so it costs
     # as many levels as the cut has.  Columns are used only where the power
     # has a term at every level under the cut anyway: one that ends early
     # (m <= 0) leaves g a few terms under a cut that may lie any distance out.
-    levels = floor(bound)
+    levels = top // scale
     dense = len(powers) > levels
     expand = _expand_columns if dense and levels >= COLUMNS_FROM else _expand_terms
     g = expand(scale, top, powers, steps)
@@ -261,15 +282,23 @@ def chi_c_series(instance: ValidatedInstance, *, breakdown: bool = False) -> Chi
     at rho, its factors by ascending denominator and heaviest first within
     one (see ``_factors``: a heavy factor reaches few terms under the
     cut).  Cut at rho, every term of g but the constant 1 lies in the
-    window, so chi_c is 1 minus the sum of all of g's coefficients, read in
-    one sum with no window test, and the breakdown rows are the terms past
-    the constant, each exponent keyed as ``window_columns`` gives it, an
-    int pair ``(numerator, denominator)`` in lowest terms.  Agrees exactly
-    with the direct method.
+    window, so chi_c is 1 minus the sum of all of g's coefficients.  With
+    ``breakdown`` g is expanded whole, and the rows are its terms past the
+    constant, each exponent keyed as ``window_columns`` gives it, an int
+    pair ``(numerator, denominator)`` in lowest terms.  Without it the last
+    factor 1 - x^w is counted, not expanded: g = g' * (1 - x^w) for the
+    product g' of the others, so the sum of g's coefficients under the cut
+    is the sum of the coefficients of g' less the sum of those at exponents
+    up to rho - w.  Agrees exactly with the direct method.
     """
-    g = chen_lin_series(instance)
-    rows = ()
     if breakdown:
+        g = chen_lin_series(instance)
         _, numerators, denominators, coefficients = window_columns(g, instance.rho)
         rows = tuple(zip(zip(numerators, denominators), coefficients))
-    return ChiResult(1 - sum(g._coefficients()), rows)
+        return ChiResult(1 - sum(g._coefficients()), rows)
+    scale, top, powers, steps = _factors(instance, instance.rho)
+    g = _expand(scale, top, powers, steps[:-1])
+    total = sum(g._coefficients())
+    if steps:
+        total -= g._sum_through(top - steps[-1])
+    return ChiResult(1 - total)

@@ -4,7 +4,7 @@ from itertools import combinations
 from math import comb, floor, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from barychi.combinatorics import ext_binomial
@@ -65,6 +65,22 @@ class TestChiCDirect:
         assert res.degree_d_rho == 1 - res.chi_c_value
 
 
+@st.composite
+def lightest_closes_at_rho(draw):
+    """r = 1..8 weights drawn with repeats from a few, and rho = w_1 + w_J + n
+    for the lightest weight w_1, a drawn set J of the others and n in 0..2:
+    at n = 0 the subset J + {1} weighs exactly rho, so the room it leaves
+    for the lightest weight is exactly that weight."""
+    den = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    weight = st.one_of(st.integers(1, 3 * den).map(lambda n: F(n, den)),
+                       st.fractions(F(1, 12), F(3), max_denominator=12))
+    pool = draw(st.lists(weight, min_size=1, max_size=3))
+    weights = sorted(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8)))
+    closing = [w for w in weights[1:] if draw(st.booleans())]
+    rho = sum(closing, weights[0] + draw(st.integers(0, 2)))
+    return make(draw(st.integers(-5, 5)), weights, rho)
+
+
 class TestChiCStrata:
     def test_single_half_weight_contributions(self):
         res = chi_c_strata(make(2, ["1/2"], 1), breakdown=True)
@@ -113,6 +129,23 @@ class TestChiCStrata:
         # 1-simplex at level 0, worth -1.
         inst = make(0, ["1/2", "3/2"], 2)
         assert chi_c_strata(inst).chi_c_value == chi_c_direct(inst).chi_c_value == -2
+
+    @settings(max_examples=200, deadline=None)
+    @given(lightest_closes_at_rho())
+    @example(make(2, ["1/2"], "1/2"))
+    @example(make(0, ["1/2", "1/2", "3/2"], 2))
+    @example(make(1, ["1/2", "1/2", "1/2"], "3/2"))
+    def test_the_lightest_weight_is_tallied_at_rho(self, inst):
+        # Strata tallies the lightest weight's extensions without storing
+        # them; a subset it closes exactly at rho sits at level 0.
+        assert chi_c_strata(inst).chi_c_value == chi_c_direct(inst).chi_c_value
+        assert nonzero(_room_level_counts(inst)) == tally_levels(inst)
+
+    def test_a_pair_of_the_heavier_weights_summing_to_rho_is_counted(self):
+        # 3/2 + 1/2 = rho with the lightest weight, a second 1/2, left out:
+        # the pair is built whole before the lightest weight is tallied.
+        inst = make(0, ["1/2", "1/2", "3/2"], 2)
+        assert chi_c_strata(inst).chi_c_value == chi_c_direct(inst).chi_c_value == -6
 
     def test_breakdown_lists_a_level_whose_signed_count_is_zero(self):
         # Three half weights at rho 1: the three singles and the three pairs

@@ -1,9 +1,9 @@
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, floor
+from math import comb, floor, lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from barychi.classifier import classify
@@ -33,6 +33,37 @@ def fraction_face_count(weights, rho):
         if sum((w for i, w in enumerate(weights) if mask >> i & 1), F(0)) <= rho
     ]
     return sum(1 if k % 2 else -1 for k in faces)
+
+
+def full_list_count(weights, rho):
+    """The face count with every fitting vertex set stored: the weights of
+    the sets over the LCD, in two lists by the parity of the set's size,
+    each vertex in the given order extending the sets it keeps under rho;
+    the odd sets less the nonempty even ones."""
+    scale = lcm(rho.denominator, *(w.denominator for w in weights))
+    top = rho * scale
+    if top < 0:
+        return 0
+    even, odd = [0], []
+    for w in weights:
+        step = w * scale
+        even, odd = (even + [s + step for s in odd if s + step <= top],
+                     odd + [s + step for s in even if s + step <= top])
+    return len(odd) - (len(even) - 1)
+
+
+@st.composite
+def lightest_face_at_rho(draw):
+    """m = 1..10 vertex weights drawn with repeats from a few, unit weights
+    among them, and rho = w_min + w_J + n for the lightest vertex, a drawn
+    set J of the others and n in 0..1: at n = 0 a face through the lightest
+    vertex weighs exactly rho."""
+    weight = st.just(F(1)) | st.fractions(F(1, 12), F(3), max_denominator=12)
+    pool = draw(st.lists(weight, min_size=1, max_size=3))
+    weights = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    lightest = weights.index(min(weights))
+    closing = [w for i, w in enumerate(weights) if i != lightest and draw(st.booleans())]
+    return weights, sum(closing, weights[lightest] + draw(st.integers(0, 1)))
 
 
 class TestFiniteWeightedSpace:
@@ -126,6 +157,12 @@ class TestOracleChi:
                 space = FiniteWeightedSpace.of(n + 1)
                 assert oracle_chi(space, F(k)) == skeleton_chi(n, k)
 
+    def test_an_edge_without_the_lightest_vertex_at_rho(self):
+        # Weights 1, 1/2, 1/2 at rho 3/2: three vertices and three edges, the
+        # edges {1, 1/2} at exactly rho; the heavier of them is stored whole.
+        space = FiniteWeightedSpace((F(1), F(1, 2), F(1, 2)))
+        assert oracle_chi(space, F(3, 2)) == 3 - 3
+
     def test_vertex_cap(self):
         with pytest.raises(TooManyVertices):
             oracle_chi(FiniteWeightedSpace.of(23), F(1))
@@ -180,6 +217,16 @@ class TestOracleChi:
         expected = fraction_face_count(weights, rho)
         for order in set(permutations(weights)):
             assert oracle_chi(FiniteWeightedSpace(order), rho) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(lightest_face_at_rho())
+    @example(([F(1, 2)], F(1, 2)))
+    @example(([F(1), F(1, 2), F(1, 2)], F(3, 2)))
+    def test_the_lightest_vertex_is_counted_at_rho(self, drawn):
+        # The lightest vertex's faces are counted, not stored; those that
+        # weigh exactly rho are faces.
+        weights, rho = drawn
+        assert oracle_chi(FiniteWeightedSpace(tuple(weights)), rho) == full_list_count(weights, rho)
 
     def test_negative_rho_has_no_faces(self):
         assert oracle_chi(FiniteWeightedSpace.of(3), F(-1, 2)) == 0

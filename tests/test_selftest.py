@@ -20,6 +20,7 @@ from barychi.engine import (
 )
 from barychi.model import ComponentSpec, ProblemInstance, SpaceKind, validate
 from barychi.oracle import FiniteWeightedSpace
+from barychi.series import chen_lin_series
 
 # chi_c = 1 on every route.
 INSTANCE = validate(ProblemInstance(2, (F(1, 2),), F(3, 2)))
@@ -176,6 +177,15 @@ def test_a_route_added_to_the_cli_table_is_checked_and_named(monkeypatch):
                         lambda instance: SimpleNamespace(chi_c_value=1, degree_d_rho=1))
     assert selftest.check_triple_agreement(INSTANCE) == [
         f"degree relation broken for shifted on {described}"]
+
+
+def test_an_expanded_series_that_disagrees_with_every_route_is_named(monkeypatch):
+    # The series route counts its last factor; the whole expansion, which
+    # the series command prints, is checked against the routes on its own.
+    wrong = chen_lin_series(validate(ProblemInstance(2, (F(1, 2),), F(1, 4))))
+    monkeypatch.setattr(selftest, "chen_lin_series", lambda instance: wrong)
+    assert selftest.check_triple_agreement(INSTANCE) == [
+        f"the expanded series gives 0, every route 1, on {selftest._describe(INSTANCE)}"]
 
 
 # Each check of selftest below is made to fail once, and the line it prints

@@ -6,7 +6,7 @@ from itertools import accumulate
 from math import floor, gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from barychi.cli import _exponent_texts, main
@@ -506,6 +506,93 @@ class TestResidueColumns:
         assert type(g) is SparseSeries
         assert g.terms() == ended_power_reference(inst)
         assert chi_c_series(inst).chi_c_value == chi_c_direct(inst).chi_c_value
+
+
+def last_factor_weight(weights):
+    """The weight of the factor ``_factors`` applies last: by ascending
+    denominator and heaviest first within one, the lightest weight of the
+    largest denominator."""
+    return min(weights, key=lambda w: (-w.denominator, w))
+
+
+@st.composite
+def tally_cases(draw, columns):
+    """Tie-heavy instances for the series' tallied last factor: r = 0..5
+    weights drawn with repeats from a few, and rho = w_last + w_J + n for
+    the weight w_last of the last factor, a drawn set J of the other weights
+    and an integer n >= 0, so that g' (g without that factor) has a term at
+    the last cap rho - w_last whenever the sum over J does not cancel.
+    With ``columns`` floor(rho) >= COLUMNS_FROM and m = r - chi_c >= 1, and
+    a weight may lie past COLUMNS_FROM, so the last cap can fall under 1;
+    otherwise floor(rho) < COLUMNS_FROM, or m from -3 to 0, the power that
+    ends early, for which every cut keeps the dict."""
+    den = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    weight = st.one_of(st.integers(1, 3).map(F), st.integers(1, 4 * den).map(lambda n: F(n, den)),
+                       st.fractions(F(1, 20), F(5), max_denominator=20))
+    if columns:
+        weight |= st.fractions(F(COLUMNS_FROM), F(2 * COLUMNS_FROM), max_denominator=12)
+    pool = draw(st.lists(weight, min_size=1, max_size=3))
+    weights = draw(st.lists(st.sampled_from(pool), max_size=5))
+    rho = F(draw(st.integers(0, 2)))
+    if weights:
+        rest = list(weights)
+        rest.remove(last_factor_weight(weights))
+        rho += sum((w for w in rest if draw(st.booleans())), last_factor_weight(weights))
+    if columns:
+        rho += max(0, COLUMNS_FROM - floor(rho))
+        m = draw(st.integers(1, 12))
+    else:
+        m = draw(st.integers(-3, 12))
+        assume(floor(rho) < COLUMNS_FROM or m <= 0)
+    return make(len(weights) - m, weights, rho if rho > 0 else F(1, den))
+
+
+def expanded_chi(inst):
+    """1 minus the sum of the coefficients of g expanded whole, cut at rho."""
+    return 1 - sum(c for _, c in chen_lin_series(inst).terms())
+
+
+class TestTalliedLastFactor:
+    """Without a breakdown, chi_c_series expands g without its last factor
+    and counts that factor's terms; it must give what the whole expansion
+    gives, with the breakdown and by ``chen_lin_series``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tally_cases(columns=False))
+    @example(make(0, [], 3))
+    @example(make(-2, ["2/3"], "2/3"))
+    @example(make(1, ["1/2", "3/4"], "5/4"))
+    @example(make(2, ["1/2", "3/4"], 1 + COLUMNS_FROM))
+    def test_on_the_dict(self, inst):
+        assert type(chen_lin_series(inst)) is SparseSeries
+        tallied = chi_c_series(inst)
+        assert tallied == ChiResult(chi_c_series(inst, breakdown=True).chi_c_value)
+        assert tallied.chi_c_value == expanded_chi(inst)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tally_cases(columns=True))
+    @example(make(-3, [], COLUMNS_FROM))
+    @example(make(-2, ["103/5"], "103/5"))
+    @example(make(-1, ["1/2", "103/5"], "103/5"))
+    @example(make(-1, ["1/2", "103/5"], "211/10"))
+    def test_on_the_columns(self, inst):
+        assert type(chen_lin_series(inst)) is not SparseSeries
+        tallied = chi_c_series(inst)
+        assert tallied == ChiResult(chi_c_series(inst, breakdown=True).chi_c_value)
+        assert tallied.chi_c_value == expanded_chi(inst)
+
+    @settings(max_examples=150, deadline=None)
+    @given(column_cases(), st.data())
+    def test_sum_through_reads_the_terms_up_to_the_cap(self, case, data):
+        # Both storage classes, every residue of the scale as the cap's, and
+        # caps under 0 and past the cut.
+        inst, cut = case
+        factors = _factors(inst, cut)
+        scale, top = factors[0], factors[1]
+        caps = data.draw(st.lists(st.integers(-scale, top + 2 * scale), min_size=1, max_size=8))
+        for g in (_expand_terms(*factors), _expand_columns(*factors)):
+            for cap in caps + list(range(scale)):
+                assert g._sum_through(cap) == sum(c for e, c in g.terms() if e * scale <= cap)
 
 
 @st.composite

@@ -47,8 +47,6 @@ TIMEOUT = 120
 # The tests that kill the mutants, as pytest node ids.
 STRATA_AGREES = ["tests/test_engine.py::TestChiCStrata::test_agrees_with_direct"]
 STRATA_HALF = ["tests/test_engine.py::TestChiCStrata::test_single_half_weight_contributions"]
-STRATA_PAIR_AT_RHO = ["tests/test_engine.py::TestChiCStrata::"
-                      "test_a_pair_whose_weights_sum_to_rho_is_counted"]
 STRATA_ZERO_COUNT = ["tests/test_engine.py::TestChiCStrata::"
                      "test_breakdown_lists_a_level_whose_signed_count_is_zero"]
 DIRECT_HALF = ["tests/test_engine.py::TestChiCDirect::test_single_half_weight"]
@@ -63,7 +61,16 @@ SERIES_COLUMNS = ["tests/test_series.py::TestResidueColumns::"
                   "test_columns_give_the_terms_of_the_dict"]
 SERIES_ENDED = ["tests/test_series.py::TestResidueColumns::test_an_ended_power_keeps_the_dict"]
 ORACLE_TWO = ["tests/test_oracle.py::TestOracleChi::test_two_vertices"]
-ORACLE_THREE = ["tests/test_oracle.py::TestOracleChi::test_three_vertices"]
+STRATA_PAIR_WITHOUT_LIGHTEST = ["tests/test_engine.py::TestChiCStrata::"
+                                "test_a_pair_of_the_heavier_weights_summing_to_rho_is_counted"]
+ORACLE_EDGE_WITHOUT_LIGHTEST = ["tests/test_oracle.py::TestOracleChi::"
+                                "test_an_edge_without_the_lightest_vertex_at_rho"]
+STRATA_TALLY = ["tests/test_engine.py::TestChiCStrata::test_the_lightest_weight_is_tallied_at_rho"]
+ORACLE_TALLY = ["tests/test_oracle.py::TestOracleChi::test_the_lightest_vertex_is_counted_at_rho"]
+SERIES_TALLY_TERMS = ["tests/test_series.py::TestTalliedLastFactor::test_on_the_dict"]
+SERIES_TALLY_COLUMNS = ["tests/test_series.py::TestTalliedLastFactor::test_on_the_columns"]
+EXPANSION_NAMES = ["tests/test_selftest.py::"
+                   "test_an_expanded_series_that_disagrees_with_every_route_is_named"]
 R1_SWEEP = ["tests/test_classifier.py::TestClassifyR1::test_engine_consistency_sweep"]
 R2_SWEEP = ["tests/test_classifier.py::TestClassifyR2Connected::test_engine_consistency_sweep"]
 LEVELS = ["tests/test_model.py::TestSubsetLevels::test_far_below_zero"]
@@ -116,14 +123,30 @@ MUTANTS = [
     # Prune sites: a sum equal to the cap still fits.
     ("engine", "_fitting_sums", "s <= cap", "s < cap", STRATA_AGREES),
     ("engine", "_room_level_counts", "[room - step for room in odd if room >= step]",
-     "[room - step for room in odd if room > step]", STRATA_PAIR_AT_RHO),
+     "[room - step for room in odd if room > step]", STRATA_PAIR_WITHOUT_LIGHTEST),
     ("engine", "_room_level_counts", "[room - step for room in even if room >= step]",
      "[room - step for room in even if room > step]", STRATA_AGREES),
     ("series", "_expand_terms", "k <= cap", "k < cap", SERIES_ZEROS),
     ("oracle", "oracle_chi", "[s + step for s in odd if s <= cap]",
-     "[s + step for s in odd if s < cap]", ORACLE_THREE),
+     "[s + step for s in odd if s < cap]", ORACLE_EDGE_WITHOUT_LIGHTEST),
     ("oracle", "oracle_chi", "[s + step for s in even if s <= cap]",
      "[s + step for s in even if s < cap]", ORACLE_TWO),
+    # Tally sites: the last step of strata, the oracle and the series is
+    # counted, not stored, and a subset or a term exactly at its cap counts.
+    ("engine", "_room_level_counts", "((room - step) // base for room in odd if room >= step)",
+     "((room - step) // base for room in odd if room > step)", STRATA_TALLY),
+    ("engine", "_room_level_counts", "((room - step) // base for room in even if room >= step)",
+     "((room - step) // base for room in even if room > step)", STRATA_TALLY),
+    ("oracle", "oracle_chi", "[s for s in even if s <= cap]", "[s for s in even if s < cap]",
+     ORACLE_TALLY),
+    ("oracle", "oracle_chi", "[s for s in odd if s <= cap]", "[s for s in odd if s < cap]",
+     ORACLE_TALLY),
+    ("series", "SparseSeries._sum_through", "k <= cap", "k < cap", SERIES_TALLY_TERMS),
+    ("series", "_ColumnSeries._sum_through", "s <= cap", "s < cap", SERIES_TALLY_COLUMNS),
+    ("series", "_ColumnSeries._sum_through", "(cap - s) // scale + 1", "(cap - s) // scale + 0",
+     SERIES_TALLY_COLUMNS),
+    ("series", "_ColumnSeries._sum_through", "(cap - s) // scale + 1", "(cap - s) // scale + 2",
+     SERIES_TALLY_COLUMNS),
     # Tie sites: a pair or a subset exactly at a level boundary.
     ("engine", "_signed_level_counts", "qb > qa", "qb >= qa", DIRECT_HALF),
     ("engine", "_signed_level_counts", "qa > qb", "qa >= qb", NO_LEVEL),
@@ -143,19 +166,28 @@ MUTANTS = [
     ("classifier", "_r1_table", "w > 1", "w >= 1", R1_SWEEP),
     ("classifier", "_r2_table", "w2 > 1", "w2 >= 1", R2_SWEEP),
     # Each route's own arithmetic: the sign of N(L) in direct's tables and
-    # strata's tally, each first-half sum's count, the empty set's 1 in
-    # strata, the oracle's empty-face correction, the series' geometric
-    # ratio and factor shift.
+    # strata's tally and its lightest weight's, each first-half sum's
+    # count, the empty set's 1 in strata, the oracle's empty-face
+    # correction, the series' geometric ratio and factor shift.
     ("engine", "_fitting_sums", "grown.get(s + step, 0) - n", "grown.get(s + step, 0) + n",
      DIRECT_HALF),
     ("engine", "_signed_level_counts", "mul", "lambda count, running: running", DIRECT_HALF),
     ("engine", "_signed_level_counts", "sum(at_qa.values())", "len(at_qa)", ONE_LEVEL),
     ("engine", "_room_level_counts", "Counter(map(floordiv, odd, repeat(base)))",
-     "Counter(map(floordiv, even, repeat(base)))", STRATA_HALF),
+     "Counter(map(floordiv, even, repeat(base)))", STRATA_PAIR_WITHOUT_LIGHTEST),
+    ("engine", "_room_level_counts", "counts.update", "counts.subtract", STRATA_TALLY),
+    ("engine", "_room_level_counts",
+     "counts.subtract(Counter(((room - step) // base for room in even if room >= step)))",
+     "counts.update(Counter(((room - step) // base for room in even if room >= step)))",
+     STRATA_TALLY),
     ("engine", "chi_c_strata",
      "1 - sum((count * value[level] for level, count in counts.items()))",
      "-sum((count * value[level] for level, count in counts.items()))", STRATA_HALF),
-    ("oracle", "oracle_chi", "len(odd) - (len(even) - 1)", "len(odd) - len(even)", ORACLE_TWO),
+    ("oracle", "oracle_chi",
+     "len(odd) - (len(even) - 1) + len([s for s in even if s <= cap]) - "
+     "len([s for s in odd if s <= cap])",
+     "len(odd) - len(even) + len([s for s in even if s <= cap]) - "
+     "len([s for s in odd if s <= cap])", ORACLE_TWO),
     ("series", "_factors", "coeff * (m + n - 1) // n", "coeff * (m + n) // n", SERIES_ZEROS),
     ("series", "_factors", "-step", "-step + 1", SERIES_ZEROS),
     # The residue columns: a step that carries past the scale lands one
@@ -167,7 +199,7 @@ MUTANTS = [
     ("series", "_expand_columns", "(top - t) // scale - at + 1", "(top - t) // scale - at",
      SERIES_COLUMNS),
     # A power that ends early keeps the dict, whatever the cut's floor.
-    ("series", "chen_lin_series", "len(powers) > levels", "True", SERIES_ENDED),
+    ("series", "_expand", "len(powers) > levels", "True", SERIES_ENDED),
     # Subset levels: floor, not ceiling, and bit j of the mask is weight j.
     ("model", "subset_levels", "room // base", "-(-room // base)", LEVELS),
     ("model", "subset_levels", "[room - step for room in rooms]",
@@ -245,6 +277,9 @@ MUTANTS = [
      COMPUTE_AGREES),
     ("selftest", "check_triple_agreement", "_METHOD_RUNNERS.items()",
      "list(_METHOD_RUNNERS.items())[:3]", SELFTEST_AGREES),
+    # selftest's check also compares the whole expansion of the series,
+    # which the series route no longer makes.
+    ("selftest", "check_triple_agreement", "expanded not in chis", "False", EXPANSION_NAMES),
     # Every other comparison of selftest reports what it finds: the sweep
     # on each kind of group, blind to one kind at a time, and its placement
     # check; normalization, the oracle and each identity.
