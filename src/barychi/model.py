@@ -123,9 +123,9 @@ def validate(instance: ProblemInstance) -> ValidatedInstance:
     weights = tuple([_exact(w, "weights and rho") for w in _listed(instance.weights, "weights")])
     rho = _exact(instance.rho, "weights and rho")
     for w in weights:
-        if w <= 0:
+        if w.numerator <= 0:
             raise NonPositiveWeight(f"weight {_shown(w)} is not strictly positive")
-    if rho <= 0:
+    if rho.numerator <= 0:
         raise NonPositiveRho(f"rho {_shown(rho)} is not strictly positive")
     r = len(weights)
     if r > MAX_SINGULAR_POINTS:
@@ -133,7 +133,10 @@ def validate(instance: ProblemInstance) -> ValidatedInstance:
             f"r = {r} singular points exceeds the enumeration cap {MAX_SINGULAR_POINTS}"
         )
 
-    order = sorted(range(r), key=lambda i: weights[i])  # stable ascending
+    # Stable ascending, by the weights as integers over their LCD.
+    scale = lcm(*[w.denominator for w in weights])
+    keys = [w.numerator * (scale // w.denominator) for w in weights]
+    order = sorted(range(r), key=keys.__getitem__)
     canonical = tuple([weights[i] for i in order])
 
     components = instance.components
@@ -341,7 +344,10 @@ def _is_int(value: object) -> bool:
 
 
 def _exact(value: object, what: str) -> Fraction:
-    """``value`` as a ``Fraction``, if it is an int (never a bool) or a ``Fraction``."""
+    """``value`` as a ``Fraction``, if it is an int (never a bool) or a
+    ``Fraction``; a value of type ``Fraction`` itself comes back unchanged."""
+    if type(value) is Fraction:
+        return value
     if _is_int(value) or isinstance(value, Fraction):
         return Fraction(value)
     raise InputFormatError(f"{what} must be exact (an int or a Fraction), got {_shown(value)}")

@@ -78,9 +78,10 @@ def oracle_chi(space: FiniteWeightedSpace, rho: Fraction | int) -> int:
     subsets it keeps under rho (one integer add each); a heavier subset
     has no face among its supersets.  The vertices go heaviest first, in
     descending weight order, so that pruning cuts the lists while they are
-    short; the count is the same in any order.  The lightest vertex comes
-    last, and its faces are counted one comparison each, never stored.
-    O(2^m) time and O(2^(m-1)) memory when rho is at least the total weight.
+    short; the count is the same in any order.  The two lightest vertices
+    come last, and their faces are counted one comparison each, never
+    stored.  O(2^m) time and O(2^(m-2)) memory when rho is at least the
+    total weight.
     """
     rho = _exact(rho, "rho")
     scale = lcm(rho.denominator, *(w.denominator for w in space.vertex_weights))
@@ -89,16 +90,26 @@ def oracle_chi(space: FiniteWeightedSpace, rho: Fraction | int) -> int:
         return 0  # not even the empty set fits
     *steps, lightest = sorted((w.numerator * (scale // w.denominator)
                                for w in space.vertex_weights), reverse=True)
+    if not steps:
+        return int(lightest <= top)  # one vertex, a face when it fits
+    *steps, second = steps
     even, odd = [0], []  # weights * scale of the subsets that fit, |S| even / odd
     for step in steps:
         cap = top - step  # s + step <= top
         even, odd = (even + [s + step for s in odd if s <= cap],
                      odd + [s + step for s in even if s <= cap])
-    cap = top - lightest
-    # The empty set is no face; an even subset plus the lightest vertex is
-    # an odd face, an odd subset plus it an even one.
-    return (len(odd) - (len(even) - 1)
-            + len([s for s in even if s <= cap]) - len([s for s in odd if s <= cap]))
+    # A subset S of the other vertices stays a face with the second
+    # lightest added while it weighs at most a, with the lightest at most
+    # b, and with both at most c.  Under all three caps S makes two faces
+    # of each parity (S, S and both; S and either one), but the empty set
+    # is no face, so it makes one odd face more.  The count is that 1 less
+    # the faces that each S over a cap does not make: an odd one for an
+    # even S over a or b, an even one for an even S over c, and the other
+    # way round for an odd S.
+    a, b, c = top - second, top - lightest, top - lightest - second
+    return (1 - len([s for s in even if s > a]) - len([s for s in even if s > b])
+            + len([s for s in even if s > c]) + len([s for s in odd if s > a])
+            + len([s for s in odd if s > b]) - len([s for s in odd if s > c]))
 
 
 def skeleton_chi(n: int, k: int) -> int:

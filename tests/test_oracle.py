@@ -53,17 +53,18 @@ def full_list_count(weights, rho):
 
 
 @st.composite
-def lightest_face_at_rho(draw):
-    """m = 1..10 vertex weights drawn with repeats from a few, unit weights
-    among them, and rho = w_min + w_J + n for the lightest vertex, a drawn
-    set J of the others and n in 0..1: at n = 0 a face through the lightest
-    vertex weighs exactly rho."""
+def faces_at_the_last_caps(draw):
+    """m = 1..10 vertex weights, m = 1, 2 and 3 as often as all others
+    together, drawn with repeats from a few, unit weights among them, and
+    rho = w_K + w_J + n for a drawn set K of the two lightest vertices, a
+    drawn set J of the others and n in 0..1: at n = 0 the face J weighs
+    exactly the cap rho - w_K that ``oracle_chi`` counts it against."""
     weight = st.just(F(1)) | st.fractions(F(1, 12), F(3), max_denominator=12)
     pool = draw(st.lists(weight, min_size=1, max_size=3))
-    weights = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
-    lightest = weights.index(min(weights))
-    closing = [w for i, w in enumerate(weights) if i != lightest and draw(st.booleans())]
-    return weights, sum(closing, weights[lightest] + draw(st.integers(0, 1)))
+    m = draw(st.sampled_from([1, 2, 3]) | st.integers(1, 10))
+    weights = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    chosen = [w for w in sorted(weights) if draw(st.booleans())]
+    return weights, sum(chosen, F(draw(st.integers(0, 1))))
 
 
 class TestFiniteWeightedSpace:
@@ -163,6 +164,14 @@ class TestOracleChi:
         space = FiniteWeightedSpace((F(1), F(1, 2), F(1, 2)))
         assert oracle_chi(space, F(3, 2)) == 3 - 3
 
+    def test_faces_without_the_two_lightest_vertices_at_rho(self):
+        # The faces of the vertices other than the two lightest are stored
+        # whole, and one at exactly rho is kept: the vertex 2 at rho 2, with
+        # the edge {1/2, 1/2}; the edge {1, 1} at rho 2, with four vertices,
+        # six edges and the triangles {1, 1/2, 1/2}.
+        assert oracle_chi(FiniteWeightedSpace((F(2), F(1, 2), F(1, 2))), F(2)) == 3 - 1
+        assert oracle_chi(FiniteWeightedSpace((F(1), F(1), F(1, 2), F(1, 2))), F(2)) == 4 - 6 + 2
+
     def test_vertex_cap(self):
         with pytest.raises(TooManyVertices):
             oracle_chi(FiniteWeightedSpace.of(23), F(1))
@@ -218,13 +227,22 @@ class TestOracleChi:
         for order in set(permutations(weights)):
             assert oracle_chi(FiniteWeightedSpace(order), rho) == expected
 
-    @settings(max_examples=200, deadline=None)
-    @given(lightest_face_at_rho())
+    @settings(max_examples=300, deadline=None)
+    @given(faces_at_the_last_caps())
     @example(([F(1, 2)], F(1, 2)))
+    @example(([F(1, 2)], F(1, 3)))
     @example(([F(1), F(1, 2), F(1, 2)], F(3, 2)))
-    def test_the_lightest_vertex_is_counted_at_rho(self, drawn):
-        # The lightest vertex's faces are counted, not stored; those that
-        # weigh exactly rho are faces.
+    # The two lightest 1/2 and 1, and an even (empty) or odd ({2}) set at
+    # each cap: rho - 1, rho - 1/2 and rho - 3/2.
+    @example(([F(1), F(1, 2)], F(1)))
+    @example(([F(1), F(1, 2)], F(1, 2)))
+    @example(([F(1), F(1, 2)], F(3, 2)))
+    @example(([F(2), F(1), F(1, 2)], F(3)))
+    @example(([F(2), F(1), F(1, 2)], F(5, 2)))
+    @example(([F(2), F(1), F(1, 2)], F(7, 2)))
+    def test_the_two_lightest_vertices_are_counted_at_each_cap(self, drawn):
+        # The faces through the two lightest vertices are counted, not
+        # stored; those that weigh exactly rho are faces.
         weights, rho = drawn
         assert oracle_chi(FiniteWeightedSpace(tuple(weights)), rho) == full_list_count(weights, rho)
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from barychi import series
 from barychi.cli import _exponent_texts, main
 from barychi.combinatorics import ext_binomial
 from barychi.engine import ChiResult, chi_c_direct, chi_c_strata
@@ -508,22 +509,24 @@ class TestResidueColumns:
         assert chi_c_series(inst).chi_c_value == chi_c_direct(inst).chi_c_value
 
 
-def last_factor_weight(weights):
-    """The weight of the factor ``_factors`` applies last: by ascending
-    denominator and heaviest first within one, the lightest weight of the
-    largest denominator."""
-    return min(weights, key=lambda w: (-w.denominator, w))
+def counted_weights(weights):
+    """The weights of the factors that ``chi_c_series`` counts rather than
+    expands: the last two of ``_factors``' order (by ascending denominator,
+    heaviest first within one) from r = 3 on, else the last one."""
+    order = sorted(weights, key=lambda w: (w.denominator, -w))
+    return order[-2:] if len(order) >= 3 else order[-1:]
 
 
 @st.composite
 def tally_cases(draw, columns):
-    """Tie-heavy instances for the series' tallied last factor: r = 0..5
-    weights drawn with repeats from a few, and rho = w_last + w_J + n for
-    the weight w_last of the last factor, a drawn set J of the other weights
-    and an integer n >= 0, so that g' (g without that factor) has a term at
-    the last cap rho - w_last whenever the sum over J does not cancel.
-    With ``columns`` floor(rho) >= COLUMNS_FROM and m = r - chi_c >= 1, and
-    a weight may lie past COLUMNS_FROM, so the last cap can fall under 1;
+    """Tie-heavy instances for the series' counted factors: r = 0..5
+    weights, r = 2 and 3 as often as all others together, drawn with
+    repeats from a few, and rho = w_K + w_J + n for a drawn set K of the
+    counted factors' weights, a drawn set J of the other weights and an
+    integer n >= 0, so that g'' (g without the counted factors) has a term
+    at the cap rho - w_K whenever the sum over J does not cancel.  With
+    ``columns`` floor(rho) >= COLUMNS_FROM and m = r - chi_c >= 1, and a
+    weight may lie past COLUMNS_FROM, so a cap can fall under 1;
     otherwise floor(rho) < COLUMNS_FROM, or m from -3 to 0, the power that
     ends early, for which every cut keeps the dict."""
     den = draw(st.sampled_from([1, 2, 3, 4, 6]))
@@ -532,12 +535,13 @@ def tally_cases(draw, columns):
     if columns:
         weight |= st.fractions(F(COLUMNS_FROM), F(2 * COLUMNS_FROM), max_denominator=12)
     pool = draw(st.lists(weight, min_size=1, max_size=3))
-    weights = draw(st.lists(st.sampled_from(pool), max_size=5))
-    rho = F(draw(st.integers(0, 2)))
-    if weights:
-        rest = list(weights)
-        rest.remove(last_factor_weight(weights))
-        rho += sum((w for w in rest if draw(st.booleans())), last_factor_weight(weights))
+    r = draw(st.sampled_from([2, 3]) | st.integers(0, 5))
+    weights = draw(st.lists(st.sampled_from(pool), min_size=r, max_size=r))
+    counted, rest = counted_weights(weights), list(weights)
+    for w in counted:
+        rest.remove(w)
+    chosen = [w for w in counted + rest if draw(st.booleans())]
+    rho = sum(chosen, F(draw(st.integers(0, 2))))
     if columns:
         rho += max(0, COLUMNS_FROM - floor(rho))
         m = draw(st.integers(1, 12))
@@ -553,9 +557,10 @@ def expanded_chi(inst):
 
 
 class TestTalliedLastFactor:
-    """Without a breakdown, chi_c_series expands g without its last factor
-    and counts that factor's terms; it must give what the whole expansion
-    gives, with the breakdown and by ``chen_lin_series``."""
+    """Without a breakdown, chi_c_series expands g without its last two
+    factors from r = 3 on, else without its last one, and counts those
+    factors' terms; it must give what the whole expansion gives, with the
+    breakdown and by ``chen_lin_series``."""
 
     @settings(max_examples=300, deadline=None)
     @given(tally_cases(columns=False))
@@ -563,6 +568,11 @@ class TestTalliedLastFactor:
     @example(make(-2, ["2/3"], "2/3"))
     @example(make(1, ["1/2", "3/4"], "5/4"))
     @example(make(2, ["1/2", "3/4"], 1 + COLUMNS_FROM))
+    # r = 3 and the counted 1/3 and 1/4 after 1/2, rho at each cap.
+    @example(make(2, ["1/2", "1/3", "1/4"], "5/6"))
+    @example(make(2, ["1/2", "1/3", "1/4"], "3/4"))
+    @example(make(2, ["1/2", "1/3", "1/4"], "13/12"))
+    @example(make(3, ["1/2", "1/3", "1/4"], "13/12"))
     def test_on_the_dict(self, inst):
         assert type(chen_lin_series(inst)) is SparseSeries
         tallied = chi_c_series(inst)
@@ -575,11 +585,31 @@ class TestTalliedLastFactor:
     @example(make(-2, ["103/5"], "103/5"))
     @example(make(-1, ["1/2", "103/5"], "103/5"))
     @example(make(-1, ["1/2", "103/5"], "211/10"))
+    # r = 3 and the counted 1/3 and 103/5 after 1/2, rho at each cap.
+    @example(make(0, ["1/2", "1/3", "103/5"], "125/6"))
+    @example(make(0, ["1/2", "1/3", "103/5"], "211/10"))
+    @example(make(0, ["1/2", "1/3", "103/5"], "643/30"))
     def test_on_the_columns(self, inst):
         assert type(chen_lin_series(inst)) is not SparseSeries
         tallied = chi_c_series(inst)
         assert tallied == ChiResult(chi_c_series(inst, breakdown=True).chi_c_value)
         assert tallied.chi_c_value == expanded_chi(inst)
+
+    @pytest.mark.parametrize("r, expanded", [(0, 0), (1, 0), (2, 1), (3, 1), (4, 2)])
+    def test_how_many_factors_are_multiplied_out(self, monkeypatch, r, expanded):
+        # One factor is still expanded at r = 2: counting both would leave
+        # the geometric power alone, and the route strata's sum of levels.
+        calls = []
+
+        def spy(scale, top, powers, steps):
+            calls.append(len(steps))
+            return expand(scale, top, powers, steps)
+
+        expand = series._expand
+        monkeypatch.setattr(series, "_expand", spy)
+        inst = make(-1, ["1/2", "2/3", "3/4", "4/5"][:r], 3)
+        assert chi_c_series(inst) == ChiResult(chi_c_direct(inst).chi_c_value)
+        assert calls == [expanded]
 
     @settings(max_examples=150, deadline=None)
     @given(column_cases(), st.data())

@@ -63,12 +63,15 @@ SERIES_ENDED = ["tests/test_series.py::TestResidueColumns::test_an_ended_power_k
 ORACLE_TWO = ["tests/test_oracle.py::TestOracleChi::test_two_vertices"]
 STRATA_PAIR_WITHOUT_LIGHTEST = ["tests/test_engine.py::TestChiCStrata::"
                                 "test_a_pair_of_the_heavier_weights_summing_to_rho_is_counted"]
-ORACLE_EDGE_WITHOUT_LIGHTEST = ["tests/test_oracle.py::TestOracleChi::"
-                                "test_an_edge_without_the_lightest_vertex_at_rho"]
+ORACLE_STORED_AT_RHO = ["tests/test_oracle.py::TestOracleChi::"
+                        "test_faces_without_the_two_lightest_vertices_at_rho"]
 STRATA_TALLY = ["tests/test_engine.py::TestChiCStrata::test_the_lightest_weight_is_tallied_at_rho"]
-ORACLE_TALLY = ["tests/test_oracle.py::TestOracleChi::test_the_lightest_vertex_is_counted_at_rho"]
+ORACLE_TALLY = ["tests/test_oracle.py::TestOracleChi::"
+                "test_the_two_lightest_vertices_are_counted_at_each_cap"]
 SERIES_TALLY_TERMS = ["tests/test_series.py::TestTalliedLastFactor::test_on_the_dict"]
 SERIES_TALLY_COLUMNS = ["tests/test_series.py::TestTalliedLastFactor::test_on_the_columns"]
+SERIES_EXPANDED_AT_R2 = ["tests/test_series.py::TestTalliedLastFactor::"
+                         "test_how_many_factors_are_multiplied_out[2-1]"]
 EXPANSION_NAMES = ["tests/test_selftest.py::"
                    "test_an_expanded_series_that_disagrees_with_every_route_is_named"]
 R1_SWEEP = ["tests/test_classifier.py::TestClassifyR1::test_engine_consistency_sweep"]
@@ -128,19 +131,34 @@ MUTANTS = [
      "[room - step for room in even if room > step]", STRATA_AGREES),
     ("series", "_expand_terms", "k <= cap", "k < cap", SERIES_ZEROS),
     ("oracle", "oracle_chi", "[s + step for s in odd if s <= cap]",
-     "[s + step for s in odd if s < cap]", ORACLE_EDGE_WITHOUT_LIGHTEST),
+     "[s + step for s in odd if s < cap]", ORACLE_STORED_AT_RHO),
     ("oracle", "oracle_chi", "[s + step for s in even if s <= cap]",
-     "[s + step for s in even if s < cap]", ORACLE_TWO),
-    # Tally sites: the last step of strata, the oracle and the series is
-    # counted, not stored, and a subset or a term exactly at its cap counts.
+     "[s + step for s in even if s < cap]", ORACLE_STORED_AT_RHO),
+    # Tally sites: the last step of strata, the last two of the oracle and
+    # of the series are counted, not stored, and a subset or a term exactly
+    # at its cap counts.
     ("engine", "_room_level_counts", "((room - step) // base for room in odd if room >= step)",
      "((room - step) // base for room in odd if room > step)", STRATA_TALLY),
     ("engine", "_room_level_counts", "((room - step) // base for room in even if room >= step)",
      "((room - step) // base for room in even if room > step)", STRATA_TALLY),
-    ("oracle", "oracle_chi", "[s for s in even if s <= cap]", "[s for s in even if s < cap]",
+    ("oracle", "oracle_chi", "[s for s in even if s > a]", "[s for s in even if s >= a]",
      ORACLE_TALLY),
-    ("oracle", "oracle_chi", "[s for s in odd if s <= cap]", "[s for s in odd if s < cap]",
+    ("oracle", "oracle_chi", "[s for s in odd if s > a]", "[s for s in odd if s >= a]",
      ORACLE_TALLY),
+    ("oracle", "oracle_chi", "[s for s in even if s > b]", "[s for s in even if s >= b]",
+     ORACLE_TALLY),
+    ("oracle", "oracle_chi", "[s for s in odd if s > b]", "[s for s in odd if s >= b]",
+     ORACLE_TALLY),
+    ("oracle", "oracle_chi", "[s for s in even if s > c]", "[s for s in even if s >= c]",
+     ORACLE_TALLY),
+    ("oracle", "oracle_chi", "[s for s in odd if s > c]", "[s for s in odd if s >= c]",
+     ORACLE_TALLY),
+    ("oracle", "oracle_chi", "lightest <= top", "lightest < top", ORACLE_TALLY),
+    ("series", "chi_c_series", "top - a - b", "top - a", SERIES_TALLY_TERMS),
+    ("series", "chi_c_series", "sum(g._coefficients()) - g._sum_through(top - a)",
+     "sum(g._coefficients()) + g._sum_through(top - a)", SERIES_TALLY_TERMS),
+    # At r = 2 one factor is still expanded, which the result alone does not show.
+    ("series", "chi_c_series", "len(steps) >= 3", "len(steps) >= 2", SERIES_EXPANDED_AT_R2),
     ("series", "SparseSeries._sum_through", "k <= cap", "k < cap", SERIES_TALLY_TERMS),
     ("series", "_ColumnSeries._sum_through", "s <= cap", "s < cap", SERIES_TALLY_COLUMNS),
     ("series", "_ColumnSeries._sum_through", "(cap - s) // scale + 1", "(cap - s) // scale + 0",
@@ -183,11 +201,8 @@ MUTANTS = [
     ("engine", "chi_c_strata",
      "1 - sum((count * value[level] for level, count in counts.items()))",
      "-sum((count * value[level] for level, count in counts.items()))", STRATA_HALF),
-    ("oracle", "oracle_chi",
-     "len(odd) - (len(even) - 1) + len([s for s in even if s <= cap]) - "
-     "len([s for s in odd if s <= cap])",
-     "len(odd) - len(even) + len([s for s in even if s <= cap]) - "
-     "len([s for s in odd if s <= cap])", ORACLE_TWO),
+    ("oracle", "oracle_chi", "1 - len([s for s in even if s > a])",
+     "-len([s for s in even if s > a])", ORACLE_TWO),
     ("series", "_factors", "coeff * (m + n - 1) // n", "coeff * (m + n) // n", SERIES_ZEROS),
     ("series", "_factors", "-step", "-step + 1", SERIES_ZEROS),
     # The residue columns: a step that carries past the scale lands one
