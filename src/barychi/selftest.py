@@ -77,7 +77,7 @@ def check_triple_agreement(instance: ValidatedInstance) -> list[str]:
     """Every route of ``cli._METHOD_RUNNERS`` gives one chi_c, and
     d_rho = 1 - chi_c for each; and so does 1 minus the sum of the whole
     ``chen_lin_series``, what the ``series`` command and a breakdown print,
-    as the series route counts its last factor without expanding it."""
+    as the series route counts its last two factors without expanding them."""
     failures = []
     results = {name: run(instance) for name, run in _METHOD_RUNNERS.items()}
     chis = {res.chi_c_value for res in results.values()}

@@ -18,8 +18,8 @@ with a term of the geometric power, keeps them as residue columns, one list
 per exponent class modulo 1, so that a factor moves a whole column by
 slices.  ``chen_lin_series`` (what the ``series`` command and a breakdown
 print) expands every factor; ``chi_c_series`` without a breakdown needs
-only the window's sum, and counts the terms of the last two factors (of
-the last one when r <= 2) instead of expanding them.
+only the window's sum, and counts the terms of the last two factors
+instead of expanding them.
 """
 from __future__ import annotations
 
@@ -286,15 +286,12 @@ def chi_c_series(instance: ValidatedInstance, *, breakdown: bool = False) -> Chi
     ``breakdown`` g is expanded whole, and the rows are its terms past the
     constant, each exponent keyed as ``window_columns`` gives it, an int
     pair ``(numerator, denominator)`` in lowest terms.  Without it the last
-    factor 1 - x^w is counted, not expanded: g = g' * (1 - x^w) for the
-    product g' of the others, so the sum of g's coefficients under the cut
-    is the sum of the coefficients of g' less the sum of those at exponents
-    up to rho - w.  From r = 3 on the last two, 1 - x^a and 1 - x^b, are
-    counted so: g = g'' * (1 - x^a) * (1 - x^b), and the sum is that of
-    g'' less its sums up to rho - a and up to rho - b, plus its sum up to
-    rho - a - b.  At r = 2 one factor is still expanded: counting both
-    would leave the geometric power's sums up to four levels, which is
-    strata's sum of level values, and the routes are to share no method.
+    two factors, 1 - x^a and 1 - x^b, are counted, not expanded: g = g'' *
+    (1 - x^a) * (1 - x^b) for the product g'' of the others, so the sum of
+    g's coefficients under the cut is the sum of those of g'' less its sums
+    up to rho - a and up to rho - b, plus its sum up to rho - a - b.  Below
+    r = 2 a missing factor is taken with its exponent past the cut, where
+    it is 1.
     Agrees exactly with the direct method.
     """
     if breakdown:
@@ -303,14 +300,8 @@ def chi_c_series(instance: ValidatedInstance, *, breakdown: bool = False) -> Chi
         rows = tuple(zip(zip(numerators, denominators), coefficients))
         return ChiResult(1 - sum(g._coefficients()), rows)
     scale, top, powers, steps = _factors(instance, instance.rho)
-    if len(steps) >= 3:
-        *steps, a, b = steps
-        g = _expand(scale, top, powers, steps)
-        total = (sum(g._coefficients()) - g._sum_through(top - a) - g._sum_through(top - b)
-                 + g._sum_through(top - a - b))
-    else:
-        g = _expand(scale, top, powers, steps[:-1])
-        total = sum(g._coefficients())
-        if steps:
-            total -= g._sum_through(top - steps[-1])
+    a, b = [top + 1, top + 1, *steps][-2:]
+    g = _expand(scale, top, powers, steps[:-2])
+    total = (sum(g._coefficients()) - g._sum_through(top - a) - g._sum_through(top - b)
+             + g._sum_through(top - a - b))
     return ChiResult(1 - total)

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from barychi import series
 from barychi.cli import _exponent_texts, main
 from barychi.combinatorics import ext_binomial
 from barychi.engine import ChiResult, chi_c_direct, chi_c_strata
@@ -511,24 +510,23 @@ class TestResidueColumns:
 
 def counted_weights(weights):
     """The weights of the factors that ``chi_c_series`` counts rather than
-    expands: the last two of ``_factors``' order (by ascending denominator,
-    heaviest first within one) from r = 3 on, else the last one."""
-    order = sorted(weights, key=lambda w: (w.denominator, -w))
-    return order[-2:] if len(order) >= 3 else order[-1:]
+    expands: the last two (all of them at r < 2) of ``_factors``' order, by
+    ascending denominator and heaviest first within one."""
+    return sorted(weights, key=lambda w: (w.denominator, -w))[-2:]
 
 
 @st.composite
 def tally_cases(draw, columns):
     """Tie-heavy instances for the series' counted factors: r = 0..5
     weights, r = 2 and 3 as often as all others together, drawn with
-    repeats from a few, and rho = w_K + w_J + n for a drawn set K of the
-    counted factors' weights, a drawn set J of the other weights and an
-    integer n >= 0, so that g'' (g without the counted factors) has a term
-    at the cap rho - w_K whenever the sum over J does not cancel.  With
-    ``columns`` floor(rho) >= COLUMNS_FROM and m = r - chi_c >= 1, and a
-    weight may lie past COLUMNS_FROM, so a cap can fall under 1;
-    otherwise floor(rho) < COLUMNS_FROM, or m from -3 to 0, the power that
-    ends early, for which every cut keeps the dict."""
+    repeats from a few, and rho = w_K + w_J + n for a drawn nonempty set
+    K of the counted factors' weights (none at r = 0), a drawn set J of
+    the other weights and an integer n >= 0, so that g'' (g without the
+    counted factors) has a term at the cap rho - w_K whenever the sum over
+    J does not cancel.  With ``columns`` floor(rho) >= COLUMNS_FROM and
+    m = r - chi_c >= 1, and a weight may lie past COLUMNS_FROM, so a cap
+    can fall under 1; otherwise floor(rho) < COLUMNS_FROM, or m from -3 to
+    0, the power that ends early, for which every cut keeps the dict."""
     den = draw(st.sampled_from([1, 2, 3, 4, 6]))
     weight = st.one_of(st.integers(1, 3).map(F), st.integers(1, 4 * den).map(lambda n: F(n, den)),
                        st.fractions(F(1, 20), F(5), max_denominator=20))
@@ -540,7 +538,8 @@ def tally_cases(draw, columns):
     counted, rest = counted_weights(weights), list(weights)
     for w in counted:
         rest.remove(w)
-    chosen = [w for w in counted + rest if draw(st.booleans())]
+    picked = st.sets(st.sampled_from(range(len(counted))), min_size=1) if counted else st.just(())
+    chosen = [counted[i] for i in draw(picked)] + [w for w in rest if draw(st.booleans())]
     rho = sum(chosen, F(draw(st.integers(0, 2))))
     if columns:
         rho += max(0, COLUMNS_FROM - floor(rho))
@@ -558,14 +557,16 @@ def expanded_chi(inst):
 
 class TestTalliedLastFactor:
     """Without a breakdown, chi_c_series expands g without its last two
-    factors from r = 3 on, else without its last one, and counts those
-    factors' terms; it must give what the whole expansion gives, with the
-    breakdown and by ``chen_lin_series``."""
+    factors and counts those factors' terms; it must give what the whole
+    expansion gives, with the breakdown and by ``chen_lin_series``."""
 
     @settings(max_examples=300, deadline=None)
     @given(tally_cases(columns=False))
     @example(make(0, [], 3))
     @example(make(-2, ["2/3"], "2/3"))
+    # r = 2, both factors counted, rho at each cap.
+    @example(make(1, ["1/2", "3/4"], "1/2"))
+    @example(make(1, ["1/2", "3/4"], "3/4"))
     @example(make(1, ["1/2", "3/4"], "5/4"))
     @example(make(2, ["1/2", "3/4"], 1 + COLUMNS_FROM))
     # r = 3 and the counted 1/3 and 1/4 after 1/2, rho at each cap.
@@ -585,6 +586,7 @@ class TestTalliedLastFactor:
     @example(make(-2, ["103/5"], "103/5"))
     @example(make(-1, ["1/2", "103/5"], "103/5"))
     @example(make(-1, ["1/2", "103/5"], "211/10"))
+    @example(make(-1, ["1/2", "103/5"], "41/2"))
     # r = 3 and the counted 1/3 and 103/5 after 1/2, rho at each cap.
     @example(make(0, ["1/2", "1/3", "103/5"], "125/6"))
     @example(make(0, ["1/2", "1/3", "103/5"], "211/10"))
@@ -594,22 +596,6 @@ class TestTalliedLastFactor:
         tallied = chi_c_series(inst)
         assert tallied == ChiResult(chi_c_series(inst, breakdown=True).chi_c_value)
         assert tallied.chi_c_value == expanded_chi(inst)
-
-    @pytest.mark.parametrize("r, expanded", [(0, 0), (1, 0), (2, 1), (3, 1), (4, 2)])
-    def test_how_many_factors_are_multiplied_out(self, monkeypatch, r, expanded):
-        # One factor is still expanded at r = 2: counting both would leave
-        # the geometric power alone, and the route strata's sum of levels.
-        calls = []
-
-        def spy(scale, top, powers, steps):
-            calls.append(len(steps))
-            return expand(scale, top, powers, steps)
-
-        expand = series._expand
-        monkeypatch.setattr(series, "_expand", spy)
-        inst = make(-1, ["1/2", "2/3", "3/4", "4/5"][:r], 3)
-        assert chi_c_series(inst) == ChiResult(chi_c_direct(inst).chi_c_value)
-        assert calls == [expanded]
 
     @settings(max_examples=150, deadline=None)
     @given(column_cases(), st.data())

@@ -70,8 +70,6 @@ ORACLE_TALLY = ["tests/test_oracle.py::TestOracleChi::"
                 "test_the_two_lightest_vertices_are_counted_at_each_cap"]
 SERIES_TALLY_TERMS = ["tests/test_series.py::TestTalliedLastFactor::test_on_the_dict"]
 SERIES_TALLY_COLUMNS = ["tests/test_series.py::TestTalliedLastFactor::test_on_the_columns"]
-SERIES_EXPANDED_AT_R2 = ["tests/test_series.py::TestTalliedLastFactor::"
-                         "test_how_many_factors_are_multiplied_out[2-1]"]
 EXPANSION_NAMES = ["tests/test_selftest.py::"
                    "test_an_expanded_series_that_disagrees_with_every_route_is_named"]
 R1_SWEEP = ["tests/test_classifier.py::TestClassifyR1::test_engine_consistency_sweep"]
@@ -155,10 +153,11 @@ MUTANTS = [
      ORACLE_TALLY),
     ("oracle", "oracle_chi", "lightest <= top", "lightest < top", ORACLE_TALLY),
     ("series", "chi_c_series", "top - a - b", "top - a", SERIES_TALLY_TERMS),
+    # Below r = 2 a missing factor must lie past the cut, not at it.
+    ("series", "chi_c_series", "[top + 1, top + 1, *steps]", "[top, top, *steps]",
+     SERIES_TALLY_TERMS),
     ("series", "chi_c_series", "sum(g._coefficients()) - g._sum_through(top - a)",
      "sum(g._coefficients()) + g._sum_through(top - a)", SERIES_TALLY_TERMS),
-    # At r = 2 one factor is still expanded, which the result alone does not show.
-    ("series", "chi_c_series", "len(steps) >= 3", "len(steps) >= 2", SERIES_EXPANDED_AT_R2),
     ("series", "SparseSeries._sum_through", "k <= cap", "k < cap", SERIES_TALLY_TERMS),
     ("series", "_ColumnSeries._sum_through", "s <= cap", "s < cap", SERIES_TALLY_COLUMNS),
     ("series", "_ColumnSeries._sum_through", "(cap - s) // scale + 1", "(cap - s) // scale + 0",
