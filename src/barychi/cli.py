@@ -20,7 +20,6 @@ from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from itertools import accumulate, chain, islice
 from math import floor
-from operator import itemgetter
 
 from .engine import ChiResult, chi_c_direct, chi_c_strata, topological_chi_applicable
 from .errors import (
@@ -246,21 +245,18 @@ def _components_for(args: argparse.Namespace) -> dict:
     ]}
 
 
-def _write(args: argparse.Namespace, document: Callable[[], dict],
+def _write(args: argparse.Namespace, document: Callable[[], Iterable[str]],
            lines: Callable[[], Iterable[str]]) -> None:
-    """Write the JSON of ``document()`` under ``--json``, else the text of
-    ``lines()``: all of it, or none of it.  ``str`` raises ValueError for an
-    int past Python's int-to-str limit, which is refused as ``TooManyDigits``,
-    so a maker must only make text, never run a route.  What a maker builds
-    is held here alone, and it is freed, like the buffer, before the text is
-    written; the lines go into the buffer as they are made."""
+    """Write the JSON line that ``document()`` makes under ``--json``, else
+    the text of ``lines()``: all of it, or none of it.  Each makes its text
+    as fragments, which go into the buffer as they are made.  ``str`` raises
+    ValueError for an int past Python's int-to-str limit, which is refused
+    as ``TooManyDigits``, so a maker must only make text, never run a route.
+    What a maker builds is held here alone, and it is freed, like the
+    buffer, before the text is written."""
     buffer = io.StringIO()
-    if args.json:  # only a --json request loads json
-        import json
     try:
-        # A document is built fresh for each output and holds no cycles.
-        buffer.writelines([json.dumps(document(), separators=(",", ":"), check_circular=False),
-                           "\n"] if args.json else lines())
+        buffer.writelines(chain(document(), "\n") if args.json else lines())
     except ValueError as exc:
         raise TooManyDigits(
             f"a result has more than {sys.get_int_max_str_digits()} digits, "
@@ -271,10 +267,22 @@ def _write(args: argparse.Namespace, document: Callable[[], dict],
     sys.stdout.write(text)
 
 
-def _exponent_texts(exponents: Iterable[tuple[int, int]]) -> list[str]:
-    """Each exponent ``(n, d)`` in lowest terms as ``str`` prints the same
-    ``Fraction``: "n/d", or "n" when d is 1."""
-    return [f"{n}/{d}" if d != 1 else str(n) for n, d in exponents]
+def _json(document: dict) -> str:
+    """``document`` as compact JSON, its fields in their order."""
+    import json  # only a --json request loads json
+
+    # A document is built fresh for each output and holds no cycles.
+    return json.dumps(document, separators=(",", ":"), check_circular=False)
+
+
+class _Suffixes(dict):
+    """What follows the numerator n of an exponent n/d in lowest terms, by
+    d: "/d", or nothing when d is 1, so that the text reads as ``str`` of
+    the ``Fraction``.  Each denominator's suffix is made on its first read."""
+
+    def __missing__(self, d: int) -> str:
+        suffix = self[d] = f"/{d}" if d != 1 else ""
+        return suffix
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +310,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     def report() -> dict:
         return build_report(instance, results.pop(), breakdown=args.breakdown)
 
-    _write(args, report, lambda: _report_text(report()))
+    _write(args, lambda: _report_json(report()), lambda: _report_text(report()))
     return 0 if agreed else 2
 
 
@@ -334,15 +342,25 @@ def build_report(
         "topological_chi_applies": topological_chi_applicable(instance),
     }
     if breakdown:
-        tables = report["breakdown"] = {}
-        for name, res in results.items():
-            # Index tuples print as they are; series exponents print as text.
-            rows = res.term_breakdown
-            if name == "series":
-                rows = list(zip(_exponent_texts(map(itemgetter(0), rows)),
-                                map(itemgetter(1), rows)))
-            tables[name] = rows
+        report["breakdown"] = {name: res.term_breakdown for name, res in results.items()}
     return report
+
+
+def _report_json(report: dict) -> tuple[str, ...]:
+    """The report as JSON.  ``json.dumps`` renders every field but the
+    series rows ``((n, d), c)``, each made the pair ``["n/d",c]`` that
+    ``json.dumps`` gives for ``[str(n/d), c]``, and spliced into the empty
+    array left in their place.  Series is the last route and the breakdown
+    the last field, so that array is the text's last but two characters,
+    "[]}}"."""
+    rows = report.get("breakdown", {}).get("series")
+    if rows is None:
+        return (_json(report),)
+    report["breakdown"]["series"] = []
+    head = _json(report)[:-3]
+    del report
+    suffix = _Suffixes()
+    return head, ",".join([f'["{n}{suffix[d]}",{c}]' for (n, d), c in rows]), "]}}"
 
 
 def _report_text(report: dict) -> Iterator[str]:
@@ -356,10 +374,11 @@ def _report_text(report: dict) -> Iterator[str]:
         yield f"chi_c(B_rho) = {report['chi_c']}\n"
         yield f"d_rho = {report['d_rho']}\n"
     yield f"topological chi applies: {'yes' if report['topological_chi_applies'] else 'no'}\n"
+    suffix = _Suffixes()
     for method, rows in report.get("breakdown", {}).items():
         yield f"{method} terms:\n"
         if method == "series":
-            yield from (f"  {key}: {value}\n" for key, value in rows)
+            yield from (f"  {n}{suffix[d]}: {c}\n" for (n, d), c in rows)
         else:  # an index tuple (1, 3) prints as {1,3}
             yield from (f"  {{{','.join(map(str, key))}}}: {value}\n" for key, value in rows)
     yield f"verdict: {report['verdict']}\n"
@@ -379,24 +398,29 @@ def _cmd_series(args: argparse.Namespace) -> int:
         chen_lin_series(instance, bound), instance.rho)
     chi_c = -sum(islice(coefficients, inside))
 
-    def document() -> dict:
-        return {
-            "instance": instance_to_json_dict(instance),
-            "bound": str(bound),
-            "terms": list(zip(_exponent_texts(zip(numerators, denominators)), coefficients)),
-            "window_sum": -chi_c,
-            "chi_c": chi_c,
-            "d_rho": 1 - chi_c,
-        }
+    def document() -> tuple[str, ...]:
+        # json.dumps renders every field but the terms, each made the pair
+        # that it gives for [str(n/d), c] and spliced between the "[" of an
+        # empty "terms" array and the "{" of the fields after it.
+        head = _json({"instance": instance_to_json_dict(instance), "bound": str(bound),
+                      "terms": []})
+        tail = _json({"window_sum": -chi_c, "chi_c": chi_c, "d_rho": 1 - chi_c})
+        suffix = _Suffixes()
+        terms = ",".join([f'["{n}{suffix[d]}",{c}]' for n, d, c in
+                          zip(numerators, denominators, coefficients)])
+        return head[:-2], terms, "],", tail[1:]
 
     def lines() -> Iterator[str]:
-        exponents = _exponent_texts(zip(numerators, denominators))
+        # The window's sums come first in each zip, so the zip that stops
+        # with them takes no term past the window end.
+        suffix = _Suffixes()
         return chain([f"chi_c={chi_c} d_rho={1 - chi_c}\n"],
-                     (f"{e} {c}\t# sum={total}\n" for e, c, total in
-                      zip(exponents, coefficients, accumulate(islice(coefficients, inside)))),
+                     (f"{n}{suffix[d]} {c}\t# sum={total}\n" for total, n, d, c in
+                      zip(accumulate(islice(coefficients, inside)), numerators, denominators,
+                          coefficients)),
                      [f"# window end: rho={instance.rho}\n"],
-                     (f"{e} {c}\n" for e, c in
-                      zip(islice(exponents, inside, None), islice(coefficients, inside, None))))
+                     (f"{n}{suffix[d]} {c}\n" for n, d, c in
+                      zip(numerators, denominators, islice(coefficients, inside, None))))
 
     _write(args, document, lines)
     return 0
@@ -415,13 +439,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     match = all(v == expected for v in values.values())
     verdict = "MATCH" if match else "MISMATCH"
 
-    _write(args, lambda: {
+    _write(args, lambda: [_json({
         "instance": instance_to_json_dict(instance),
         "oracle": expected,
         "methods": values,
         "verdict": verdict,
-    }, lambda: [f"oracle: {expected}\n", *(f"{name}: {value}\n" for name, value in values.items()),
-                f"verdict: {verdict}\n"])
+    })], lambda: [f"oracle: {expected}\n",
+                  *(f"{name}: {value}\n" for name, value in values.items()),
+                  f"verdict: {verdict}\n"])
     return 0 if match else 2
 
 
@@ -458,14 +483,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     engine = chi_c_direct(instance).chi_c_value
     verdict = "MATCH" if chi == engine else "MISMATCH"
 
-    _write(args, lambda: {
+    _write(args, lambda: [_json({
         "instance": instance_to_json_dict(instance),
         "descriptor": descriptor.text,
         "descriptor_chi": chi,
         "engine_chi_c": engine,
         "verdict": verdict,
-    }, lambda: [f"descriptor: {descriptor.text}\n", f"descriptor chi: {chi}\n",
-                f"engine chi_c: {engine}\n", f"verdict: {verdict}\n"])
+    })], lambda: [f"descriptor: {descriptor.text}\n", f"descriptor chi: {chi}\n",
+                  f"engine chi_c: {engine}\n", f"verdict: {verdict}\n"])
     return 0 if verdict == "MATCH" else 2
 
 

@@ -79,7 +79,7 @@ def oracle_chi(space: FiniteWeightedSpace, rho: Fraction | int) -> int:
     has no face among its supersets.  The vertices go heaviest first, in
     descending weight order, so that pruning cuts the lists while they are
     short; the count is the same in any order.  The two lightest vertices
-    come last, and their faces are counted one comparison each, never
+    come last, and their faces are counted against their caps, never
     stored.  O(2^m) time and O(2^(m-2)) memory when rho is at least the
     total weight.
     """
@@ -105,11 +105,12 @@ def oracle_chi(space: FiniteWeightedSpace, rho: Fraction | int) -> int:
     # is no face, so it makes one odd face more.  The count is that 1 less
     # the faces that each S over a cap does not make: an odd one for an
     # even S over a or b, an even one for an even S over c, and the other
-    # way round for an odd S.
+    # way round for an odd S.  As c < a <= b, an S over a or b is over c:
+    # the faces over c are kept, and a and b are counted among them.
     a, b, c = top - second, top - lightest, top - lightest - second
-    return (1 - len([s for s in even if s > a]) - len([s for s in even if s > b])
-            + len([s for s in even if s > c]) + len([s for s in odd if s > a])
-            + len([s for s in odd if s > b]) - len([s for s in odd if s > c]))
+    even, odd = [s for s in even if s > c], [s for s in odd if s > c]
+    return (1 - len([s for s in even if s > a]) - len([s for s in even if s > b]) + len(even)
+            + len([s for s in odd if s > a]) + len([s for s in odd if s > b]) - len(odd))
 
 
 def skeleton_chi(n: int, k: int) -> int:

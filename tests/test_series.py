@@ -9,9 +9,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from barychi.cli import _exponent_texts, main
+from barychi.cli import main
 from barychi.combinatorics import ext_binomial
-from barychi.engine import ChiResult, chi_c_direct, chi_c_strata
+from barychi.engine import (
+    ChiResult,
+    chi_c_direct,
+    chi_c_strata,
+    topological_chi_applicable,
+)
 from barychi.errors import InputFormatError, NonPositiveRho, NonPositiveWeight
 from barychi.model import ProblemInstance, instance_to_json_dict, validate
 from barychi.series import (
@@ -124,8 +129,6 @@ class TestSparseSeries:
         terms = [(e, c) for e, c in g.terms() if e > 0]
         assert reduced == [(e.numerator, e.denominator, c) for e, c in terms]
         assert inside == sum(1 for e, _ in terms if e <= rho)
-        assert _exponent_texts((n, d) for n, d, _ in reduced) == \
-            [str(F(k, scale)) for k in sorted(g._terms) if k > 0]
 
     def test_reduced_terms_of_a_series(self):
         # (1 + x + x^2)(1 - x^(1/2)) at scale 6: the key 3 reduces to 1/2 and
@@ -136,7 +139,6 @@ class TestSparseSeries:
         reduced = list(zip(numerators, denominators, coefficients))
         assert inside == 2
         assert reduced == [(1, 2, -1), (1, 1, 1), (3, 2, -1), (2, 1, 1)]
-        assert _exponent_texts((n, d) for n, d, _ in reduced) == ["1/2", "1", "3/2", "2"]
 
     def test_len_counts_terms(self):
         # perfbench's tracer reads series.support_terms as len() of the
@@ -366,6 +368,67 @@ def series_command_reference(inst, bound: Fraction | None, as_json: bool) -> str
     return "".join(lines)
 
 
+def series_breakdown_reference(inst, as_json: bool) -> str:
+    """What ``barychi compute --method series --breakdown`` prints, rendered
+    from ``g.terms()`` with ``str(Fraction)`` exponents.  chi_c is direct's."""
+    terms = chen_lin_series(inst).terms()[1:]
+    chi = chi_c_direct(inst).chi_c_value
+    doc = instance_to_json_dict(inst)
+    if as_json:
+        return json.dumps({
+            "instance": doc,
+            "methods": {"series": chi},
+            "chi_c": chi,
+            "d_rho": 1 - chi,
+            "verdict": "MATCH",
+            "topological_chi_applies": topological_chi_applicable(inst),
+            "breakdown": {"series": [[str(e), c] for e, c in terms]},
+        }, separators=(",", ":")) + "\n"
+    applies = "yes" if topological_chi_applicable(inst) else "no"
+    lines = [f"instance: chi_c={doc['chi_c']} weights={','.join(doc['weights']) or '(none)'} "
+             f"rho={doc['rho']} space={doc['space']['kind']}\n",
+             f"series: {chi}\n", f"chi_c(B_rho) = {chi}\n", f"d_rho = {1 - chi}\n",
+             f"topological chi applies: {applies}\n", "series terms:\n"]
+    lines += [f"  {e}: {c}\n" for e, c in terms]
+    lines.append("verdict: MATCH\n")
+    return "".join(lines)
+
+
+@st.composite
+def term_text_cases(draw):
+    """(command, instance, bound, as_json) for the printed series terms:
+    ``series`` with its bound absent, at rho, or on a subset sum above it,
+    or ``compute --method series --breakdown`` (bound None).  The weights
+    are drawn with repeats from a few with denominators 2 to 6, integers
+    among them, so exponents tie, many are integers and the factors make
+    negative coefficients; rho is a drawn subset's weight plus n, and n or
+    the bound's floor reaches COLUMNS_FROM often, with m = r - chi_c >= 1
+    there, so the columns are read; otherwise m may be 0 or below."""
+    command = draw(st.sampled_from(["series", "breakdown"]))
+    den = draw(st.sampled_from([2, 3, 4, 6]))
+    pool = draw(st.lists(st.integers(1, 3).map(F) | st.integers(1, 3 * den).map(
+        lambda n: F(n, den)), min_size=1, max_size=3))
+    weights = draw(st.lists(st.sampled_from(pool), max_size=4))
+    subset = st.lists(st.sampled_from(weights), unique_by=id, max_size=len(weights)) \
+        if weights else st.just([])
+    far = draw(st.booleans())
+    rho = sum(draw(subset), F(draw(st.integers(0, 2))))
+    bound = None
+    if command == "series":
+        bound = draw(st.sampled_from([None, "rho", "above"]))
+        if bound == "rho":
+            bound = rho
+        elif bound == "above":
+            bound = rho + sum(draw(subset), F(draw(st.integers(0, 2))))
+            bound += COLUMNS_FROM if far else 0
+    if rho <= 0:
+        rho = F(1, den)
+    if command == "breakdown" and far:
+        rho += COLUMNS_FROM
+    m = draw(st.integers(1, 6) if far else st.integers(-2, 6))
+    return command, make(len(weights) - m, weights, rho), bound, draw(st.booleans())
+
+
 class TestSeriesOutputPath:
     """The series command reads g's int keys straight into text; it must
     print what ``g.terms()`` says."""
@@ -383,6 +446,31 @@ class TestSeriesOutputPath:
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0
         assert out.getvalue() == series_command_reference(inst, bound, as_json)
+
+    @settings(max_examples=150, deadline=None)
+    @given(term_text_cases())
+    @example(("series", make(2, ["1/2", "2/3"], "7/6"), F(13, 6), False))
+    @example(("series", make(2, ["1/2", "2/3"], "7/6"), F(13, 6), True))
+    @example(("breakdown", make(-1, ["1", "3/4"], "87/4"), None, False))
+    @example(("breakdown", make(-1, ["1", "3/4"], "87/4"), None, True))
+    def test_terms_print_as_the_reference_renders_them(self, case):
+        # Integer and fractional exponents, negative coefficients, a cut on
+        # a subset sum, and cuts past COLUMNS_FROM, where g is stored as
+        # residue columns, in series and in a series breakdown, as text and
+        # as JSON.
+        command, inst, bound, as_json = case
+        argv = ["--chi-c", str(inst.chi_c), "--weights", ",".join(map(str, inst.weights)),
+                "--rho", str(inst.rho)]
+        if command == "series":
+            argv = ["series", *argv, *([] if bound is None else ["--bound", str(bound)])]
+            want = series_command_reference(inst, bound, as_json)
+        else:
+            argv = ["compute", *argv, "--method", "series", "--breakdown"]
+            want = series_breakdown_reference(inst, as_json)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, *(["--json"] if as_json else [])]) == 0
+        assert out.getvalue() == want
 
 
 def chen_lin_series_ascending(instance, bound=None):

@@ -57,6 +57,8 @@ SERIES_ZEROS = ["tests/test_series.py::TestSparseSeries::test_zero_coefficients_
 SERIES_IDENTITY = ["tests/test_series.py::TestSparseSeries::test_exponent_value_identity"]
 SERIES_WINDOW = ["tests/test_series.py::TestSparseSeries::"
                  "test_reduced_terms_are_terms_as_integers"]
+SERIES_TEXT = ["tests/test_series.py::TestSeriesOutputPath::"
+               "test_terms_print_as_the_reference_renders_them"]
 SERIES_COLUMNS = ["tests/test_series.py::TestResidueColumns::"
                   "test_columns_give_the_terms_of_the_dict"]
 SERIES_ENDED = ["tests/test_series.py::TestResidueColumns::test_an_ended_power_keeps_the_dict"]
@@ -237,8 +239,16 @@ MUTANTS = [
     ("cli", "main", "gc.disable()", "None", COLLECTOR),
     ("cli", "main", "gc.isenabled()", "True", COLLECTOR),
     # An integer exponent prints as "n", any other as "n/d".
-    ("cli", "_exponent_texts", "d != 1", "True", SERIES_WINDOW),
-    ("cli", "_exponent_texts", "d != 1", "d == 1", SERIES_WINDOW),
+    ("cli", "_Suffixes.__missing__", "d != 1", "True", SERIES_TEXT),
+    ("cli", "_Suffixes.__missing__", "d != 1", "d == 1", SERIES_TEXT),
+    # The terms rendered by hand join the JSON that json.dumps renders at
+    # their place, and the text form splits them at the window's end.
+    ("cli", "_cmd_series.document", "','", "''", SERIES_TEXT),
+    ("cli", "_report_json", "','", "''", SERIES_TEXT),
+    ("cli", "_report_json", "_json(report)[:-3]", "_json(report)[:-2]", SERIES_TEXT),
+    ("cli", "_cmd_series.document", "head[:-2]", "head[:-1]", SERIES_TEXT),
+    ("cli", "_cmd_series.lines", "islice(coefficients, inside, None)",
+     "islice(coefficients, inside + 1, None)", SERIES_TEXT),
     # validate alone refuses an index listed twice, and it remaps each
     # component's indices to the canonical order.
     ("model", "_check_components", "i in seen", "False", INDEX_TWICE),
