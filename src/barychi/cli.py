@@ -18,7 +18,7 @@ import io
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
 from math import floor
 
 from .engine import ChiResult, chi_c_direct, chi_c_strata, topological_chi_applicable
@@ -275,14 +275,22 @@ def _json(document: dict) -> str:
     return json.dumps(document, separators=(",", ":"), check_circular=False)
 
 
-class _Suffixes(dict):
-    """What follows the numerator n of an exponent n/d in lowest terms, by
-    d: "/d", or nothing when d is 1, so that the text reads as ``str`` of
-    the ``Fraction``.  Each denominator's suffix is made on its first read."""
+def _term_texts(before: str, between: str, ends: Iterable[str], numerators: Iterable[int],
+                denominators: Iterable[int], coefficients: Iterable[int]) -> Iterator[str]:
+    """The text of each series term, one f-string a term: ``before``, its
+    exponent n/d as ``str`` prints the ``Fraction`` ("n/d", or "n" when d is
+    1), ``between``, its coefficient and its end.  The terms stop with the
+    ends, before any other column is read past them."""
+    return (f"{before}{n}/{d}{between}{c}{end}" if d != 1 else f"{before}{n}{between}{c}{end}"
+            for end, n, d, c in zip(ends, numerators, denominators, coefficients))
 
-    def __missing__(self, d: int) -> str:
-        suffix = self[d] = f"/{d}" if d != 1 else ""
-        return suffix
+
+def _row_columns(rows: tuple[tuple[tuple[int, int], int], ...]) -> tuple[tuple[int, ...], ...]:
+    """The numerators, denominators and coefficients of the series rows ``((n, d), c)``."""
+    if not rows:
+        return (), (), ()
+    exponents, coefficients = zip(*rows)
+    return (*zip(*exponents), coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +367,7 @@ def _report_json(report: dict) -> tuple[str, ...]:
     report["breakdown"]["series"] = []
     head = _json(report)[:-3]
     del report
-    suffix = _Suffixes()
-    return head, ",".join([f'["{n}{suffix[d]}",{c}]' for (n, d), c in rows]), "]}}"
+    return head, ",".join(_term_texts('["', '",', repeat("]"), *_row_columns(rows))), "]}}"
 
 
 def _report_text(report: dict) -> Iterator[str]:
@@ -374,11 +381,10 @@ def _report_text(report: dict) -> Iterator[str]:
         yield f"chi_c(B_rho) = {report['chi_c']}\n"
         yield f"d_rho = {report['d_rho']}\n"
     yield f"topological chi applies: {'yes' if report['topological_chi_applies'] else 'no'}\n"
-    suffix = _Suffixes()
     for method, rows in report.get("breakdown", {}).items():
         yield f"{method} terms:\n"
         if method == "series":
-            yield from (f"  {n}{suffix[d]}: {c}\n" for (n, d), c in rows)
+            yield from _term_texts("  ", ": ", repeat("\n"), *_row_columns(rows))
         else:  # an index tuple (1, 3) prints as {1,3}
             yield from (f"  {{{','.join(map(str, key))}}}: {value}\n" for key, value in rows)
     yield f"verdict: {report['verdict']}\n"
@@ -405,22 +411,18 @@ def _cmd_series(args: argparse.Namespace) -> int:
         head = _json({"instance": instance_to_json_dict(instance), "bound": str(bound),
                       "terms": []})
         tail = _json({"window_sum": -chi_c, "chi_c": chi_c, "d_rho": 1 - chi_c})
-        suffix = _Suffixes()
-        terms = ",".join([f'["{n}{suffix[d]}",{c}]' for n, d, c in
-                          zip(numerators, denominators, coefficients)])
+        terms = ",".join(_term_texts('["', '",', repeat("]"), numerators, denominators,
+                                     coefficients))
         return head[:-2], terms, "],", tail[1:]
 
     def lines() -> Iterator[str]:
-        # The window's sums come first in each zip, so the zip that stops
-        # with them takes no term past the window end.
-        suffix = _Suffixes()
+        # The window's lines end with its running sums, and stop with them.
+        sums = (f"\t# sum={total}\n" for total in accumulate(islice(coefficients, inside)))
         return chain([f"chi_c={chi_c} d_rho={1 - chi_c}\n"],
-                     (f"{n}{suffix[d]} {c}\t# sum={total}\n" for total, n, d, c in
-                      zip(accumulate(islice(coefficients, inside)), numerators, denominators,
-                          coefficients)),
+                     _term_texts("", " ", sums, numerators, denominators, coefficients),
                      [f"# window end: rho={instance.rho}\n"],
-                     (f"{n}{suffix[d]} {c}\n" for n, d, c in
-                      zip(numerators, denominators, islice(coefficients, inside, None))))
+                     _term_texts("", " ", repeat("\n"), numerators, denominators,
+                                 islice(coefficients, inside, None)))
 
     _write(args, document, lines)
     return 0

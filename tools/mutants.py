@@ -239,10 +239,14 @@ MUTANTS = [
     ("cli", "main", "gc.disable()", "None", COLLECTOR),
     ("cli", "main", "gc.isenabled()", "True", COLLECTOR),
     # An integer exponent prints as "n", any other as "n/d".
-    ("cli", "_Suffixes.__missing__", "d != 1", "True", SERIES_TEXT),
-    ("cli", "_Suffixes.__missing__", "d != 1", "d == 1", SERIES_TEXT),
+    ("cli", "_term_texts", "d != 1", "True", SERIES_TEXT),
+    ("cli", "_term_texts", "d != 1", "d == 1", SERIES_TEXT),
     # The terms rendered by hand join the JSON that json.dumps renders at
-    # their place, and the text form splits them at the window's end.
+    # their place, and the text form splits them at the window's end: the
+    # window's lines stop with its sums, before a term past it is read.
+    ("cli", "_term_texts", "zip(ends, numerators, denominators, coefficients)",
+     "map(lambda n, d, c, end: (end, n, d, c), numerators, denominators, coefficients, ends)",
+     SERIES_TEXT),
     ("cli", "_cmd_series.document", "','", "''", SERIES_TEXT),
     ("cli", "_report_json", "','", "''", SERIES_TEXT),
     ("cli", "_report_json", "_json(report)[:-3]", "_json(report)[:-2]", SERIES_TEXT),
