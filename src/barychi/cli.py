@@ -20,6 +20,7 @@ from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 from math import floor
+from operator import itemgetter
 
 from .engine import ChiResult, chi_c_direct, chi_c_strata, topological_chi_applicable
 from .errors import (
@@ -285,12 +286,11 @@ def _term_texts(before: str, between: str, ends: Iterable[str], numerators: Iter
             for end, n, d, c in zip(ends, numerators, denominators, coefficients))
 
 
-def _row_columns(rows: tuple[tuple[tuple[int, int], int], ...]) -> tuple[tuple[int, ...], ...]:
-    """The numerators, denominators and coefficients of the series rows ``((n, d), c)``."""
-    if not rows:
-        return (), (), ()
-    exponents, coefficients = zip(*rows)
-    return (*zip(*exponents), coefficients)
+def _row_columns(rows: tuple[tuple[tuple[int, int], int], ...]) -> tuple[Iterator[int], ...]:
+    """The numerators, denominators and coefficients of the series rows
+    ``((n, d), c)``, each read from the rows as it is iterated."""
+    return (map(itemgetter(0), map(itemgetter(0), rows)),
+            map(itemgetter(1), map(itemgetter(0), rows)), map(itemgetter(1), rows))
 
 
 # ---------------------------------------------------------------------------

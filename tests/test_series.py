@@ -2,7 +2,7 @@ import contextlib
 import io
 import json
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import floor, gcd, lcm
 
 import pytest
@@ -409,21 +409,21 @@ def term_text_cases(draw):
     pool = draw(st.lists(st.integers(1, 3).map(F) | st.integers(1, 3 * den).map(
         lambda n: F(n, den)), min_size=1, max_size=3))
     weights = draw(st.lists(st.sampled_from(pool), max_size=4))
-    subset = st.lists(st.sampled_from(weights), unique_by=id, max_size=len(weights)) \
-        if weights else st.just([])
+
+    def subset_sum_plus_n() -> Fraction:
+        kept = draw(st.lists(st.booleans(), min_size=len(weights), max_size=len(weights)))
+        return sum(compress(weights, kept), F(draw(st.integers(0, 2))))
+
     far = draw(st.booleans())
-    rho = sum(draw(subset), F(draw(st.integers(0, 2))))
+    rho = subset_sum_plus_n() or F(1, den)
     bound = None
     if command == "series":
         bound = draw(st.sampled_from([None, "rho", "above"]))
         if bound == "rho":
             bound = rho
         elif bound == "above":
-            bound = rho + sum(draw(subset), F(draw(st.integers(0, 2))))
-            bound += COLUMNS_FROM if far else 0
-    if rho <= 0:
-        rho = F(1, den)
-    if command == "breakdown" and far:
+            bound = rho + subset_sum_plus_n() + (COLUMNS_FROM if far else 0)
+    elif far:
         rho += COLUMNS_FROM
     m = draw(st.integers(1, 6) if far else st.integers(-2, 6))
     return command, make(len(weights) - m, weights, rho), bound, draw(st.booleans())
