@@ -405,9 +405,10 @@ def _cmd_series(args: argparse.Namespace) -> int:
     chi_c = -sum(islice(coefficients, inside))
 
     def document() -> tuple[str, ...]:
-        # json.dumps renders every field but the terms, each made the pair
-        # that it gives for [str(n/d), c] and spliced between the "[" of an
-        # empty "terms" array and the "{" of the fields after it.
+        # json.dumps renders every field but the terms: the head ends in an
+        # empty "terms" array, cut after its "[", and the fields after the
+        # terms are a second document less its "{".  Each term is made the
+        # pair that json.dumps gives for [str(n/d), c].
         head = _json({"instance": instance_to_json_dict(instance), "bound": str(bound),
                       "terms": []})
         tail = _json({"window_sum": -chi_c, "chi_c": chi_c, "d_rho": 1 - chi_c})

@@ -250,6 +250,7 @@ MUTANTS = [
     ("cli", "_cmd_series.document", "','", "''", SERIES_TEXT),
     ("cli", "_report_json", "','", "''", SERIES_TEXT),
     ("cli", "_report_json", "_json(report)[:-3]", "_json(report)[:-2]", SERIES_TEXT),
+    ("cli", "_row_columns", "map(itemgetter(1), rows)", "map(itemgetter(0), rows)", SERIES_TEXT),
     ("cli", "_cmd_series.document", "head[:-2]", "head[:-1]", SERIES_TEXT),
     ("cli", "_cmd_series.lines", "islice(coefficients, inside, None)",
      "islice(coefficients, inside + 1, None)", SERIES_TEXT),
