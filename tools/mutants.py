@@ -250,10 +250,11 @@ MUTANTS = [
     ("cli", "_cmd_series.document", "','", "''", SERIES_TEXT),
     ("cli", "_report_json", "','", "''", SERIES_TEXT),
     ("cli", "_report_json", "_json(report)[:-3]", "_json(report)[:-2]", SERIES_TEXT),
-    ("cli", "_row_columns", "map(itemgetter(1), rows)", "map(itemgetter(0), rows)", SERIES_TEXT),
     ("cli", "_cmd_series.document", "head[:-2]", "head[:-1]", SERIES_TEXT),
     ("cli", "_cmd_series.lines", "islice(coefficients, inside, None)",
      "islice(coefficients, inside + 1, None)", SERIES_TEXT),
+    # A breakdown's series rows ((n, d), c) are read column by column.
+    ("cli", "_row_columns", "map(itemgetter(1), rows)", "map(itemgetter(0), rows)", SERIES_TEXT),
     # validate alone refuses an index listed twice, and it remaps each
     # component's indices to the canonical order.
     ("model", "_check_components", "i in seen", "False", INDEX_TWICE),
